@@ -9,7 +9,8 @@
 //! call) followed by a havoc batch. Engines under test:
 //!
 //! * `tree` — the CFG-walking interpreter,
-//! * `compiled` — the flattened struct-of-arrays bytecode engine,
+//! * `compiled` — the flattened struct-of-arrays bytecode engine
+//!   (`InterpMode::Auto` with no snapshot primed),
 //! * `snapshot` — the compiled engine with each parent's run memoized
 //!   once, so every child resumes from the last step whose input-read
 //!   decision provably diverges under its mutated bytes (most children
@@ -93,6 +94,16 @@ fn mutation_stream(prepared: &PreparedBenchmark) -> Vec<(Vec<u8>, Vec<Vec<u8>>)>
         .collect()
 }
 
+/// The three raw-execution engines. `Compiled` and `Snapshot` both run
+/// under [`InterpMode::Auto`]; `Compiled` never primes a parent recording,
+/// so it runs the bytecode front to back.
+#[derive(Clone, Copy)]
+enum Arm {
+    Tree,
+    Compiled,
+    Snapshot,
+}
+
 /// Per-pass tallies accumulated by [`stream_pass`].
 #[derive(Default)]
 struct PassStats {
@@ -111,12 +122,12 @@ struct PassStats {
 fn stream_pass(
     interp: &Interpreter<'_>,
     stream: &[(Vec<u8>, Vec<Vec<u8>>)],
-    mode: InterpMode,
+    arm: Arm,
     work: u32,
 ) -> PassStats {
     let budget = ExecConfig::default().max_steps;
     let mut stats = PassStats::default();
-    if mode.uses_snapshots() {
+    if let Arm::Snapshot = arm {
         let compiled = interp.compiled().expect("suite programs lower cleanly");
         for (parent, children) in stream {
             let (_, recording) = compiled.record(parent, &mut NullSink, budget, work);
@@ -138,6 +149,10 @@ fn stream_pass(
             }
         }
     } else {
+        let mode = match arm {
+            Arm::Tree => InterpMode::Tree,
+            _ => InterpMode::Auto,
+        };
         for (parent, children) in stream {
             interp.run_bounded_mode(parent, &mut NullSink, budget, mode);
             stats.execs += 1;
@@ -160,16 +175,16 @@ fn stream_pass(
 fn run_raw(
     interp: &Interpreter<'_>,
     stream: &[(Vec<u8>, Vec<Vec<u8>>)],
-    mode: InterpMode,
+    arm: Arm,
     work: u32,
     min_measure: std::time::Duration,
 ) -> RawResult {
-    stream_pass(interp, stream, mode, work);
+    stream_pass(interp, stream, arm, work);
     let mut total = PassStats::default();
     let mut passes = 0usize;
     let start = Instant::now();
     while passes < 2 || start.elapsed() < min_measure {
-        let pass = stream_pass(interp, stream, mode, work);
+        let pass = stream_pass(interp, stream, arm, work);
         total.execs += pass.execs;
         total.hits += pass.hits;
         total.misses += pass.misses;
@@ -303,15 +318,9 @@ fn run_suite(
             ..Default::default()
         };
         let tree_interp = Interpreter::with_mode(&prepared.program, config, InterpMode::Tree);
-        let tree = run_raw(&tree_interp, &stream, InterpMode::Tree, work, min_measure);
-        let compiled = run_raw(
-            &tree_interp,
-            &stream,
-            InterpMode::Compiled,
-            work,
-            min_measure,
-        );
-        let snapshot = run_raw(&tree_interp, &stream, InterpMode::Auto, work, min_measure);
+        let tree = run_raw(&tree_interp, &stream, Arm::Tree, work, min_measure);
+        let compiled = run_raw(&tree_interp, &stream, Arm::Compiled, work, min_measure);
+        let snapshot = run_raw(&tree_interp, &stream, Arm::Snapshot, work, min_measure);
 
         let comp_spd = compiled.execs_per_sec / tree.execs_per_sec.max(1e-9);
         let snap_spd = snapshot.execs_per_sec / tree.execs_per_sec.max(1e-9);

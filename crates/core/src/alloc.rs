@@ -1,5 +1,5 @@
-//! Page-aligned, huge-page-backed, NUMA-placed map buffers (§IV-E and the
-//! giant-map regime).
+//! Page-aligned, huge-page-backed map buffers (§IV-E and the giant-map
+//! regime).
 //!
 //! Large coverage maps occupy many DTLB slots; the paper's final §IV-E
 //! optimization backs the index and coverage bitmaps with huge pages to cut
@@ -21,14 +21,6 @@
 //! ([`MapBuffer::backend`]) and in process-wide counters
 //! ([`backend_allocs`], [`huge_fallbacks`]) that the fuzzer's telemetry
 //! layer surfaces.
-//!
-//! NUMA placement (`BIGMAP_NUMA`) is first-touch driven: a worker thread
-//! that calls [`apply_worker_numa`] is pinned to its node's CPUs
-//! (`sched_setaffinity`), so the pages it faults in land on the node that
-//! hammers them; a best-effort `mbind(MPOL_PREFERRED)` additionally tags
-//! freshly mapped regions so lazily-faulted pages follow even if the
-//! scheduler migrates the thread. Every NUMA path degrades to a recorded
-//! no-op on single-node hosts, denied syscalls and non-Linux builds.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::Cell;
@@ -96,50 +88,6 @@ pub fn parse_huge(raw: Option<&str>) -> HugePolicy {
     }
 }
 
-/// Where map memory is placed across NUMA nodes (`BIGMAP_NUMA`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NumaPolicy {
-    /// Workers spread round-robin across the host's nodes; a no-op on
-    /// single-node hosts (the default).
-    #[default]
-    Auto,
-    /// No pinning, no binding: kernel first-touch only.
-    Off,
-    /// Every worker pins to this node.
-    Node(u32),
-}
-
-impl fmt::Display for NumaPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NumaPolicy::Auto => f.write_str("auto"),
-            NumaPolicy::Off => f.write_str("off"),
-            NumaPolicy::Node(n) => write!(f, "node:{n}"),
-        }
-    }
-}
-
-/// The pure parse policy behind `BIGMAP_NUMA` (`None` = unset). Unknown
-/// values warn on stderr and read as the default.
-pub fn parse_numa(raw: Option<&str>) -> NumaPolicy {
-    let Some(raw) = raw else {
-        return NumaPolicy::default();
-    };
-    let trimmed = raw.trim();
-    match trimmed {
-        "auto" => return NumaPolicy::Auto,
-        "off" => return NumaPolicy::Off,
-        _ => {}
-    }
-    if let Some(node) = trimmed.strip_prefix("node:") {
-        if let Ok(n) = node.trim().parse::<u32>() {
-            return NumaPolicy::Node(n);
-        }
-    }
-    eprintln!("BIGMAP_NUMA={raw}: unknown policy (expected auto|off|node:<n>), using auto");
-    NumaPolicy::default()
-}
-
 /// The backend that actually served an allocation — what the telemetry
 /// layer reports per buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,8 +134,6 @@ impl fmt::Display for AllocBackend {
 
 thread_local! {
     static HUGE_OVERRIDE: Cell<Option<HugePolicy>> = const { Cell::new(None) };
-    static PREFERRED_NODE: Cell<Option<u32>> = const { Cell::new(None) };
-    static NUMA_OUTCOME: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
 /// The effective huge-page policy for allocations on this thread: a scoped
@@ -199,12 +145,6 @@ pub fn huge_policy() -> HugePolicy {
     }
     static PROCESS: OnceLock<HugePolicy> = OnceLock::new();
     *PROCESS.get_or_init(crate::env::huge_request)
-}
-
-/// The process-wide NUMA policy (`BIGMAP_NUMA`, parsed once).
-pub fn numa_policy() -> NumaPolicy {
-    static PROCESS: OnceLock<NumaPolicy> = OnceLock::new();
-    *PROCESS.get_or_init(crate::env::numa_request)
 }
 
 /// Runs `f` with this thread's allocations forced to `policy`, restoring
@@ -223,150 +163,6 @@ pub fn with_huge_policy<R>(policy: HugePolicy, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Sets (or clears) the NUMA node this thread's future map allocations
-/// should prefer. [`apply_worker_numa`] is the usual caller; tests use it
-/// directly to exercise the bind path.
-pub fn set_thread_node(node: Option<u32>) {
-    PREFERRED_NODE.with(|c| c.set(node));
-}
-
-/// The NUMA node this thread's allocations prefer, if any.
-pub fn thread_node() -> Option<u32> {
-    PREFERRED_NODE.with(Cell::get)
-}
-
-/// The outcome of this thread's [`apply_worker_numa`] call: `None` if NUMA
-/// placement was a policy no-op (off, or single-node auto), `Some(true)` if
-/// the thread was pinned to its node, `Some(false)` if pinning was refused
-/// and the thread fell back to unpinned first-touch.
-pub fn thread_numa_outcome() -> Option<bool> {
-    NUMA_OUTCOME.with(Cell::get)
-}
-
-/// Number of NUMA nodes the host exposes (1 when the sysfs topology is
-/// absent, i.e. non-Linux or single-node).
-pub fn numa_node_count() -> usize {
-    static COUNT: OnceLock<usize> = OnceLock::new();
-    *COUNT.get_or_init(|| probe_node_count().max(1))
-}
-
-#[cfg(target_os = "linux")]
-fn probe_node_count() -> usize {
-    let Ok(entries) = std::fs::read_dir("/sys/devices/system/node") else {
-        return 1;
-    };
-    entries
-        .filter_map(Result::ok)
-        .filter(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            name.strip_prefix("node")
-                .is_some_and(|n| n.chars().all(|c| c.is_ascii_digit()) && !n.is_empty())
-        })
-        .count()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn probe_node_count() -> usize {
-    1
-}
-
-/// Resolves the NUMA policy to a concrete target node for worker `worker`,
-/// without touching any thread state.
-///
-/// `None` means placement is a policy no-op: `off`, or `auto` on a
-/// single-node host. Fleet parents use this to forward `node:<n>` to the
-/// worker processes they spawn; [`apply_worker_numa`] uses it in-process.
-pub fn worker_node(worker: usize) -> Option<u32> {
-    let nodes = numa_node_count();
-    match numa_policy() {
-        NumaPolicy::Off => None,
-        NumaPolicy::Node(n) => Some(n),
-        NumaPolicy::Auto => (nodes > 1).then(|| (worker % nodes) as u32),
-    }
-}
-
-/// Resolves the NUMA policy for worker `worker`, remembers the chosen node
-/// for this thread's allocations and pins the thread to that node's CPUs.
-///
-/// Returns `None` when placement is a policy no-op (`off`, or `auto` on a
-/// single-node host), `Some(true)` on a successful pin, `Some(false)` when
-/// the pin was refused (denied syscall, bogus node) — the thread then runs
-/// unpinned and placement degrades to kernel first-touch.
-pub fn apply_worker_numa(worker: usize) -> Option<bool> {
-    let nodes = numa_node_count();
-    let outcome = worker_node(worker).map(|node| {
-        set_thread_node(Some(node));
-        let ok = (node as usize) < nodes && pin_thread_to_node(node);
-        if ok {
-            NUMA_PINS.incr();
-        } else {
-            NUMA_PIN_FAILS.incr();
-        }
-        ok
-    });
-    NUMA_OUTCOME.with(|c| c.set(outcome));
-    outcome
-}
-
-/// Pins the calling thread to the CPUs of NUMA node `node` via
-/// `sched_setaffinity`. Best-effort: returns `false` (and leaves the
-/// affinity untouched) when the node or its CPU list cannot be resolved or
-/// the syscall is denied.
-#[cfg(target_os = "linux")]
-pub fn pin_thread_to_node(node: u32) -> bool {
-    let path = format!("/sys/devices/system/node/node{node}/cpulist");
-    let Ok(list) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    let Some(cpus) = parse_cpulist(&list) else {
-        return false;
-    };
-    let mut set = libc::cpu_set_t { bits: [0u64; 16] };
-    let mut any = false;
-    for cpu in cpus {
-        let (word, bit) = (cpu / 64, cpu % 64);
-        if word < set.bits.len() {
-            set.bits[word] |= 1u64 << bit;
-            any = true;
-        }
-    }
-    if !any {
-        return false;
-    }
-    // SAFETY: `set` is a properly initialized cpu_set_t; pid 0 = this thread.
-    unsafe { libc::sched_setaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &set) == 0 }
-}
-
-/// Non-Linux stub: no NUMA topology, nothing to pin.
-#[cfg(not(target_os = "linux"))]
-pub fn pin_thread_to_node(_node: u32) -> bool {
-    false
-}
-
-/// Parses a sysfs cpulist (`"0-3,8,10-11"`) into CPU indices. `None` on
-/// malformed input.
-fn parse_cpulist(list: &str) -> Option<Vec<usize>> {
-    let mut cpus = Vec::new();
-    for part in list.trim().split(',') {
-        if part.is_empty() {
-            continue;
-        }
-        match part.split_once('-') {
-            Some((lo, hi)) => {
-                let lo = lo.trim().parse::<usize>().ok()?;
-                let hi = hi.trim().parse::<usize>().ok()?;
-                if lo > hi {
-                    return None;
-                }
-                cpus.extend(lo..=hi);
-            }
-            None => cpus.push(part.trim().parse::<usize>().ok()?),
-        }
-    }
-    (!cpus.is_empty()).then_some(cpus)
-}
-
 // ----------------------------------------------------------------- counters
 
 static ALLOC_BACKENDS: [EventCounter; 4] = [
@@ -376,10 +172,6 @@ static ALLOC_BACKENDS: [EventCounter; 4] = [
     EventCounter::new(),
 ];
 static HUGE_FALLBACKS: EventCounter = EventCounter::new();
-static NUMA_BINDS: EventCounter = EventCounter::new();
-static NUMA_BIND_FAILS: EventCounter = EventCounter::new();
-static NUMA_PINS: EventCounter = EventCounter::new();
-static NUMA_PIN_FAILS: EventCounter = EventCounter::new();
 
 /// Process-wide count of buffers served by `backend` since start.
 pub fn backend_allocs(backend: AllocBackend) -> u64 {
@@ -390,26 +182,6 @@ pub fn backend_allocs(backend: AllocBackend) -> u64 {
 /// THP path (empty hugetlb pool, unsupported kernel, non-Linux build).
 pub fn huge_fallbacks() -> u64 {
     HUGE_FALLBACKS.get()
-}
-
-/// Process-wide count of successful `mbind` region tags.
-pub fn numa_binds() -> u64 {
-    NUMA_BINDS.get()
-}
-
-/// Process-wide count of refused `mbind` calls (denied syscall, bad node).
-pub fn numa_bind_fails() -> u64 {
-    NUMA_BIND_FAILS.get()
-}
-
-/// Process-wide count of successful worker-thread node pins.
-pub fn numa_pins() -> u64 {
-    NUMA_PINS.get()
-}
-
-/// Process-wide count of refused worker-thread node pins.
-pub fn numa_pin_fails() -> u64 {
-    NUMA_PIN_FAILS.get()
 }
 
 // ---------------------------------------------------------------- MapBuffer
@@ -498,7 +270,6 @@ impl<T: MapElement> MapBuffer<T> {
         let mut fell_back = false;
         if policy == HugePolicy::Explicit && bytes >= HUGE_PAGE_BYTES {
             if let Some(buf) = Self::try_explicit(len, bytes) {
-                bind_region(buf.ptr.cast(), buf.mapped);
                 ALLOC_BACKENDS[buf.backend.slot()].incr();
                 return buf;
             }
@@ -525,7 +296,6 @@ impl<T: MapElement> MapBuffer<T> {
             // Sub-huge-page buffers: nothing to promote.
             _ => AllocBackend::Plain,
         };
-        bind_region(raw.cast(), bytes);
         ALLOC_BACKENDS[backend.slot()].incr();
         MapBuffer {
             ptr: raw.cast::<T>(),
@@ -741,51 +511,6 @@ fn advise_no_huge_pages(ptr: *mut u8, len: usize) {
 #[cfg(not(target_os = "linux"))]
 fn advise_no_huge_pages(_ptr: *mut u8, _len: usize) {}
 
-// -------------------------------------------------------------------- NUMA
-
-/// Tags `[ptr, ptr+len)` with `MPOL_PREFERRED` for the thread's preferred
-/// node so lazily-faulted pages land there. Best-effort: a refused or
-/// unavailable `mbind` is counted and ignored (placement degrades to
-/// first-touch, which thread pinning already steers).
-#[cfg(target_os = "linux")]
-fn bind_region(ptr: *mut u8, len: usize) {
-    if numa_policy() == NumaPolicy::Off || len == 0 {
-        return;
-    }
-    let Some(node) = thread_node().or(match numa_policy() {
-        NumaPolicy::Node(n) => Some(n),
-        _ => None,
-    }) else {
-        return;
-    };
-    if node >= 64 {
-        NUMA_BIND_FAILS.incr();
-        return;
-    }
-    let nodemask: u64 = 1u64 << node;
-    // SAFETY: raw mbind syscall over a region we own; the kernel validates
-    // the mask and mode and fails cleanly on nonsense (counted below).
-    let rc = unsafe {
-        libc::syscall(
-            libc::SYS_mbind,
-            ptr,
-            len,
-            libc::MPOL_PREFERRED,
-            &nodemask as *const u64,
-            64usize,
-            0usize,
-        )
-    };
-    if rc == 0 {
-        NUMA_BINDS.incr();
-    } else {
-        NUMA_BIND_FAILS.incr();
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn bind_region(_ptr: *mut u8, _len: usize) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,60 +646,6 @@ mod tests {
         assert_eq!(parse_huge(Some(" thp ")), HugePolicy::Thp);
         assert_eq!(parse_huge(Some("off")), HugePolicy::Off);
         assert_eq!(parse_huge(Some("gigantic")), HugePolicy::Thp);
-    }
-
-    #[test]
-    fn parse_numa_policy_values() {
-        assert_eq!(parse_numa(None), NumaPolicy::Auto);
-        assert_eq!(parse_numa(Some("auto")), NumaPolicy::Auto);
-        assert_eq!(parse_numa(Some("off")), NumaPolicy::Off);
-        assert_eq!(parse_numa(Some("node:3")), NumaPolicy::Node(3));
-        assert_eq!(parse_numa(Some("node:zero")), NumaPolicy::Auto);
-        assert_eq!(parse_numa(Some("numa")), NumaPolicy::Auto);
-    }
-
-    #[test]
-    fn bogus_thread_node_degrades_gracefully() {
-        // Node 63 does not exist on any test host. Whether the kernel
-        // refuses the preferred-node tag (EINVAL) or accepts it for a
-        // possible-but-absent node is host-specific — the contract is
-        // only that the attempt is counted, nothing panics, and the
-        // buffer is correct either way.
-        set_thread_node(Some(63));
-        let buf: MapBuffer<u8> = MapBuffer::zeroed(1 << 20);
-        set_thread_node(None);
-        assert!(buf.iter().all(|&b| b == 0));
-        #[cfg(target_os = "linux")]
-        if numa_policy() != NumaPolicy::Off {
-            assert!(numa_binds() + numa_bind_fails() > 0);
-        }
-    }
-
-    #[test]
-    fn node_topology_probe_is_sane() {
-        let nodes = numa_node_count();
-        assert!(nodes >= 1);
-        // Pinning to a node far past the topology must refuse cleanly.
-        assert!(!pin_thread_to_node(1023));
-    }
-
-    #[test]
-    fn worker_numa_application_is_graceful() {
-        // Whatever the host topology and policy, applying worker placement
-        // must not panic and must leave a consistent outcome record.
-        let outcome = apply_worker_numa(0);
-        assert_eq!(outcome, thread_numa_outcome());
-        set_thread_node(None);
-    }
-
-    #[test]
-    fn cpulist_parser_handles_ranges_and_holes() {
-        assert_eq!(parse_cpulist("0-3"), Some(vec![0, 1, 2, 3]));
-        assert_eq!(parse_cpulist("0,2,4"), Some(vec![0, 2, 4]));
-        assert_eq!(parse_cpulist("0-1,8,10-11"), Some(vec![0, 1, 8, 10, 11]));
-        assert_eq!(parse_cpulist(""), None);
-        assert_eq!(parse_cpulist("3-1"), None);
-        assert_eq!(parse_cpulist("x"), None);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! declared here as a [`Knob`]: its name, accepted values, default and
 //! one-line description. The typed accessors ([`kernel_request`],
 //! [`sparse_request`], [`trace_request`], [`interp_request`],
-//! [`nt_threshold_request`], [`huge_request`], [`numa_request`],
-//! [`sync_batch`], [`fabric_worker`], [`ckpt_keep`], [`heartbeat_ms`],
+//! [`nt_threshold_request`], [`huge_request`], [`sync_batch`],
+//! [`fabric_worker`], [`ckpt_keep`], [`heartbeat_ms`],
 //! [`liveness_deadline_ms`]) parse and validate in one pass and are the only
 //! code in the workspace that calls `std::env::var` for a `BIGMAP_*`
 //! name, so the registry cannot drift from the behaviour.
@@ -33,7 +33,7 @@
 
 use std::sync::OnceLock;
 
-use crate::alloc::{HugePolicy, NumaPolicy};
+use crate::alloc::HugePolicy;
 use crate::interp::InterpMode;
 use crate::kernels::KernelKind;
 use crate::sparse::SparseMode;
@@ -80,12 +80,12 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "BIGMAP_INTERP",
-        values: "`tree` \\| `compiled` \\| `auto`",
+        values: "`tree` \\| `auto`",
         default: "`auto`",
-        description: "Target execution engine: `tree` walks the CFG IR, `compiled` runs the \
-                      flattened threaded bytecode, `auto` adds snapshot resets that resume \
-                      mutated children from the scheduled parent's memoized trace prefix. All \
-                      modes produce bit-identical campaign trajectories.",
+        description: "Target execution engine: `tree` walks the CFG IR, `auto` runs the \
+                      flattened threaded bytecode with snapshot resets that resume mutated \
+                      children from the scheduled parent's memoized trace prefix. Both modes \
+                      produce bit-identical campaign trajectories.",
     },
     Knob {
         name: "BIGMAP_NT_THRESHOLD",
@@ -103,16 +103,6 @@ pub const KNOBS: &[Knob] = &[
                       falls back to `thp` with a telemetry-visible record when the pool is \
                       empty; `thp` advises transparent huge pages; `off` opts out of THP — the \
                       benchmark control arm.",
-    },
-    Knob {
-        name: "BIGMAP_NUMA",
-        values: "`auto` \\| `off` \\| `node:<n>`",
-        default: "`auto`",
-        description: "NUMA placement for worker maps: `auto` spreads workers round-robin \
-                      across nodes (pinning each thread so first-touch lands its maps \
-                      locally; a no-op on single-node hosts), `node:<n>` pins every worker to \
-                      one node, `off` leaves kernel first-touch untouched. Refused syscalls \
-                      degrade to unpinned execution, never an error.",
     },
     Knob {
         name: "BIGMAP_SYNC_BATCH",
@@ -275,14 +265,6 @@ pub fn huge_request() -> HugePolicy {
     crate::alloc::parse_huge(raw("BIGMAP_HUGE").as_deref())
 }
 
-/// `BIGMAP_NUMA`: the requested NUMA placement policy.
-///
-/// Unknown values warn on stderr and read as [`NumaPolicy::Auto`]; the
-/// parse policy itself lives in [`crate::alloc::parse_numa`].
-pub fn numa_request() -> NumaPolicy {
-    crate::alloc::parse_numa(raw("BIGMAP_NUMA").as_deref())
-}
-
 /// Default for [`sync_batch`].
 pub const SYNC_BATCH_DEFAULT: usize = 64;
 
@@ -442,9 +424,6 @@ mod tests {
         }
         if std::env::var_os("BIGMAP_HUGE").is_none() {
             assert_eq!(huge_request(), HugePolicy::Thp);
-        }
-        if std::env::var_os("BIGMAP_NUMA").is_none() {
-            assert_eq!(numa_request(), NumaPolicy::Auto);
         }
         if std::env::var_os("BIGMAP_CKPT_KEEP").is_none() {
             assert_eq!(ckpt_keep(), CKPT_KEEP_DEFAULT);

@@ -1,38 +1,37 @@
 //! Interpreter-engine selection for compiled target execution.
 //!
 //! The synthetic-target substrate can execute programs with the original
-//! tree-walking interpreter (`tree`), with the flattened threaded-bytecode
-//! engine (`compiled`), or with the compiled engine plus snapshot/dirty-
-//! state resets that resume mutated children from the parent's memoized
-//! trace prefix (`auto`). The mode is a pure dispatch choice: the
-//! compiled engine is equivalence-proven against the tree walker (same
-//! outcomes, same full trace-event sequence, same step counts) and
-//! snapshot resumes are strictly conservative (any read possibly touched
-//! by the mutated byte range forces re-execution from before that read),
-//! so all three modes produce bit-identical campaign trajectories.
+//! tree-walking interpreter (`tree`), or with the flattened threaded-
+//! bytecode engine plus snapshot/dirty-state resets that resume mutated
+//! children from the parent's memoized trace prefix (`auto`). Until a
+//! parent snapshot is armed, `auto` runs the compiled engine front to
+//! back. The mode is a pure dispatch choice: the compiled engine is
+//! equivalence-proven against the tree walker (same outcomes, same full
+//! trace-event sequence, same step counts) and snapshot resumes are
+//! strictly conservative (any read possibly touched by the mutated byte
+//! range forces re-execution from before that read), so both modes
+//! produce bit-identical campaign trajectories.
 
 /// Which execution engine the target interpreter dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InterpMode {
     /// The original recursive tree-walking interpreter over the CFG IR.
     Tree,
-    /// The flattened struct-of-arrays bytecode engine; every exec runs
-    /// the program front to back.
-    Compiled,
-    /// The compiled engine plus snapshot resets: the campaign memoizes
-    /// the scheduled parent's trace and resumes each mutated child from
-    /// the last step provably unaffected by the mutated byte range. The
-    /// default: fastest path, trajectory-identical by construction.
+    /// The flattened struct-of-arrays bytecode engine plus snapshot
+    /// resets: the campaign memoizes the scheduled parent's trace and
+    /// resumes each mutated child from the last step provably unaffected
+    /// by the mutated byte range. Runs front to back while no snapshot is
+    /// armed. The default: fastest path, trajectory-identical by
+    /// construction.
     #[default]
     Auto,
 }
 
 impl InterpMode {
-    /// The canonical lowercase label (`tree` / `compiled` / `auto`).
+    /// The canonical lowercase label (`tree` / `auto`).
     pub fn label(self) -> &'static str {
         match self {
             InterpMode::Tree => "tree",
-            InterpMode::Compiled => "compiled",
             InterpMode::Auto => "auto",
         }
     }
@@ -41,24 +40,19 @@ impl InterpMode {
     pub fn from_label(label: &str) -> Option<Self> {
         match label.to_ascii_lowercase().as_str() {
             "tree" => Some(InterpMode::Tree),
-            "compiled" => Some(InterpMode::Compiled),
             "auto" => Some(InterpMode::Auto),
             _ => None,
         }
     }
 
-    /// Whether this mode runs the compiled bytecode engine at all.
+    /// Whether this mode runs the compiled bytecode engine and arms
+    /// snapshot resets.
     pub fn uses_compiled(self) -> bool {
-        !matches!(self, InterpMode::Tree)
-    }
-
-    /// Whether this mode additionally arms snapshot/dirty-state resets.
-    pub fn uses_snapshots(self) -> bool {
         matches!(self, InterpMode::Auto)
     }
 
     /// All modes, for exhaustive tests and equivalence sweeps.
-    pub const ALL: [InterpMode; 3] = [InterpMode::Tree, InterpMode::Compiled, InterpMode::Auto];
+    pub const ALL: [InterpMode; 2] = [InterpMode::Tree, InterpMode::Auto];
 }
 
 /// Resolves the interpreter mode from an env override (the raw value of
@@ -71,7 +65,7 @@ pub fn select_interp_mode(env_override: Option<&str>) -> InterpMode {
             Some(mode) => mode,
             None => {
                 eprintln!(
-                    "BIGMAP_INTERP={raw}: unknown engine (expected tree|compiled|auto), \
+                    "BIGMAP_INTERP={raw}: unknown engine (expected tree|auto), \
                      using auto"
                 );
                 InterpMode::default()
@@ -89,28 +83,23 @@ mod tests {
         for mode in InterpMode::ALL {
             assert_eq!(InterpMode::from_label(mode.label()), Some(mode));
         }
-        assert_eq!(
-            InterpMode::from_label("COMPILED"),
-            Some(InterpMode::Compiled)
-        );
+        assert_eq!(InterpMode::from_label("AUTO"), Some(InterpMode::Auto));
+        assert_eq!(InterpMode::from_label("compiled"), None);
         assert_eq!(InterpMode::from_label("jit"), None);
     }
 
     #[test]
     fn select_falls_back_to_auto() {
         assert_eq!(select_interp_mode(None), InterpMode::Auto);
-        assert_eq!(select_interp_mode(Some("tree")), InterpMode::Tree);
-        assert_eq!(select_interp_mode(Some(" Compiled ")), InterpMode::Compiled);
+        assert_eq!(select_interp_mode(Some(" Tree ")), InterpMode::Tree);
+        assert_eq!(select_interp_mode(Some("compiled")), InterpMode::Auto);
         assert_eq!(select_interp_mode(Some("bogus")), InterpMode::Auto);
     }
 
     #[test]
-    fn mode_capabilities_are_monotone() {
+    fn only_auto_uses_the_compiled_engine() {
         assert!(!InterpMode::Tree.uses_compiled());
-        assert!(InterpMode::Compiled.uses_compiled());
         assert!(InterpMode::Auto.uses_compiled());
-        assert!(InterpMode::Auto.uses_snapshots());
-        assert!(!InterpMode::Compiled.uses_snapshots());
         assert_eq!(InterpMode::default(), InterpMode::Auto);
     }
 }

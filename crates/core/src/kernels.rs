@@ -206,13 +206,7 @@ static SSE2_TABLE: KernelTable = KernelTable {
     kind: KernelKind::Sse2,
     classify_fn: x86::classify_sse2,
     compare_fn: x86::compare_sse2,
-    // Demoted to the scalar fused routine: every SSE2 fused variant tried
-    // (vector classify + reload compare, then a 16-byte zero skim over
-    // word-wise fusing — kept below as `fused_sse2` for the record) lost
-    // to plain scalar fused at every size from 64 KiB up in bench_mapops,
-    // while the separate classify/compare entries keep their measured
-    // vector wins. The scalar routine is also the equivalence oracle, so
-    // this entry is correct by construction.
+    // Scalar: every SSE2 fused variant measured slower than it (bench_mapops).
     fused_fn: classify_and_compare_region,
 };
 
@@ -303,7 +297,6 @@ mod x86 {
 
     use super::*;
     use crate::classify::classify_word;
-    use crate::diff::diff_word;
     use std::arch::x86_64::*;
 
     /// Verdict accumulator mirroring `diff.rs`: once `NewEdge` is found the
@@ -390,66 +383,6 @@ mod x86 {
         }
         let tail = blocks * 16;
         verdict.max(compare_region(&cur[tail..], &mut virgin[tail..]))
-    }
-
-    /// SSE2 fused classify+compare: zero skim on the raw counts, then a
-    /// scalar word-wise classify + diff of the non-zero blocks — one pass
-    /// over each cache line, no second trip through the vector unit.
-    ///
-    /// An earlier version classified the block with scalar word stores and
-    /// then *reloaded* it as a vector for an SSE2 compare step. The reload
-    /// straddled the just-written words (store-forwarding stall) and
-    /// re-did the hit test the scalar diff gets almost for free, which
-    /// made the fused kernel measurably slower than plain scalar fused at
-    /// every size ≥ 64 KiB (BENCH_mapops.json, PR-3). This zero-skim
-    /// variant narrowed the gap but still lost to plain scalar fused at
-    /// every size, so the dispatch table routes SSE2 fused work to the
-    /// scalar routine. The kernel stays compiled and equivalence-tested
-    /// (`demoted_sse2_fused_matches_the_oracle`) so re-promoting it on
-    /// hardware where it wins is a one-line table change.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(super) fn fused_sse2(cur: &mut [u8], virgin: &mut [u8]) -> NewCoverage {
-        assert_eq!(cur.len(), virgin.len(), "region length mismatch");
-        let len = cur.len();
-        let blocks = len / 16;
-        let mut verdict = NewCoverage::None;
-        let cur_ptr = cur.as_mut_ptr();
-        let vir_ptr = virgin.as_mut_ptr();
-        // SAFETY: see module-level safety argument.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            for i in 0..blocks {
-                let cp = cur_ptr.add(i * 16);
-                let raw = _mm_loadu_si128(cp.cast::<__m128i>());
-                if _mm_movemask_epi8(_mm_cmpeq_epi8(raw, zero)) == 0xFFFF {
-                    continue;
-                }
-                for j in 0..2 {
-                    let wp = cp.add(j * 8).cast::<u64>();
-                    let w = wp.read_unaligned();
-                    if w == 0 {
-                        continue;
-                    }
-                    let classified = classify_word(w);
-                    // Same store elision as classify_sse2.
-                    if classified != w {
-                        wp.write_unaligned(classified);
-                    }
-                    let vp = vir_ptr.add(i * 16 + j * 8).cast::<u64>();
-                    let mut v = vp.read_unaligned();
-                    let before = v;
-                    diff_word(classified, &mut v, &mut verdict);
-                    if v != before {
-                        vp.write_unaligned(v);
-                    }
-                }
-            }
-        }
-        let tail = blocks * 16;
-        verdict.max(classify_and_compare_region(
-            &mut cur[tail..],
-            &mut virgin[tail..],
-        ))
     }
 
     // ---------------------------------------------------------------- AVX2
@@ -720,32 +653,6 @@ mod tests {
             assert_eq!(got_cur, expect_cur, "{kind}: classified bytes");
             assert_eq!(got_virgin, expect_virgin, "{kind}: virgin bytes");
         }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn demoted_sse2_fused_matches_the_oracle() {
-        // SSE2_TABLE routes fused work to the scalar oracle (the vector
-        // variant measured slower at every size — see the table comment),
-        // but the demoted kernel stays equivalence-tested so re-promoting
-        // it on different hardware is a one-line change.
-        let mut raw = vec![0u8; 300];
-        for (i, b) in raw.iter_mut().enumerate() {
-            if i % 5 == 0 {
-                *b = (i % 256) as u8;
-            }
-        }
-        let mut expect_cur = raw.clone();
-        let mut expect_virgin = vec![0xFFu8; 300];
-        let expect = classify_and_compare_region(&mut expect_cur, &mut expect_virgin);
-
-        let mut got_cur = raw;
-        let mut got_virgin = vec![0xFFu8; 300];
-        let got = x86::fused_sse2(&mut got_cur, &mut got_virgin);
-
-        assert_eq!(got, expect, "fused verdict");
-        assert_eq!(got_cur, expect_cur, "classified bytes");
-        assert_eq!(got_virgin, expect_virgin, "virgin bytes");
     }
 
     #[test]

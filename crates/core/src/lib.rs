@@ -87,7 +87,7 @@ pub mod two_level;
 pub mod virgin;
 pub mod wire;
 
-pub use alloc::{AllocBackend, HugePolicy, NumaPolicy};
+pub use alloc::{AllocBackend, HugePolicy};
 pub use counters::{EventCounter, StageNanos};
 pub use env::Knob;
 pub use flat::FlatBitmap;

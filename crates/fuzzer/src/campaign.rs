@@ -564,8 +564,7 @@ impl<'p> Campaign<'p> {
         // keyed off the same `KernelKind` on the exec path below.
         telemetry.incr(TelemetryEvent::KernelSelect);
         // Record which page backend served this instance's coverage map
-        // (and whether an explicit-huge-page request fell back), plus the
-        // outcome of this worker thread's NUMA placement — the
+        // (and whether an explicit-huge-page request fell back) — the
         // telemetry-visible half of the giant-map fallback contract.
         if let Some((backend, fell_back)) = self.map.alloc_info() {
             telemetry.incr(match backend {
@@ -577,11 +576,6 @@ impl<'p> Campaign<'p> {
             if fell_back {
                 telemetry.incr(TelemetryEvent::AllocFallback);
             }
-        }
-        match bigmap_core::alloc::thread_numa_outcome() {
-            Some(true) => telemetry.incr(TelemetryEvent::NumaPin),
-            Some(false) => telemetry.incr(TelemetryEvent::NumaPinFail),
-            None => {}
         }
         self.telemetry = Some(telemetry);
     }
@@ -1866,38 +1860,32 @@ mod tests {
             (campaign.run(), tel)
         };
         let (tree, tree_tel) = run(InterpMode::Tree);
-        for mode in [InterpMode::Compiled, InterpMode::Auto] {
-            let (stats, tel) = run(mode);
-            // The engine is pure dispatch: the whole campaign trajectory
-            // must be bit-identical to the tree walker's.
-            assert_eq!(stats.execs, tree.execs, "{mode:?}");
-            assert_eq!(stats.queue_len, tree.queue_len, "{mode:?}");
-            assert_eq!(stats.used_len, tree.used_len, "{mode:?}");
-            assert_eq!(stats.discovered_slots, tree.discovered_slots, "{mode:?}");
-            assert_eq!(stats.total_crashes, tree.total_crashes, "{mode:?}");
-            assert_eq!(stats.unique_crashes, tree.unique_crashes, "{mode:?}");
-            assert_eq!(stats.hangs, tree.hangs, "{mode:?}");
-            assert_eq!(
-                stats.timeline.points(),
-                tree.timeline.points(),
-                "{mode:?} changed the coverage trajectory"
-            );
-            // Non-vacuousness: the compiled engine actually served execs.
-            assert_eq!(
-                tel.get(TelemetryEvent::CompiledExec),
-                tel.get(TelemetryEvent::Exec),
-                "{mode:?}: every exec should be compiled"
-            );
-            if mode == InterpMode::Auto {
-                assert!(
-                    tel.get(TelemetryEvent::SnapshotHit) > 0,
-                    "auto mode never reused a parent snapshot"
-                );
-            } else {
-                assert_eq!(tel.get(TelemetryEvent::SnapshotHit), 0, "{mode:?}");
-                assert_eq!(tel.get(TelemetryEvent::SnapshotMiss), 0, "{mode:?}");
-            }
-        }
+        let (stats, tel) = run(InterpMode::Auto);
+        // The engine is pure dispatch: the whole campaign trajectory must
+        // be bit-identical to the tree walker's.
+        assert_eq!(stats.execs, tree.execs);
+        assert_eq!(stats.queue_len, tree.queue_len);
+        assert_eq!(stats.used_len, tree.used_len);
+        assert_eq!(stats.discovered_slots, tree.discovered_slots);
+        assert_eq!(stats.total_crashes, tree.total_crashes);
+        assert_eq!(stats.unique_crashes, tree.unique_crashes);
+        assert_eq!(stats.hangs, tree.hangs);
+        assert_eq!(
+            stats.timeline.points(),
+            tree.timeline.points(),
+            "auto changed the coverage trajectory"
+        );
+        // Non-vacuousness: the compiled engine actually served execs and
+        // reused parent snapshots.
+        assert_eq!(
+            tel.get(TelemetryEvent::CompiledExec),
+            tel.get(TelemetryEvent::Exec),
+            "every exec should be compiled"
+        );
+        assert!(
+            tel.get(TelemetryEvent::SnapshotHit) > 0,
+            "auto mode never reused a parent snapshot"
+        );
         assert_eq!(tree_tel.get(TelemetryEvent::CompiledExec), 0);
         assert_eq!(tree_tel.get(TelemetryEvent::SnapshotHit), 0);
     }

@@ -32,8 +32,9 @@
 //! * The v2 file format appends a per-section CRC32 footer (`crc
 //!   <section> <hex>`), so torn writes and bit flips that survive the
 //!   rename discipline (misbehaving disks, truncated copies) are
-//!   *detected* on load rather than silently restoring garbage. v1
-//!   files (no checksums) still load via a trusted-legacy path.
+//!   *detected* on load rather than silently restoring garbage. Every
+//!   restored checkpoint is checksum-verified: other versions (such as
+//!   the pre-checksum v1) are rejected like any corrupt generation.
 //! * The last [`env::ckpt_keep`](bigmap_core::env::ckpt_keep)
 //!   generations are retained (`checkpoint`, `checkpoint.1`, …);
 //!   [`CheckpointManager::load`] falls back to the newest generation
@@ -97,9 +98,6 @@ pub const CHECKPOINT_FILE: &str = "checkpoint";
 const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 /// Format magic + version written by [`Checkpoint::to_text`].
 const MAGIC_V2: &str = "bigmap-checkpoint v2";
-/// The pre-checksum format; still parsed, as trusted-legacy (no
-/// integrity validation is possible without the footer).
-const MAGIC_V1: &str = "bigmap-checkpoint v1";
 
 /// The checksummed sections of a v2 file, in layout order. Every content
 /// line belongs to exactly one section; the footer carries one `crc`
@@ -212,9 +210,7 @@ pub struct Checkpoint {
     /// The queue's round-robin scheduling position. Without it a resumed
     /// campaign restarts the queue walk at entry 0 and schedules
     /// different parents than the uninterrupted run — the counters and
-    /// RNG streams alone don't pin the trajectory. Absent in v1 files
-    /// (reads as 0: correct until the first post-resume scheduling
-    /// decision, approximate after).
+    /// RNG streams alone don't pin the trajectory.
     pub queue_cursor: u64,
     /// The queue, in admission order.
     pub queue: Vec<CheckpointQueueEntry>,
@@ -346,10 +342,10 @@ impl Checkpoint {
 
     /// Parses a checkpoint from [`Checkpoint::to_text`] output.
     ///
-    /// v2 files have their per-section checksums verified; a mismatch —
-    /// a torn write or bit flip that survived the rename discipline —
-    /// is an error naming the corrupt section. v1 files carry no
-    /// checksums and parse as trusted-legacy.
+    /// Per-section checksums are verified; a mismatch — a torn write or
+    /// bit flip that survived the rename discipline — is an error naming
+    /// the corrupt section. Only v2 files parse: any other header line,
+    /// such as an older version's, is an error quoting it.
     ///
     /// # Errors
     ///
@@ -358,15 +354,12 @@ impl Checkpoint {
     /// section-checksum failure.
     pub fn from_text(text: &str) -> Result<Checkpoint, String> {
         let mut lines = text.lines();
-        let checksummed = match lines.next() {
-            Some(MAGIC_V2) => true,
-            Some(MAGIC_V1) => false,
-            _ => {
-                return Err(format!(
-                    "not a checkpoint file (expected '{MAGIC_V2}' or '{MAGIC_V1}')"
-                ))
-            }
-        };
+        let header = lines.next().unwrap_or_default();
+        if header != MAGIC_V2 {
+            return Err(format!(
+                "unsupported checkpoint header '{header}' (expected '{MAGIC_V2}')"
+            ));
+        }
         let mut ckpt = Checkpoint {
             execs: 0,
             wall_nanos: 0,
@@ -492,9 +485,6 @@ impl Checkpoint {
                         .collect();
                 }
                 "crc" => {
-                    if !checksummed {
-                        return Err(format!("line {lineno}: crc footer in a v1 checkpoint"));
-                    }
                     let name = next("section")?;
                     let section = SECTION_NAMES
                         .iter()
@@ -514,30 +504,28 @@ impl Checkpoint {
         if !ended {
             return Err("truncated checkpoint (missing 'end' sentinel)".to_string());
         }
-        if checksummed {
-            for (section, name) in SECTION_NAMES.iter().enumerate() {
-                let body = &section_text[section];
-                match declared_crc[section] {
-                    Some(declared) if body.is_empty() => {
+        for (section, name) in SECTION_NAMES.iter().enumerate() {
+            let body = &section_text[section];
+            match declared_crc[section] {
+                Some(declared) if body.is_empty() => {
+                    return Err(format!(
+                        "checksum declared for empty section '{name}' \
+                                        ({declared:08x}) — content lines lost"
+                    ));
+                }
+                Some(declared) => {
+                    let computed = Crc32::checksum(body.as_bytes());
+                    if computed != declared {
                         return Err(format!(
-                            "checksum declared for empty section '{name}' \
-                                            ({declared:08x}) — content lines lost"
+                            "section '{name}' checksum mismatch \
+                             (declared {declared:08x}, computed {computed:08x})"
                         ));
                     }
-                    Some(declared) => {
-                        let computed = Crc32::checksum(body.as_bytes());
-                        if computed != declared {
-                            return Err(format!(
-                                "section '{name}' checksum mismatch \
-                                 (declared {declared:08x}, computed {computed:08x})"
-                            ));
-                        }
-                    }
-                    None if !body.is_empty() => {
-                        return Err(format!("missing checksum for section '{name}'"));
-                    }
-                    None => {}
                 }
+                None if !body.is_empty() => {
+                    return Err(format!("missing checksum for section '{name}'"));
+                }
+                None => {}
             }
         }
         Ok(ckpt)
@@ -998,22 +986,49 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_parse_as_trusted_legacy() {
-        // A v1 file is exactly a v2 file minus the crc footer with the
-        // old magic; it must load without integrity validation.
-        let ckpt = sample();
-        let v1: String = ckpt
-            .to_text()
-            .lines()
-            .filter(|line| !line.starts_with("crc "))
-            .map(|line| format!("{line}\n"))
-            .collect::<String>()
-            .replace(MAGIC_V2, MAGIC_V1);
-        assert!(!v1.contains("crc "));
-        assert_eq!(Checkpoint::from_text(&v1).expect("v1 parses"), ckpt);
-        // But a crc footer inside a v1 file is malformed.
-        let bad = v1.replace("\nend\n", "\ncrc header 00000000\nend\n");
-        assert!(Checkpoint::from_text(&bad).unwrap_err().contains("v1"));
+    fn v1_generations_are_skipped_on_restore() {
+        // A v1 file is exactly a v2 file minus the crc footer with the old
+        // magic. It cannot be verified, so parsing fails naming the version.
+        let v1_of = |ckpt: &Checkpoint| -> String {
+            ckpt.to_text()
+                .lines()
+                .filter(|line| !line.starts_with("crc "))
+                .map(|line| format!("{line}\n"))
+                .collect::<String>()
+                .replace(MAGIC_V2, "bigmap-checkpoint v1")
+        };
+        let err = Checkpoint::from_text(&v1_of(&sample())).unwrap_err();
+        assert!(err.contains("bigmap-checkpoint v1"), "got: {err}");
+
+        let dir = std::env::temp_dir().join(format!("bigmap-ckpt-v1-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        // Newest generation v1, the one before it v2: restore skips the v1
+        // file, records why, and falls back to the verified v2 generation.
+        let newest = Checkpoint {
+            execs: 300,
+            ..sample()
+        };
+        fs::write(dir.join("checkpoint"), v1_of(&newest)).unwrap();
+        let older = Checkpoint {
+            execs: 200,
+            ..sample()
+        };
+        fs::write(dir.join("checkpoint.1"), older.to_text()).unwrap();
+        let (ckpt, report) = CheckpointManager::load_with_report(&dir, None)
+            .unwrap()
+            .expect("v2 generation loads");
+        assert_eq!((ckpt, report.generation), (older, 1));
+        assert_eq!(report.skipped.len(), 1);
+        assert_eq!(report.skipped[0].0, 0);
+        assert!(report.skipped[0].1.contains("v1"), "{:?}", report.skipped);
+
+        // Only v1 generations left: no intact checkpoint, a cold start.
+        fs::write(dir.join("checkpoint.1"), v1_of(&sample())).unwrap();
+        let err = CheckpointManager::load(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("v1"), "got: {err}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -224,7 +224,7 @@ impl<'p> Executor<'p> {
     /// mode drops any armed recording.
     pub fn set_interp_mode(&mut self, mode: InterpMode) {
         self.interp_mode = mode;
-        if !mode.uses_snapshots() {
+        if !mode.uses_compiled() {
             self.recording = None;
         }
     }
@@ -244,7 +244,7 @@ impl<'p> Executor<'p> {
     /// state, no oracle and no counters — it is invisible to the campaign
     /// trajectory.
     pub fn prime_snapshot(&mut self, parent: &[u8]) -> bool {
-        if !self.interp_mode.uses_snapshots() {
+        if !self.interp_mode.uses_compiled() {
             return false;
         }
         // Skip re-priming for the parent already armed (the deterministic
@@ -362,7 +362,7 @@ fn dispatch_engine<S: TraceSink + ?Sized>(
     sink: &mut S,
     budget: u64,
 ) -> (BoundedRun, EnginePath) {
-    if mode.uses_snapshots() {
+    if mode.uses_compiled() {
         if let (Some(recording), Some(compiled)) = (recording, interpreter.compiled()) {
             let work = interpreter.config().work_per_block;
             let (run, snapshot) = compiled.run_resumed(recording, input, sink, budget, work);
@@ -611,9 +611,6 @@ mod tests {
         executor.set_interp_mode(InterpMode::Tree);
         assert_eq!(executor.run(b"mode", &mut map).engine, EnginePath::Tree);
         map.reset();
-        executor.set_interp_mode(InterpMode::Compiled);
-        assert_eq!(executor.run(b"mode", &mut map).engine, EnginePath::Compiled);
-        map.reset();
         // Auto without a primed snapshot still runs compiled front-to-back.
         executor.set_interp_mode(InterpMode::Auto);
         assert_eq!(executor.run(b"mode", &mut map).engine, EnginePath::Compiled);
@@ -628,8 +625,9 @@ mod tests {
         let interp = Interpreter::new(&program);
         let mut snap = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
         let mut cold = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
+        // `cold` is never primed, so it runs compiled front to back.
         snap.set_interp_mode(InterpMode::Auto);
-        cold.set_interp_mode(InterpMode::Compiled);
+        cold.set_interp_mode(InterpMode::Auto);
 
         let parent = [0x41u8; 48];
         assert!(snap.prime_snapshot(&parent));
@@ -688,8 +686,9 @@ mod tests {
         let interp = Interpreter::new(&program);
         let mut snap = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
         let mut cold = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
+        // `cold` is never primed, so it runs compiled front to back.
         snap.set_interp_mode(InterpMode::Auto);
-        cold.set_interp_mode(InterpMode::Compiled);
+        cold.set_interp_mode(InterpMode::Auto);
 
         let parent = [0x33u8; 48];
         snap.prime_snapshot(&parent);

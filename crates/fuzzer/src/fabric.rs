@@ -177,12 +177,6 @@ pub fn run_worker(
     config.seed = base_config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(role.index as u64 + 1));
     config.deterministic = role.index == 0 && base_config.deterministic;
 
-    // Place this worker before any map is allocated so first-touch lands
-    // the coverage pages on the node the campaign thread runs on. The
-    // parent normally pre-resolves BIGMAP_NUMA to `node:<n>` at spawn;
-    // standalone workers resolve the policy themselves here.
-    bigmap_core::alloc::apply_worker_numa(role.index);
-
     let interpreter = Interpreter::with_config(program, config.exec);
     let mut campaign = Campaign::new(config, &interpreter, instrumentation);
     let telemetry = Arc::new(Telemetry::new(role.index));
@@ -536,22 +530,14 @@ pub fn run_fleet(
     let misses = AtomicU64::new(0);
 
     let spawn = |index: usize| -> io::Result<Child> {
-        let mut cmd = command(index);
-        cmd.env(
-            "BIGMAP_FABRIC_WORKER",
-            format!("{index}/{}", config.workers),
-        )
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped());
-        // NUMA handshake: the parent resolves its BIGMAP_NUMA policy to a
-        // concrete node per worker so that `auto` round-robins children
-        // across nodes instead of every child re-deriving `auto` against
-        // its own (identical) index space. A policy no-op forwards nothing
-        // and the child inherits the environment as-is.
-        if let Some(node) = bigmap_core::alloc::worker_node(index) {
-            cmd.env("BIGMAP_NUMA", format!("node:{node}"));
-        }
-        cmd.spawn()
+        command(index)
+            .env(
+                "BIGMAP_FABRIC_WORKER",
+                format!("{index}/{}", config.workers),
+            )
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
     };
 
     let results: Vec<(CampaignStats, InstanceHealth)> = thread::scope(|scope| {

@@ -82,8 +82,7 @@ pub use faults::{FaultPlan, FaultSite, InstanceFaults};
 pub use mutate::Mutator;
 pub use output_dir::OutputDir;
 pub use parallel::{
-    run_parallel, run_parallel_with_faults, run_parallel_with_telemetry, InstanceHealth,
-    ParallelStats, SyncHub,
+    run_parallel, run_parallel_with_telemetry, InstanceHealth, ParallelStats, SyncHub,
 };
 pub use queue::{Queue, QueueEntry};
 pub use replay::{replay_edge_coverage, ReplayCoverage};

@@ -28,16 +28,12 @@
 //! the in-memory [`SyncHub`] (re-exported here for compatibility), while
 //! [`crate::fabric`] drives the same contract across process boundaries.
 
-use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread;
-
 use bigmap_coverage::Instrumentation;
-use bigmap_target::{Interpreter, Program};
+use bigmap_target::Program;
 
-use crate::campaign::{Campaign, CampaignConfig, CampaignStats};
-use crate::telemetry::{TelemetryEvent, TelemetryRegistry};
+use crate::campaign::{CampaignConfig, CampaignStats};
+use crate::supervisor::{run_supervised, SupervisorConfig};
+use crate::telemetry::TelemetryRegistry;
 
 pub use crate::sync::SyncHub;
 
@@ -49,7 +45,7 @@ pub enum InstanceHealth {
     /// Panicked at least once, was restarted by the supervisor, and then
     /// completed. Carries the restart count.
     Restarted(u32),
-    /// Died and stayed dead (no supervisor, or the restart budget ran
+    /// Died and stayed dead (the restart budget, zero by default, ran
     /// out). Carries the final panic message; its slot in
     /// [`ParallelStats::instances`] holds default (all-zero) stats.
     Dead(String),
@@ -60,18 +56,6 @@ impl InstanceHealth {
     /// after restarts).
     pub fn completed(&self) -> bool {
         !matches!(self, InstanceHealth::Dead(_))
-    }
-}
-
-/// Renders a `catch_unwind` payload as text (panic messages are `&str`
-/// or `String` in practice; anything else becomes a placeholder).
-pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 
@@ -158,6 +142,11 @@ pub fn run_parallel(
 /// end. Per-instance final snapshots also land in each
 /// [`CampaignStats::telemetry`].
 ///
+/// This is [`run_supervised`] with no restarts: a worker panic is
+/// contained to its instance, which is reported as
+/// [`InstanceHealth::Dead`] (zeroed stats) while the rest of the fleet
+/// finishes.
+///
 /// # Panics
 ///
 /// Panics if `instances == 0` or `seeds` is empty.
@@ -170,162 +159,16 @@ pub fn run_parallel_with_telemetry(
     sync_every: u64,
     registry: Option<&TelemetryRegistry>,
 ) -> ParallelStats {
-    run_parallel_with_faults(
+    run_supervised(
         program,
         instrumentation,
         base_config,
         seeds,
         instances,
         sync_every,
+        &SupervisorConfig::default(),
         registry,
-        None,
     )
-}
-
-/// [`run_parallel_with_telemetry`] with a deterministic fault-injection
-/// plan attached to every instance.
-///
-/// A worker panic — injected or organic — is contained to its instance:
-/// the session still returns, with that instance reported as
-/// [`InstanceHealth::Dead`] (zeroed stats) instead of tearing down the
-/// whole fleet. There are **no restarts** here; that is
-/// [`crate::supervisor::run_supervised`]'s job.
-///
-/// # Panics
-///
-/// Panics if `instances == 0` or `seeds` is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_with_faults(
-    program: &Program,
-    instrumentation: &Instrumentation,
-    base_config: &CampaignConfig,
-    seeds: &[Vec<u8>],
-    instances: usize,
-    sync_every: u64,
-    registry: Option<&TelemetryRegistry>,
-    fault_plan: Option<Arc<crate::faults::FaultPlan>>,
-) -> ParallelStats {
-    assert!(instances > 0, "need at least one instance");
-    assert!(!seeds.is_empty(), "need a seed corpus");
-
-    let hub = Arc::new(SyncHub::new());
-
-    let results: Vec<Result<CampaignStats, String>> = thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(instances);
-        for instance in 0..instances {
-            let hub = Arc::clone(&hub);
-            let seeds = seeds.to_vec();
-            let telemetry = registry.map(|r| r.register(instance));
-            let faults = fault_plan.as_ref().map(|plan| {
-                Arc::new(crate::faults::InstanceFaults::new(
-                    Arc::clone(plan),
-                    instance,
-                ))
-            });
-            let mut config = base_config.clone();
-            config.seed =
-                base_config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(instance as u64 + 1));
-            config.deterministic = instance == 0 && base_config.deterministic;
-            handles.push(scope.spawn(move || {
-                // Contain panics to the instance: a dying worker must
-                // cost the fleet one instance's results, not the whole
-                // session (thread::scope would otherwise re-raise on
-                // join). The closure owns all its state, so unwind
-                // safety is real, not just asserted.
-                catch_unwind(AssertUnwindSafe(|| {
-                    // NUMA placement first, allocation second: pinning the
-                    // worker thread to its node before the campaign builds
-                    // its maps makes first-touch put every map page on the
-                    // node that will hammer it (BIGMAP_NUMA; a recorded
-                    // no-op on single-node hosts and refused syscalls).
-                    bigmap_core::alloc::apply_worker_numa(instance);
-                    // Each instance owns its interpreter state (the program is
-                    // shared read-only).
-                    let interpreter = Interpreter::with_config(program, config.exec);
-                    let mut campaign = Campaign::new(config, &interpreter, instrumentation);
-                    if let Some(tel) = &telemetry {
-                        campaign.set_telemetry(Arc::clone(tel));
-                    }
-                    if let Some(faults) = &faults {
-                        campaign.set_faults(Arc::clone(faults));
-                    }
-                    campaign.add_seeds(seeds);
-                    // Every instance starts from the same seed corpus:
-                    // publishing it would only make the others re-execute
-                    // inputs they already have, so drain it un-published.
-                    let _ = campaign.take_fresh_finds();
-                    let mut cursor = 0u64;
-
-                    let hub_for_hook = Arc::clone(&hub);
-                    let tel_for_hook = telemetry.clone();
-
-                    let stats = campaign.run_with_hook(sync_every, move |c| {
-                        // Fetch first, publish second: the publisher filter in
-                        // fetch_since makes the order a performance nicety
-                        // rather than a correctness requirement, but fetching
-                        // first keeps the cursor arithmetic trivially monotone.
-                        // The cursor lives and dies with this closure, so an
-                        // overrun is impossible — hence the expect.
-                        let fetched = hub_for_hook
-                            .fetch_since(&mut cursor, instance)
-                            .expect("local sync cursor cannot overrun");
-                        for input in fetched {
-                            c.import(&input);
-                        }
-                        let finds = c.take_fresh_finds();
-                        if let Some(tel) = &tel_for_hook {
-                            tel.add(TelemetryEvent::SyncPublish, finds.len() as u64);
-                            // Snapshot at the sync boundary — the only place
-                            // the fleet pays sink I/O.
-                            if let Some(registry) = registry {
-                                registry.emit(tel);
-                            }
-                        }
-                        hub_for_hook.publish(instance, finds);
-                    });
-                    if let (Some(registry), Some(tel)) = (registry, &telemetry) {
-                        registry.emit(tel);
-                    }
-                    stats
-                }))
-                .map_err(panic_message)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("supervisory join failed"))
-            .collect()
-    });
-
-    let mut stats = Vec::with_capacity(results.len());
-    let mut health = Vec::with_capacity(results.len());
-    for result in results {
-        match result {
-            Ok(s) => {
-                stats.push(s);
-                health.push(InstanceHealth::Running);
-            }
-            Err(msg) => {
-                stats.push(CampaignStats::default());
-                health.push(InstanceHealth::Dead(msg));
-            }
-        }
-    }
-
-    // Fleet-wide crash dedup: the Crashwalk bucket hash of a (stack, site)
-    // pair is instance-independent, so the union of per-instance bucket
-    // sets is the exact fleet-wide unique count.
-    let unique_crashes = stats
-        .iter()
-        .flat_map(|s| s.crash_buckets.iter().copied())
-        .collect::<std::collections::HashSet<u32>>()
-        .len();
-
-    ParallelStats {
-        instances: stats,
-        health,
-        unique_crashes,
-    }
 }
 
 #[cfg(test)]
@@ -408,19 +251,24 @@ mod tests {
     #[test]
     fn injected_panic_kills_one_instance_not_the_fleet() {
         use crate::faults::{FaultPlan, FaultSite};
+        use std::sync::Arc;
         let (program, inst) = setup();
         // Instance 1 panics at its first sync boundary; instance 0 is
         // untouched.
         let plan = Arc::new(FaultPlan::new().inject(FaultSite::WorkerPanic, 1, 0));
-        let stats = run_parallel_with_faults(
+        let supervisor = SupervisorConfig {
+            fault_plan: Some(plan),
+            ..Default::default()
+        };
+        let stats = run_supervised(
             &program,
             &inst,
             &config(1_000),
             &[vec![0u8; 24]],
             2,
             200,
+            &supervisor,
             None,
-            Some(plan),
         );
         assert_eq!(stats.health[0], InstanceHealth::Running);
         match &stats.health[1] {

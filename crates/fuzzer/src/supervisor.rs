@@ -1,14 +1,13 @@
-//! Fleet supervision: restart crashed instances from their checkpoints.
+//! Fleet supervision: the one thread-fleet runner.
 //!
-//! [`run_parallel_with_faults`](crate::parallel::run_parallel_with_faults)
-//! *contains* a worker panic — the fleet survives, the instance's work is
-//! lost. This module goes one step further and *recovers*: every instance
-//! runs under a supervisor loop that catches its panic, waits out a
-//! linear backoff, and relaunches it — restored from its last on-disk
-//! checkpoint when a checkpoint directory is configured, from the seed
-//! corpus otherwise. Restart attempts are bounded; an instance that keeps
-//! dying is declared [`InstanceHealth::Dead`] and the rest of the fleet
-//! carries on.
+//! Every instance runs under a supervisor loop that catches its panic,
+//! waits out a linear backoff, and relaunches it — restored from its last
+//! on-disk checkpoint when a checkpoint directory is configured, from the
+//! seed corpus otherwise. Restart attempts are bounded; an instance that
+//! keeps dying is declared [`InstanceHealth::Dead`] and the rest of the
+//! fleet carries on. With the default policy (zero restarts, which
+//! [`run_parallel`](crate::parallel::run_parallel) uses) a panic is only
+//! *contained*: the fleet survives and the instance's work is lost.
 //!
 //! ## Sync consistency across restarts
 //!
@@ -24,6 +23,7 @@
 //! campaign, so a fault scheduled at the Nth occurrence fires exactly
 //! once per campaign lifetime — not once per restart.
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -36,7 +36,7 @@ use bigmap_target::{Interpreter, Program};
 use crate::campaign::{Campaign, CampaignConfig, CampaignStats};
 use crate::checkpoint::CheckpointManager;
 use crate::faults::{FaultPlan, InstanceFaults};
-use crate::parallel::{panic_message, InstanceHealth, ParallelStats, SyncHub};
+use crate::parallel::{InstanceHealth, ParallelStats, SyncHub};
 use crate::telemetry::{Telemetry, TelemetryEvent, TelemetryRegistry};
 
 /// Supervision policy for a fleet.
@@ -76,6 +76,18 @@ impl SupervisorConfig {
             checkpoint_min_interval: Duration::from_millis(250),
             fault_plan: None,
         }
+    }
+}
+
+/// Renders a `catch_unwind` payload as text (panic messages are `&str`
+/// or `String` in practice; anything else becomes a placeholder).
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
     }
 }
 
@@ -143,7 +155,12 @@ fn run_instance_attempt(
     let hub_for_hook = Arc::clone(hub);
     let tel_for_hook = telemetry.cloned();
 
-    campaign.run_with_hook(sync_every, move |c| {
+    let stats = campaign.run_with_hook(sync_every, move |c| {
+        // Fetch first, publish second: the publisher filter in fetch_since
+        // makes the order a performance nicety rather than a correctness
+        // requirement, but fetching first keeps the cursor arithmetic
+        // trivially monotone. The cursor lives and dies with this attempt,
+        // so an overrun is impossible — hence the expect.
         let fetched = hub_for_hook
             .fetch_since(&mut cursor, instance)
             .expect("local sync cursor cannot overrun");
@@ -153,6 +170,8 @@ fn run_instance_attempt(
         let finds = c.take_fresh_finds();
         if let Some(tel) = &tel_for_hook {
             tel.add(TelemetryEvent::SyncPublish, finds.len() as u64);
+            // Snapshot at the sync boundary — the only place the fleet
+            // pays sink I/O.
             if let Some(registry) = registry {
                 registry.emit(tel);
             }
@@ -163,15 +182,24 @@ fn run_instance_attempt(
             // never the campaign: the previous file is still intact.
             let _ = manager.maybe_checkpoint(c);
         }
-    })
+    });
+    // The final snapshot: without it the sink would stop at the last sync
+    // boundary and miss the work done after it.
+    if let (Some(registry), Some(tel)) = (registry, telemetry) {
+        registry.emit(tel);
+    }
+    stats
 }
 
-/// Runs a supervised master–secondary fleet: like
-/// [`run_parallel_with_telemetry`](crate::parallel::run_parallel_with_telemetry),
-/// but each instance is relaunched after a panic according to
+/// Runs a supervised master–secondary fleet: every instance gets the same
+/// configuration except that instance 0 (the master) runs the
+/// deterministic stages and each instance's RNG is decorrelated by its
+/// index. Each instance is relaunched after a panic according to
 /// `supervisor` — restored from its checkpoint when checkpointing is
-/// configured. Per-instance health lands in [`ParallelStats::health`]:
-/// `Running` (no intervention), `Restarted(n)`, or `Dead(panic message)`.
+/// configured. With a `registry`, each instance emits a telemetry snapshot
+/// at every sync boundary and once at campaign end. Per-instance health
+/// lands in [`ParallelStats::health`]: `Running` (no intervention),
+/// `Restarted(n)`, or `Dead(panic message)`.
 ///
 /// A restarted instance keeps its telemetry handle and fault ordinals
 /// (they live outside the campaign), so counters accumulate across the
@@ -216,6 +244,9 @@ pub fn run_supervised(
             config.deterministic = instance == 0 && base_config.deterministic;
 
             handles.push(scope.spawn(move || {
+                // Contain panics to the instance: a dying worker costs the
+                // fleet one instance's results, not the whole session
+                // (thread::scope would otherwise re-raise on join).
                 let mut restarts = 0u32;
                 loop {
                     let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -262,6 +293,9 @@ pub fn run_supervised(
             .collect()
     });
 
+    // Fleet-wide crash dedup: the Crashwalk bucket hash of a (stack, site)
+    // pair is instance-independent, so the union of per-instance bucket
+    // sets is the exact fleet-wide unique count.
     let unique_crashes = results
         .iter()
         .flat_map(|(s, _)| s.crash_buckets.iter().copied())
@@ -335,6 +369,43 @@ mod tests {
         assert!(stats.total_execs() >= 2 * 800);
         for s in &stats.instances {
             assert!(s.execs >= 800);
+        }
+    }
+
+    #[test]
+    fn sink_ends_with_each_instance_final_snapshot() {
+        use crate::telemetry::{parse_jsonl, JsonlSink, SharedBuffer, TelemetrySnapshot};
+        let (program, inst) = setup();
+        let buffer = SharedBuffer::new();
+        let registry = TelemetryRegistry::with_sink(JsonlSink::new(Box::new(buffer.clone())));
+        run_supervised(
+            &program,
+            &inst,
+            &config(1_000),
+            &[vec![0u8; 24]],
+            2,
+            // One sync boundary at ~600 execs, none at the budget's end:
+            // the sink holds the final counters only via the final emit.
+            600,
+            &SupervisorConfig::default(),
+            Some(&registry),
+        );
+        let lines = parse_jsonl(&buffer.contents()).expect("sink writes valid JSONL");
+        let live = registry.snapshots();
+        assert_eq!(live.len(), 2);
+        for live in live {
+            let last = lines
+                .iter()
+                .rev()
+                .find(|line| line.instance == live.instance)
+                .expect("every instance emits");
+            // Every counter and stage clock matches; only the wall clock
+            // moved on since the final emit.
+            let expected = TelemetrySnapshot {
+                wall_nanos: last.wall_nanos,
+                ..live
+            };
+            assert_eq!(*last, expected, "instance {}", last.instance);
         }
     }
 

@@ -53,232 +53,139 @@ use bigmap_core::{EventCounter, StageNanos};
 
 use crate::timeline::TimelinePoint;
 
-/// The countable events of the campaign pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TelemetryEvent {
+/// Declares [`TelemetryEvent`] from one table of `Variant => "json_key"`
+/// rows. The declaration order is the counter slot and the serialization
+/// order, so `ALL`, the slot, the key and the array sizes cannot drift
+/// apart. New events go at the end: slots are positional in the counter
+/// arrays.
+macro_rules! telemetry_events {
+    ($($(#[$doc:meta])* $variant:ident => $key:literal,)*) => {
+        /// The countable events of the campaign pipeline.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum TelemetryEvent {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl TelemetryEvent {
+            /// Number of events.
+            pub const COUNT: usize = [$(stringify!($variant)),*].len();
+
+            /// Every event, in serialization order.
+            pub const ALL: [TelemetryEvent; TelemetryEvent::COUNT] =
+                [$(TelemetryEvent::$variant),*];
+
+            /// The JSON field name of this event's counter.
+            pub fn key(self) -> &'static str {
+                match self {
+                    $(TelemetryEvent::$variant => $key,)*
+                }
+            }
+        }
+    };
+}
+
+telemetry_events! {
     /// Coverage-map resets (one per test case).
-    MapReset,
+    MapReset => "map_resets",
     /// Standalone classify passes (split pipeline only; the merged
     /// pipeline accounts its single pass as a virgin compare).
-    ClassifyPass,
+    ClassifyPass => "classify_passes",
     /// Virgin-map scans: compare or merged classify+compare passes.
-    VirginCompare,
+    VirginCompare => "virgin_compares",
     /// Seed-queue scheduling decisions (one per scheduled entry).
-    QueueCycle,
+    QueueCycle => "queue_cycles",
     /// Inputs published to the fleet's sync hub.
-    SyncPublish,
+    SyncPublish => "sync_publishes",
     /// Inputs fetched from the sync hub and re-executed locally.
-    SyncImport,
+    SyncImport => "sync_imports",
     /// Fetched inputs rejected for showing no new local coverage.
-    ImportRejection,
+    ImportRejection => "import_rejections",
     /// Test cases executed.
-    Exec,
+    Exec => "execs",
     /// Coverage-map updates (`record` calls) performed by the target.
-    MapUpdate,
+    MapUpdate => "map_updates",
     /// Executions whose verdict was a brand-new edge (the timeline's
     /// coverage unit).
-    NewCoverage,
+    NewCoverage => "new_coverage",
     /// Crashing executions (non-unique).
-    Crash,
+    Crash => "crashes",
     /// Hanging executions.
-    Hang,
+    Hang => "hangs",
     /// Hangs charged to a *calibrated* step budget (subset of `Hang`):
     /// the execution would have kept running under the configured
     /// `max_steps` but the tighter calibrated budget cut it off.
-    HangBudgetExceeded,
+    HangBudgetExceeded => "hang_budget_exceeded",
     /// Campaign checkpoints written to the output directory.
-    Checkpoint,
+    Checkpoint => "checkpoints",
     /// Kernel-dispatch resolutions: counted once per campaign when the
     /// instance observes which map-op kernel table
     /// (`bigmap_core::kernels::active()`) the process selected.
-    KernelSelect,
+    KernelSelect => "kernel_selections",
     /// Map operations (classify/compare/fused) dispatched to the scalar
     /// word-wise kernel.
-    KernelScalarOp,
+    KernelScalarOp => "kernel_scalar_ops",
     /// Map operations dispatched to the SSE2 kernel.
-    KernelSse2Op,
+    KernelSse2Op => "kernel_sse2_ops",
     /// Map operations dispatched to the AVX2 kernel.
-    KernelAvx2Op,
+    KernelAvx2Op => "kernel_avx2_ops",
     /// Executions whose post-exec map ops took the journal-driven sparse
     /// path (`BIGMAP_SPARSE`, see `bigmap_core::sparse`).
-    SparseDispatch,
+    SparseDispatch => "sparse_dispatches",
     /// Executions whose post-exec map ops took the dense kernel path.
-    DenseDispatch,
+    DenseDispatch => "dense_dispatches",
     /// Executions whose touch journal overflowed its capacity, forcing
     /// the dense fallback regardless of the dispatch policy.
-    JournalOverflow,
+    JournalOverflow => "journal_overflows",
     /// Untraced fast-path executions whose novelty oracle proved them
     /// already-seen, so the traced re-execution was skipped entirely
     /// (`BIGMAP_TRACE_MODE=selective|auto`). Disjoint from `RetraceExec`;
     /// together they partition the fast-pass attempts.
-    FastPathExec,
+    FastPathExec => "fast_path_execs",
     /// Fast-path executions the oracle flagged as suspicious (or that
     /// crashed/hanged), forcing a full traced re-execution.
-    RetraceExec,
+    RetraceExec => "retrace_execs",
     /// Checkpoint restores that skipped one or more corrupt generations
     /// and fell back to an older intact one (counted per generation
     /// skipped).
-    CheckpointFallback,
+    CheckpointFallback => "checkpoint_fallbacks",
     /// Corpus entries found unreadable or truncated on load and moved to
     /// the output directory's `quarantine/` instead of aborting.
-    QuarantinedEntry,
+    QuarantinedEntry => "quarantined_entries",
     /// Liveness-deadline expirations observed by the fleet parent: a
     /// worker made no progress (no frames, or heartbeats with a frozen
     /// exec counter) for the full deadline and was killed for restart.
-    HeartbeatMiss,
+    HeartbeatMiss => "heartbeat_misses",
     /// Executions dispatched through the compiled bytecode engine
-    /// (`BIGMAP_INTERP=compiled|auto`), whether cold, resumed or
-    /// replayed. Zero in tree mode.
-    CompiledExec,
+    /// (`BIGMAP_INTERP=auto`), whether cold, resumed or replayed. Zero in
+    /// tree mode.
+    CompiledExec => "compiled_execs",
     /// Executions served wholly or partially from the scheduled parent's
     /// snapshot recording (a full trace replay or a mid-run resume).
-    SnapshotHit,
+    SnapshotHit => "snapshot_hits",
     /// Executions that had a parent snapshot armed but could not reuse it
     /// (mutation hit the first read, budget mismatch, or an overflowed
     /// recording) and re-executed from scratch.
-    SnapshotMiss,
+    SnapshotMiss => "snapshot_misses",
     /// Campaign instances whose coverage map was served by explicit
     /// hugetlb pages (`BIGMAP_HUGE=explicit`, reservation succeeded).
-    AllocExplicitHuge,
+    AllocExplicitHuge => "alloc_explicit_huge",
     /// Campaign instances whose coverage map went down the THP-advised
     /// heap path (the default, or the explicit backend's fallback).
-    AllocThp,
+    AllocThp => "alloc_thp",
     /// Campaign instances whose coverage map sits on plain pages
     /// (`BIGMAP_HUGE=off`, or a sub-huge-page map).
-    AllocPlain,
+    AllocPlain => "alloc_plain",
     /// Campaign instances whose explicit-huge-page request could not be
     /// served and fell back to THP (empty hugetlb pool, unsupported
     /// kernel, non-Linux host).
-    AllocFallback,
-    /// Campaign instances whose worker thread was pinned to its NUMA node
-    /// (`BIGMAP_NUMA=auto|node:<n>` on a host where the pin succeeded).
-    NumaPin,
-    /// Campaign instances where NUMA placement was requested but the node
-    /// pin was refused (denied syscall, bogus node) and the instance ran
-    /// unpinned on kernel first-touch.
-    NumaPinFail,
+    AllocFallback => "alloc_fallbacks",
 }
 
 impl TelemetryEvent {
-    /// Every event, in serialization order.
-    pub const ALL: [TelemetryEvent; 35] = [
-        TelemetryEvent::MapReset,
-        TelemetryEvent::ClassifyPass,
-        TelemetryEvent::VirginCompare,
-        TelemetryEvent::QueueCycle,
-        TelemetryEvent::SyncPublish,
-        TelemetryEvent::SyncImport,
-        TelemetryEvent::ImportRejection,
-        TelemetryEvent::Exec,
-        TelemetryEvent::MapUpdate,
-        TelemetryEvent::NewCoverage,
-        TelemetryEvent::Crash,
-        TelemetryEvent::Hang,
-        TelemetryEvent::HangBudgetExceeded,
-        TelemetryEvent::Checkpoint,
-        TelemetryEvent::KernelSelect,
-        TelemetryEvent::KernelScalarOp,
-        TelemetryEvent::KernelSse2Op,
-        TelemetryEvent::KernelAvx2Op,
-        TelemetryEvent::SparseDispatch,
-        TelemetryEvent::DenseDispatch,
-        TelemetryEvent::JournalOverflow,
-        TelemetryEvent::FastPathExec,
-        TelemetryEvent::RetraceExec,
-        TelemetryEvent::CheckpointFallback,
-        TelemetryEvent::QuarantinedEntry,
-        TelemetryEvent::HeartbeatMiss,
-        TelemetryEvent::CompiledExec,
-        TelemetryEvent::SnapshotHit,
-        TelemetryEvent::SnapshotMiss,
-        TelemetryEvent::AllocExplicitHuge,
-        TelemetryEvent::AllocThp,
-        TelemetryEvent::AllocPlain,
-        TelemetryEvent::AllocFallback,
-        TelemetryEvent::NumaPin,
-        TelemetryEvent::NumaPinFail,
-    ];
-
+    /// The counter slot: the declaration index.
     #[inline]
     fn slot(self) -> usize {
-        match self {
-            TelemetryEvent::MapReset => 0,
-            TelemetryEvent::ClassifyPass => 1,
-            TelemetryEvent::VirginCompare => 2,
-            TelemetryEvent::QueueCycle => 3,
-            TelemetryEvent::SyncPublish => 4,
-            TelemetryEvent::SyncImport => 5,
-            TelemetryEvent::ImportRejection => 6,
-            TelemetryEvent::Exec => 7,
-            TelemetryEvent::MapUpdate => 8,
-            TelemetryEvent::NewCoverage => 9,
-            TelemetryEvent::Crash => 10,
-            TelemetryEvent::Hang => 11,
-            TelemetryEvent::HangBudgetExceeded => 12,
-            TelemetryEvent::Checkpoint => 13,
-            TelemetryEvent::KernelSelect => 14,
-            TelemetryEvent::KernelScalarOp => 15,
-            TelemetryEvent::KernelSse2Op => 16,
-            TelemetryEvent::KernelAvx2Op => 17,
-            TelemetryEvent::SparseDispatch => 18,
-            TelemetryEvent::DenseDispatch => 19,
-            TelemetryEvent::JournalOverflow => 20,
-            TelemetryEvent::FastPathExec => 21,
-            TelemetryEvent::RetraceExec => 22,
-            TelemetryEvent::CheckpointFallback => 23,
-            TelemetryEvent::QuarantinedEntry => 24,
-            TelemetryEvent::HeartbeatMiss => 25,
-            TelemetryEvent::CompiledExec => 26,
-            TelemetryEvent::SnapshotHit => 27,
-            TelemetryEvent::SnapshotMiss => 28,
-            TelemetryEvent::AllocExplicitHuge => 29,
-            TelemetryEvent::AllocThp => 30,
-            TelemetryEvent::AllocPlain => 31,
-            TelemetryEvent::AllocFallback => 32,
-            TelemetryEvent::NumaPin => 33,
-            TelemetryEvent::NumaPinFail => 34,
-        }
-    }
-
-    /// The JSON field name of this event's counter.
-    pub fn key(self) -> &'static str {
-        match self {
-            TelemetryEvent::MapReset => "map_resets",
-            TelemetryEvent::ClassifyPass => "classify_passes",
-            TelemetryEvent::VirginCompare => "virgin_compares",
-            TelemetryEvent::QueueCycle => "queue_cycles",
-            TelemetryEvent::SyncPublish => "sync_publishes",
-            TelemetryEvent::SyncImport => "sync_imports",
-            TelemetryEvent::ImportRejection => "import_rejections",
-            TelemetryEvent::Exec => "execs",
-            TelemetryEvent::MapUpdate => "map_updates",
-            TelemetryEvent::NewCoverage => "new_coverage",
-            TelemetryEvent::Crash => "crashes",
-            TelemetryEvent::Hang => "hangs",
-            TelemetryEvent::HangBudgetExceeded => "hang_budget_exceeded",
-            TelemetryEvent::Checkpoint => "checkpoints",
-            TelemetryEvent::KernelSelect => "kernel_selections",
-            TelemetryEvent::KernelScalarOp => "kernel_scalar_ops",
-            TelemetryEvent::KernelSse2Op => "kernel_sse2_ops",
-            TelemetryEvent::KernelAvx2Op => "kernel_avx2_ops",
-            TelemetryEvent::SparseDispatch => "sparse_dispatches",
-            TelemetryEvent::DenseDispatch => "dense_dispatches",
-            TelemetryEvent::JournalOverflow => "journal_overflows",
-            TelemetryEvent::FastPathExec => "fast_path_execs",
-            TelemetryEvent::RetraceExec => "retrace_execs",
-            TelemetryEvent::CheckpointFallback => "checkpoint_fallbacks",
-            TelemetryEvent::QuarantinedEntry => "quarantined_entries",
-            TelemetryEvent::HeartbeatMiss => "heartbeat_misses",
-            TelemetryEvent::CompiledExec => "compiled_execs",
-            TelemetryEvent::SnapshotHit => "snapshot_hits",
-            TelemetryEvent::SnapshotMiss => "snapshot_misses",
-            TelemetryEvent::AllocExplicitHuge => "alloc_explicit_huge",
-            TelemetryEvent::AllocThp => "alloc_thp",
-            TelemetryEvent::AllocPlain => "alloc_plain",
-            TelemetryEvent::AllocFallback => "alloc_fallbacks",
-            TelemetryEvent::NumaPin => "numa_pins",
-            TelemetryEvent::NumaPinFail => "numa_pin_fails",
-        }
+        self as usize
     }
 
     /// The per-op counter for map operations dispatched through `kind`'s
@@ -350,7 +257,7 @@ impl Stage {
 pub struct Telemetry {
     instance: usize,
     started: Instant,
-    events: [EventCounter; 35],
+    events: [EventCounter; TelemetryEvent::COUNT],
     stages: [StageNanos; 4],
 }
 
@@ -425,19 +332,19 @@ pub struct TelemetrySnapshot {
     /// Wall-clock nanoseconds since the instance's telemetry was created.
     pub wall_nanos: u64,
     /// Event counters, indexed in [`TelemetryEvent::ALL`] order.
-    pub events: [u64; 35],
+    pub events: [u64; TelemetryEvent::COUNT],
     /// Stage accumulators (nanoseconds), indexed in [`Stage::ALL`] order.
     pub stage_nanos: [u64; 4],
 }
 
-// Manual impl: `[u64; 35]` outgrew the derive's 32-element array limit.
+// Manual impl: the event array outgrew the derive's 32-element limit.
 impl Default for TelemetrySnapshot {
     fn default() -> Self {
         TelemetrySnapshot {
             instance: 0,
             node: 0,
             wall_nanos: 0,
-            events: [0; 35],
+            events: [0; TelemetryEvent::COUNT],
             stage_nanos: [0; 4],
         }
     }
@@ -983,6 +890,42 @@ mod tests {
         assert_eq!(snap.get(TelemetryEvent::CompiledExec), 0);
         assert_eq!(snap.get(TelemetryEvent::SnapshotHit), 0);
         assert_eq!(snap.get(TelemetryEvent::SnapshotMiss), 0);
+    }
+
+    #[test]
+    fn thirty_five_slot_snapshot_lines_still_parse() {
+        // A line in the 35-slot format, which ended with two since-removed
+        // thread-placement counters (each counter holds its old slot + 1).
+        // The two unknown keys are ignored; every other counter and stage
+        // clock must survive intact.
+        let parent_line = "{\"instance\":5,\"node\":1,\"wall_nanos\":123,\"map_resets\":1,\
+                           \"classify_passes\":2,\"virgin_compares\":3,\"queue_cycles\":4,\
+                           \"sync_publishes\":5,\"sync_imports\":6,\"import_rejections\":7,\
+                           \"execs\":8,\"map_updates\":9,\"new_coverage\":10,\
+                           \"crashes\":11,\"hangs\":12,\"hang_budget_exceeded\":13,\
+                           \"checkpoints\":14,\"kernel_selections\":15,\
+                           \"kernel_scalar_ops\":16,\"kernel_sse2_ops\":17,\
+                           \"kernel_avx2_ops\":18,\"sparse_dispatches\":19,\
+                           \"dense_dispatches\":20,\"journal_overflows\":21,\
+                           \"fast_path_execs\":22,\"retrace_execs\":23,\
+                           \"checkpoint_fallbacks\":24,\"quarantined_entries\":25,\
+                           \"heartbeat_misses\":26,\"compiled_execs\":27,\
+                           \"snapshot_hits\":28,\"snapshot_misses\":29,\
+                           \"alloc_explicit_huge\":30,\"alloc_thp\":31,\"alloc_plain\":32,\
+                           \"alloc_fallbacks\":33,\"numa_pins\":34,\"numa_pin_fails\":35,\
+                           \"stage_deterministic_nanos\":100,\"stage_havoc_nanos\":101,\
+                           \"stage_map_ops_nanos\":102,\"stage_target_exec_nanos\":103}";
+        let snap = TelemetrySnapshot::from_json(parent_line).expect("35-slot line parses");
+        assert_eq!((snap.instance, snap.node, snap.wall_nanos), (5, 1, 123));
+        for event in TelemetryEvent::ALL {
+            assert_eq!(snap.get(event), event.slot() as u64 + 1, "{event:?}");
+        }
+        for stage in Stage::ALL {
+            assert_eq!(snap.stage_nanos[stage.slot()], stage.slot() as u64 + 100);
+        }
+        // Re-serialized, only the known fields remain.
+        let fields = snap.to_json().matches(':').count();
+        assert_eq!(fields, 3 + TelemetryEvent::COUNT + Stage::ALL.len());
     }
 
     #[test]

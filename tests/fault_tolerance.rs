@@ -221,21 +221,25 @@ fn checkpoint_write_fault_degrades_one_snapshot_not_the_campaign() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// The no-supervision containment path: a panicking instance is reported
+/// The no-restart containment path: a panicking instance is reported
 /// `Dead` while the rest of the fleet finishes untouched.
 #[test]
 fn unsupervised_fleet_contains_a_dead_instance() {
     let (program, instrumentation, seeds) = fixture();
     let plan = Arc::new(FaultPlan::new().inject(FaultSite::WorkerPanic, 1, 0));
-    let stats = bigmap::fuzzer::run_parallel_with_faults(
+    let supervisor = SupervisorConfig {
+        fault_plan: Some(plan),
+        ..Default::default()
+    };
+    let stats = run_supervised(
         &program,
         &instrumentation,
         &config(1_000),
         &seeds,
         2,
         250,
+        &supervisor,
         None,
-        Some(plan),
     );
     assert_eq!(stats.health[0], InstanceHealth::Running);
     match &stats.health[1] {

@@ -1,7 +1,7 @@
 //! Giant-map regime: allocation policy must never touch coverage semantics.
 //!
-//! The giant-map memory subsystem (explicit huge pages, NUMA placement,
-//! size-scaled sparse policy) is pure mechanism — where map bytes live and
+//! The giant-map memory subsystem (explicit huge pages, size-scaled
+//! sparse policy) is pure mechanism — where map bytes live and
 //! which walk visits them. These tests pin the boundary at a 256 MiB map:
 //!
 //! 1. Campaigns under `BIGMAP_HUGE=off|thp|explicit` with `BIGMAP_SPARSE`

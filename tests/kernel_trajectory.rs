@@ -131,39 +131,31 @@ fn campaign_trajectory_is_interp_mode_invariant() {
     // alternative *executors* of the same target semantics — switching
     // engines (or resuming children from a parent's memoized trace
     // prefix) must not move a single point on the coverage timeline. CI
-    // also runs this whole file under BIGMAP_INTERP=tree and =compiled,
-    // pinning the process-wide default both ways.
+    // also runs this whole file under BIGMAP_INTERP=tree, pinning the
+    // process-wide default the other way.
     let (baseline, baseline_tel) = run_configured(47, None, None, Some(InterpMode::Tree));
     assert_eq!(baseline_tel.get(TelemetryEvent::CompiledExec), 0);
-    for mode in [InterpMode::Compiled, InterpMode::Auto] {
-        let (fast, tel) = run_configured(47, None, None, Some(mode));
-        assert_eq!(baseline.execs, fast.execs, "{mode:?}: exec count");
-        assert_eq!(baseline.queue_len, fast.queue_len, "{mode:?}: queue");
-        assert_eq!(baseline.used_len, fast.used_len, "{mode:?}: used prefix");
-        assert_eq!(
-            baseline.total_crashes, fast.total_crashes,
-            "{mode:?}: crashes"
-        );
-        assert_eq!(baseline.hangs, fast.hangs, "{mode:?}: hangs");
-        assert_eq!(
-            baseline.timeline.points(),
-            fast.timeline.points(),
-            "{mode:?}: the compiled engine changed the coverage trajectory"
-        );
-        // The equivalence must be earned, not vacuous: the compiled
-        // engine has to have served every exec, and auto mode has to
-        // have actually reused parent snapshots.
-        assert!(
-            tel.get(TelemetryEvent::CompiledExec) >= fast.execs,
-            "{mode:?}: compiled engine never fired — the test proves nothing"
-        );
-        if mode == InterpMode::Auto {
-            assert!(
-                tel.get(TelemetryEvent::SnapshotHit) > 0,
-                "auto: no snapshot was ever reused — the test proves nothing"
-            );
-        }
-    }
+    let (fast, tel) = run_configured(47, None, None, Some(InterpMode::Auto));
+    assert_eq!(baseline.execs, fast.execs, "exec count");
+    assert_eq!(baseline.queue_len, fast.queue_len, "queue");
+    assert_eq!(baseline.used_len, fast.used_len, "used prefix");
+    assert_eq!(baseline.total_crashes, fast.total_crashes, "crashes");
+    assert_eq!(baseline.hangs, fast.hangs, "hangs");
+    assert_eq!(
+        baseline.timeline.points(),
+        fast.timeline.points(),
+        "the compiled engine changed the coverage trajectory"
+    );
+    // The equivalence must be earned, not vacuous: the compiled engine has
+    // to have served every exec and actually reused parent snapshots.
+    assert!(
+        tel.get(TelemetryEvent::CompiledExec) >= fast.execs,
+        "compiled engine never fired — the test proves nothing"
+    );
+    assert!(
+        tel.get(TelemetryEvent::SnapshotHit) > 0,
+        "no snapshot was ever reused — the test proves nothing"
+    );
 }
 
 #[test]
