@@ -6,14 +6,15 @@
 //! * two-level update overhead at 64 kB (the paper's 0.98x claim),
 //! * merged classify+compare vs split (§IV-E, ~2x on the pair),
 //! * non-temporal vs standard reset (§IV-E),
-//! * hash watermark rule cost.
+//! * hash cost: watermark rule, ~2% density, and the no-zero-block worst
+//!   case of zero-run skipping against the bytewise CRC32.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use bigmap_core::flat::ResetKind;
-use bigmap_core::{BigMap, CoverageMap, FlatBitmap, MapSize, VirginState};
+use bigmap_core::{BigMap, CoverageMap, Crc32, FlatBitmap, MapSize, VirginState};
 
 /// Active keys resembling a mid-size benchmark (~10k discovered edges).
 fn active_keys(n: usize, map: MapSize) -> Vec<u32> {
@@ -155,13 +156,45 @@ fn bench_hash_watermark(c: &mut Criterion) {
         map.record(123);
         b.iter(|| std::hint::black_box(map.hash()));
     });
+    group.bench_function("flat_2pct_density", |b| {
+        let mut map = FlatBitmap::new(MapSize::M8).unwrap();
+        populate(
+            &mut map,
+            &active_keys(MapSize::M8.bytes() / 50, MapSize::M8),
+        );
+        b.iter(|| std::hint::black_box(map.hash()));
+    });
     group.bench_function("bigmap_watermark", |b| {
         let mut map = BigMap::new(MapSize::M8).unwrap();
         let keys = active_keys(10_000, MapSize::M8);
         populate(&mut map, &keys);
         b.iter(|| std::hint::black_box(map.hash()));
     });
+    // Worst case for zero-run skipping: no all-zero block at all. The
+    // block loop must not lose to the bytewise table loop here.
+    let full: Vec<u8> = (0..MapSize::M8.bytes())
+        .map(|i| (i % 255) as u8 + 1)
+        .collect();
+    group.bench_function("no_zero_blocks", |b| {
+        b.iter(|| std::hint::black_box(Crc32::checksum(&full)));
+    });
+    group.bench_function("no_zero_blocks_bytewise", |b| {
+        b.iter(|| std::hint::black_box(bytewise_crc32(&full)));
+    });
     group.finish();
+}
+
+/// The byte-at-a-time table CRC32 the block loop replaced, for comparison.
+fn bytewise_crc32(data: &[u8]) -> u32 {
+    let table: [u32; 256] = std::array::from_fn(|i| {
+        (0..8).fold(i as u32, |crc, _| {
+            (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg())
+        })
+    });
+    let crc = data.iter().fold(0xFFFF_FFFF, |crc: u32, &byte| {
+        (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize]
+    });
+    crc ^ 0xFFFF_FFFF
 }
 
 fn bench_index_sentinel_check(c: &mut Criterion) {

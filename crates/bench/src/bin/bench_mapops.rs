@@ -2,7 +2,9 @@
 //! operations (§IV-E), region sizes 64 KiB → 16 MiB.
 //!
 //! Sweeps every kernel the host supports (`scalar`, `sse2`, `avx2`) over
-//! {classify, compare, fused classify+compare} at each region size, plus a
+//! {classify, compare, fused classify+compare} at each region size, plus
+//! the kernel-independent admission-path reads of the same region (the
+//! zero-run-skipping CRC32 `hash` and the word-skip slot `scan`), plus a
 //! reset-strategy sweep ({cached `fill(0)`, non-temporal streaming stores})
 //! that locates the crossover justifying the `BIGMAP_NT_THRESHOLD` default,
 //! plus a coverage-density sweep ({sparse journal walk, dense kernel,
@@ -41,10 +43,12 @@ use bigmap_bench::{report_header, Effort};
 use bigmap_cache::{trace_bigmap, trace_flat, TraceWorkload, TracedOp};
 use bigmap_core::alloc::{with_huge_policy, HugePolicy, MapBuffer};
 use bigmap_core::classify::classify_slice;
+use bigmap_core::diff::for_each_nonzero_byte;
 use bigmap_core::journal::{runs_from_slots, SlotRun};
 use bigmap_core::kernels::{active, available, table_for, KernelKind};
 use bigmap_core::simd::{nt_threshold, stream_zero};
 use bigmap_core::sparse::{classify_and_compare_runs, select_path, OpPath, SparseMode};
+use bigmap_core::Crc32;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,7 +58,8 @@ const MIB: usize = 1024 * KIB;
 /// One measured configuration.
 struct Sample {
     op: &'static str,
-    /// Kernel label, or the reset strategy name for the reset sweep.
+    /// Kernel label, the reset strategy name for the reset sweep, or
+    /// `crc32` / `wordskip` for the hash and scan rows.
     variant: String,
     size: usize,
     iters: u64,
@@ -178,35 +183,22 @@ fn main() {
                     let mut virgin_buf = clone_map(&virgin);
                     let cur_s = cur_buf.as_mut_slice();
                     let virgin_s = virgin_buf.as_mut_slice();
-                    // Warmup: fault pages in and settle the branch predictors.
-                    run_op(op, table, cur_s, virgin_s);
-                    run_op(op, table, cur_s, virgin_s);
-                    let t = Instant::now();
-                    for _ in 0..iters {
-                        run_op(op, table, cur_s, virgin_s);
-                    }
-                    let elapsed = t.elapsed();
-                    let sample = Sample {
-                        op,
-                        variant: kind.label().to_string(),
-                        size,
-                        iters,
-                        ns_per_op: elapsed.as_nanos() as f64 / iters as f64,
-                        gib_per_s: (size as u64 * iters) as f64
-                            / elapsed.as_secs_f64().max(1e-12)
-                            / (1u64 << 30) as f64,
-                    };
-                    println!(
-                        "{:<10} {:<8} {:>9} {:>12.0} {:>10.2}",
-                        sample.op,
-                        sample.variant,
-                        size_label(size),
-                        sample.ns_per_op,
-                        sample.gib_per_s
-                    );
-                    samples.push(sample);
+                    samples.push(measure(op, kind.label(), size, iters, || {
+                        run_op(op, table, cur_s, virgin_s)
+                    }));
                 }
             }
+            // Kernel-independent reads of the same region: the admission
+            // hash (zero-run-skipping CRC32) and the slot scan.
+            let iters = (target_bytes / size).clamp(5, 4096) as u64;
+            samples.push(measure("hash", "crc32", size, iters, || {
+                std::hint::black_box(Crc32::checksum(cur.as_slice()));
+            }));
+            samples.push(measure("scan", "wordskip", size, iters, || {
+                let mut sum = 0usize;
+                for_each_nonzero_byte(cur.as_slice(), |i, _| sum += i);
+                std::hint::black_box(sum);
+            }));
         }
 
         // --- reset sweep: cached fill vs streaming stores around the NT
@@ -222,32 +214,9 @@ fn main() {
                 let iters = (target_bytes / size).clamp(8, 8192) as u64;
                 let mut buf = MapBuffer::<u8>::zeroed(size);
                 let slice = buf.as_mut_slice();
-                run_reset(strategy, slice);
-                run_reset(strategy, slice);
-                let t = Instant::now();
-                for _ in 0..iters {
-                    run_reset(strategy, slice);
-                }
-                let elapsed = t.elapsed();
-                let sample = Sample {
-                    op: "reset",
-                    variant: strategy.to_string(),
-                    size,
-                    iters,
-                    ns_per_op: elapsed.as_nanos() as f64 / iters as f64,
-                    gib_per_s: (size as u64 * iters) as f64
-                        / elapsed.as_secs_f64().max(1e-12)
-                        / (1u64 << 30) as f64,
-                };
-                println!(
-                    "{:<10} {:<8} {:>9} {:>12.0} {:>10.2}",
-                    sample.op,
-                    sample.variant,
-                    size_label(size),
-                    sample.ns_per_op,
-                    sample.gib_per_s
-                );
-                samples.push(sample);
+                samples.push(measure("reset", strategy, size, iters, || {
+                    run_reset(strategy, slice)
+                }));
             }
         }
 
@@ -708,6 +677,44 @@ fn run_giant_arm(effort: Effort, dense_table: &bigmap_core::KernelTable) -> Gian
         divisors,
         checks,
     }
+}
+
+/// Times `iters` calls of `op_fn` after two warm-up calls (which fault
+/// pages in and settle the branch predictors), prints the row and returns
+/// it.
+fn measure(
+    op: &'static str,
+    variant: &str,
+    size: usize,
+    iters: u64,
+    mut op_fn: impl FnMut(),
+) -> Sample {
+    op_fn();
+    op_fn();
+    let t = Instant::now();
+    for _ in 0..iters {
+        op_fn();
+    }
+    let elapsed = t.elapsed();
+    let sample = Sample {
+        op,
+        variant: variant.to_string(),
+        size,
+        iters,
+        ns_per_op: elapsed.as_nanos() as f64 / iters as f64,
+        gib_per_s: (size as u64 * iters) as f64
+            / elapsed.as_secs_f64().max(1e-12)
+            / (1u64 << 30) as f64,
+    };
+    println!(
+        "{:<10} {:<8} {:>9} {:>12.0} {:>10.2}",
+        sample.op,
+        sample.variant,
+        size_label(size),
+        sample.ns_per_op,
+        sample.gib_per_s
+    );
+    sample
 }
 
 fn find_giant_ns(samples: &[GiantSample], size: usize, policy: &str, variant: &str) -> Option<f64> {

@@ -71,6 +71,40 @@ pub(crate) fn diff_word(cur: u64, virgin: &mut u64, verdict: &mut NewCoverage) {
     }
 }
 
+/// Calls `f(index, byte)` for every non-zero byte of `region` in ascending
+/// index order, skipping all-zero `u64` words: the slot scan behind both
+/// map schemes' `for_each_nonzero` and `count_nonzero`.
+///
+/// # Examples
+///
+/// ```rust
+/// use bigmap_core::diff::for_each_nonzero_byte;
+///
+/// let mut seen = Vec::new();
+/// for_each_nonzero_byte(&[0, 3, 0, 0, 0, 0, 0, 0, 0, 7], |i, b| seen.push((i, b)));
+/// assert_eq!(seen, vec![(1, 3), (9, 7)]);
+/// ```
+#[inline]
+pub fn for_each_nonzero_byte(region: &[u8], mut f: impl FnMut(usize, u8)) {
+    let mut words = region.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        if u64::from_ne_bytes(word.try_into().expect("8-byte word")) != 0 {
+            for (i, &b) in word.iter().enumerate() {
+                if b != 0 {
+                    f(base + i, b);
+                }
+            }
+        }
+        base += 8;
+    }
+    for (i, &b) in words.remainder().iter().enumerate() {
+        if b != 0 {
+            f(base + i, b);
+        }
+    }
+}
+
 /// Diffs an already-classified region against the matching virgin region,
 /// clearing the virgin bits now covered. Returns the strongest novelty
 /// verdict found.

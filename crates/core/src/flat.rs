@@ -7,6 +7,7 @@
 //! the paper measures exploding as the map grows (Figure 3).
 
 use crate::alloc::MapBuffer;
+use crate::diff::for_each_nonzero_byte;
 use crate::hash::Crc32;
 use crate::kernels;
 use crate::map_size::{MapSize, MapSizeError};
@@ -164,7 +165,9 @@ impl CoverageMap for FlatBitmap {
     }
 
     fn count_nonzero(&self) -> usize {
-        self.coverage.iter().filter(|&&b| b != 0).count()
+        let mut n = 0;
+        for_each_nonzero_byte(self.coverage.as_slice(), |_, _| n += 1);
+        n
     }
 
     fn used_len(&self) -> usize {
@@ -172,11 +175,7 @@ impl CoverageMap for FlatBitmap {
     }
 
     fn for_each_nonzero(&self, f: &mut dyn FnMut(usize, u8)) {
-        for (i, &b) in self.coverage.iter().enumerate() {
-            if b != 0 {
-                f(i, b);
-            }
-        }
+        for_each_nonzero_byte(self.coverage.as_slice(), f);
     }
 
     fn active_region(&self) -> &[u8] {

@@ -17,6 +17,7 @@
 //! the whole allocation.
 
 use crate::alloc::MapBuffer;
+use crate::diff::for_each_nonzero_byte;
 use crate::hash::hash_to_last_nonzero;
 use crate::journal::{TouchJournal, DEFAULT_JOURNAL_CAPACITY};
 use crate::kernels;
@@ -293,10 +294,9 @@ impl CoverageMap for BigMap {
     }
 
     fn count_nonzero(&self) -> usize {
-        self.coverage[..self.used()]
-            .iter()
-            .filter(|&&b| b != 0)
-            .count()
+        let mut n = 0;
+        for_each_nonzero_byte(&self.coverage[..self.used()], |_, _| n += 1);
+        n
     }
 
     fn used_len(&self) -> usize {
@@ -304,11 +304,7 @@ impl CoverageMap for BigMap {
     }
 
     fn for_each_nonzero(&self, f: &mut dyn FnMut(usize, u8)) {
-        for (i, &b) in self.coverage[..self.used()].iter().enumerate() {
-            if b != 0 {
-                f(i, b);
-            }
-        }
+        for_each_nonzero_byte(&self.coverage[..self.used()], f);
     }
 
     fn active_region(&self) -> &[u8] {

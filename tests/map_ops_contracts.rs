@@ -54,6 +54,60 @@ fn for_each_nonzero_agrees_with_count_and_region() {
     }
 }
 
+/// CRC32 (IEEE, reflected) one byte at a time: the definition the map
+/// hash must keep reproducing, whatever its inner loop does.
+fn bytewise_crc32(data: &[u8]) -> u32 {
+    let table: Vec<u32> = (0..256u32)
+        .map(|i| (0..8).fold(i, |c, _| (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())))
+        .collect();
+    !data.iter().fold(!0u32, |c, &b| {
+        (c >> 8) ^ table[((c ^ b as u32) & 0xFF) as usize]
+    })
+}
+
+#[test]
+fn hash_and_scan_match_bytewise_references() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    for scheme in schemes() {
+        for size in [MapSize::K64, MapSize::M2, MapSize::M8] {
+            for (seed, keys) in [0usize, 37, 1500].into_iter().enumerate() {
+                let mut rng = SmallRng::seed_from_u64(seed as u64 ^ size.bytes() as u64);
+                let mut map = build_map(scheme, size);
+                for _ in 0..keys {
+                    let key = rng.gen_range(0..size.bytes() as u32);
+                    for _ in 0..rng.gen_range(1..4) {
+                        map.record(key);
+                    }
+                }
+                let region = map.active_region();
+                // Flat hashes the whole map; the two-level map hashes its
+                // used prefix up to the last non-zero byte (§IV-D).
+                let hashed = match scheme {
+                    MapScheme::Flat => region,
+                    MapScheme::TwoLevel => {
+                        &region[..region.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1)]
+                    }
+                };
+                let label = format!("{scheme} {} keys={keys}", size.label());
+                assert_eq!(map.hash(), bytewise_crc32(hashed), "{label}");
+
+                let mut scanned = Vec::new();
+                map.for_each_nonzero(&mut |slot, v| scanned.push((slot, v)));
+                let walked: Vec<(usize, u8)> = region
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b != 0)
+                    .map(|(i, &b)| (i, b))
+                    .collect();
+                assert_eq!(scanned, walked, "{label}");
+                assert_eq!(map.count_nonzero(), walked.len(), "{label}");
+            }
+        }
+    }
+}
+
 #[test]
 fn compare_is_monotone_none_after_exhaustion() {
     // Once a (slot, bucket) combination is folded into virgin, replaying
