@@ -5,6 +5,7 @@
 //! BigMap's two-level map is a one-argument change — exactly the property
 //! the paper exploits when it drops BigMap into AFL and AFL++ unmodified.
 
+use std::any::Any;
 use std::fmt;
 
 use crate::map_size::MapSize;
@@ -66,7 +67,12 @@ impl NewCoverage {
 /// `compare` verdicts (against virgin state of equal history) and
 /// interestingness. The cross-scheme property tests in
 /// `tests/equivalence.rs` enforce this.
-pub trait CoverageMap: Send {
+///
+/// Implementors must be `'static` (the [`Any`] supertrait): the fuzzer's
+/// executor downcasts a `&mut dyn CoverageMap` once per execution to find
+/// the shipped map types and drive them through a statically dispatched
+/// `record`. Any other implementor still works, through the trait object.
+pub trait CoverageMap: Any + Send {
     /// The scheme implemented by this map.
     fn scheme(&self) -> MapScheme;
 

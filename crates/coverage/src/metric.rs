@@ -1,5 +1,6 @@
 //! The [`CoverageMetric`] trait.
 
+use std::any::Any;
 use std::fmt;
 
 use crate::event::TraceEvent;
@@ -41,8 +42,15 @@ impl fmt::Display for MetricKind {
 /// Keys are raw 32-bit hashes; the coverage map folds them into its hash
 /// space. A metric may emit zero or more keys per event.
 ///
+/// Implementors must be `'static` (the [`Any`] supertrait): the fuzzer's
+/// executor downcasts a `&mut dyn CoverageMetric` once per execution to
+/// find [`EdgeHitCount`](crate::EdgeHitCount) and [`NGram`](crate::NGram)
+/// and inline their `on_event`. Any other implementor still works, through
+/// the trait object; the downcast is by concrete type, never by
+/// [`kind`](CoverageMetric::kind).
+///
 /// [`begin_execution`]: CoverageMetric::begin_execution
-pub trait CoverageMetric: Send {
+pub trait CoverageMetric: Any + Send {
     /// The metric family.
     fn kind(&self) -> MetricKind;
 

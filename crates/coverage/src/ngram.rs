@@ -97,6 +97,7 @@ impl CoverageMetric for NGram {
         self.cursor = 0;
     }
 
+    #[inline]
     fn on_event(&mut self, event: TraceEvent, sink: &mut dyn FnMut(u32)) {
         if let TraceEvent::Block(id) = event {
             self.window[self.cursor] = id;

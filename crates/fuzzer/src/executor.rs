@@ -8,10 +8,11 @@
 //! paper's Figure 3), and the post-execution pipeline (classify, compare,
 //! hash) is driven by the campaign, which times each stage separately.
 
+use std::any::Any;
 use std::time::{Duration, Instant};
 
-use bigmap_core::{CoverageMap, InterpMode};
-use bigmap_coverage::{CoverageMetric, Instrumentation, TraceEvent};
+use bigmap_core::{BigMap, CoverageMap, FlatBitmap, InterpMode};
+use bigmap_coverage::{CoverageMetric, EdgeHitCount, Instrumentation, NGram, TraceEvent};
 use bigmap_target::{
     BoundedRun, ExecOutcome, ExecRecording, Interpreter, NoveltyOracle, NullSink, SnapshotOutcome,
     TraceSink,
@@ -19,58 +20,53 @@ use bigmap_target::{
 
 /// Adapter: structural interpreter events → instrumented IDs → metric keys
 /// → map updates.
-struct MappingSink<'a> {
+///
+/// Generic over the metric and the map so that, for the concrete types
+/// [`Engine::trace`] resolves, the engine's exec loop and tape replay
+/// inline the whole chain from block ID to hit count. Every other
+/// (metric, map) pair runs the same code with `M = dyn CoverageMetric`
+/// and `C = dyn CoverageMap`.
+struct MappingSink<'a, M: ?Sized, C: ?Sized> {
     instrumentation: &'a Instrumentation,
-    metric: &'a mut dyn CoverageMetric,
-    map: &'a mut dyn CoverageMap,
+    metric: &'a mut M,
+    map: &'a mut C,
     /// Map `record` calls this execution (telemetry; local non-atomic
     /// counting keeps the per-event cost at one increment).
     updates: u64,
 }
 
-impl TraceSink for MappingSink<'_> {
+impl<M: CoverageMetric + ?Sized, C: CoverageMap + ?Sized> MappingSink<'_, M, C> {
     #[inline]
-    fn on_block(&mut self, global_block: usize) {
-        let MappingSink {
-            instrumentation,
-            metric,
-            map,
-            updates,
-        } = self;
-        let id = instrumentation.block_id(global_block);
-        metric.on_event(TraceEvent::Block(id), &mut |key| {
-            *updates += 1;
-            map.record(key)
-        });
-    }
-
-    #[inline]
-    fn on_call(&mut self, call_site: usize) {
-        let MappingSink {
-            instrumentation,
-            metric,
-            map,
-            updates,
-        } = self;
-        let id = instrumentation.call_site_id(call_site);
-        metric.on_event(TraceEvent::Call(id), &mut |key| {
-            *updates += 1;
-            map.record(key)
-        });
-    }
-
-    #[inline]
-    fn on_return(&mut self) {
+    fn emit(&mut self, event: TraceEvent) {
         let MappingSink {
             metric,
             map,
             updates,
             ..
         } = self;
-        metric.on_event(TraceEvent::Return, &mut |key| {
+        metric.on_event(event, &mut |key| {
             *updates += 1;
             map.record(key)
         });
+    }
+}
+
+impl<M: CoverageMetric + ?Sized, C: CoverageMap + ?Sized> TraceSink for MappingSink<'_, M, C> {
+    #[inline]
+    fn on_block(&mut self, global_block: usize) {
+        let id = self.instrumentation.block_id(global_block);
+        self.emit(TraceEvent::Block(id));
+    }
+
+    #[inline]
+    fn on_call(&mut self, call_site: usize) {
+        let id = self.instrumentation.call_site_id(call_site);
+        self.emit(TraceEvent::Call(id));
+    }
+
+    #[inline]
+    fn on_return(&mut self) {
+        self.emit(TraceEvent::Return);
     }
 }
 
@@ -285,24 +281,10 @@ impl<'p> Executor<'p> {
     /// time it separately).
     pub fn run(&mut self, input: &[u8], map: &mut dyn CoverageMap) -> Execution {
         self.metric.begin_execution();
-        let budget = self.effective_budget();
+        let (engine, metric) = self.engine();
         let start = Instant::now();
-        let mut sink = MappingSink {
-            instrumentation: self.instrumentation,
-            metric: self.metric.as_mut(),
-            map,
-            updates: 0,
-        };
-        let (run, engine) = dispatch_engine(
-            self.interpreter,
-            self.interp_mode,
-            self.recording.as_ref(),
-            input,
-            &mut sink,
-            budget,
-        );
-        let map_updates = sink.updates;
-        let touched_slots = sink.map.touched_len();
+        let (run, path, map_updates) = engine.trace(input, metric, map);
+        let touched_slots = map.touched_len();
         Execution {
             outcome: run.outcome,
             exec_time: start.elapsed(),
@@ -310,7 +292,7 @@ impl<'p> Executor<'p> {
             steps: run.steps,
             planted_hang: run.planted_hang,
             touched_slots,
-            engine,
+            engine: path,
         }
     }
 
@@ -321,16 +303,8 @@ impl<'p> Executor<'p> {
     /// re-execution always agree on outcome and step count.
     pub fn run_fast(&mut self, input: &[u8], oracle: &mut NoveltyOracle) -> FastExecution {
         let start = Instant::now();
-        let budget = self.effective_budget();
         oracle.begin_exec();
-        let (run, engine) = dispatch_engine(
-            self.interpreter,
-            self.interp_mode,
-            self.recording.as_ref(),
-            input,
-            oracle,
-            budget,
-        );
+        let (run, engine) = self.engine().0.run(input, oracle);
         FastExecution {
             outcome: run.outcome,
             exec_time: start.elapsed(),
@@ -345,42 +319,121 @@ impl<'p> Executor<'p> {
     pub fn instrumentation(&self) -> &Instrumentation {
         self.instrumentation
     }
+
+    /// This execution's engine arguments, next to the metric they run.
+    fn engine(&mut self) -> (Engine<'_>, &mut dyn CoverageMetric) {
+        let engine = Engine {
+            interpreter: self.interpreter,
+            instrumentation: self.instrumentation,
+            mode: self.interp_mode,
+            recording: self.recording.as_ref(),
+            budget: self.effective_budget(),
+        };
+        (engine, self.metric.as_mut())
+    }
 }
 
-/// Shared engine dispatch for the traced and fast paths. A free function
-/// (not a method) so the caller can keep disjoint borrows of the
-/// executor's metric and recording alive across the call.
-///
-/// Dispatch is purely mechanical — every path yields the bit-identical
-/// [`BoundedRun`] and event stream, so the returned [`EnginePath`] is
-/// observational telemetry, never a semantic fork.
-fn dispatch_engine<S: TraceSink + ?Sized>(
-    interpreter: &Interpreter<'_>,
+/// One execution's engine arguments, shared by the traced and fast paths.
+#[derive(Clone, Copy)]
+struct Engine<'a> {
+    interpreter: &'a Interpreter<'a>,
+    instrumentation: &'a Instrumentation,
     mode: InterpMode,
-    recording: Option<&ExecRecording>,
-    input: &[u8],
-    sink: &mut S,
+    recording: Option<&'a ExecRecording>,
     budget: u64,
-) -> (BoundedRun, EnginePath) {
-    if mode.uses_compiled() {
-        if let (Some(recording), Some(compiled)) = (recording, interpreter.compiled()) {
-            let work = interpreter.config().work_per_block;
-            let (run, snapshot) = compiled.run_resumed(recording, input, sink, budget, work);
-            let path = match snapshot {
-                SnapshotOutcome::Miss => EnginePath::SnapshotMiss,
-                SnapshotOutcome::FullReplay { .. } => EnginePath::SnapshotReplay,
-                SnapshotOutcome::Resumed { .. } => EnginePath::SnapshotResume,
-            };
-            return (run, path);
+}
+
+impl Engine<'_> {
+    /// Runs `input` into `sink` on the engine path the mode and the armed
+    /// recording select.
+    ///
+    /// Dispatch is purely mechanical — every path yields the bit-identical
+    /// [`BoundedRun`] and event stream, so the returned [`EnginePath`] is
+    /// observational telemetry, never a semantic fork.
+    fn run<S: TraceSink + ?Sized>(self, input: &[u8], sink: &mut S) -> (BoundedRun, EnginePath) {
+        if self.mode.uses_compiled() {
+            if let (Some(recording), Some(compiled)) = (self.recording, self.interpreter.compiled())
+            {
+                let work = self.interpreter.config().work_per_block;
+                let (run, snapshot) =
+                    compiled.run_resumed(recording, input, sink, self.budget, work);
+                let path = match snapshot {
+                    SnapshotOutcome::Miss => EnginePath::SnapshotMiss,
+                    SnapshotOutcome::FullReplay { .. } => EnginePath::SnapshotReplay,
+                    SnapshotOutcome::Resumed { .. } => EnginePath::SnapshotResume,
+                };
+                return (run, path);
+            }
         }
+        let run = self
+            .interpreter
+            .run_bounded_mode(input, sink, self.budget, self.mode);
+        let path = if self.mode.uses_compiled() && self.interpreter.compiled().is_some() {
+            EnginePath::Compiled
+        } else {
+            EnginePath::Tree
+        };
+        (run, path)
     }
-    let run = interpreter.run_bounded_mode(input, sink, budget, mode);
-    let path = if mode.uses_compiled() && interpreter.compiled().is_some() {
-        EnginePath::Compiled
-    } else {
-        EnginePath::Tree
-    };
-    (run, path)
+
+    /// Runs `input` traced into `metric` and `map`, returning the run, its
+    /// engine path and the number of map updates.
+    ///
+    /// The concrete metric and map are found here, once per execution, by
+    /// type (never by [`CoverageMetric::kind`], which a user metric may
+    /// share with a shipped one). `EdgeHitCount` and `NGram`, each paired
+    /// with a shipped map, get their own [`MappingSink`] instantiation;
+    /// any other pair, `ContextSensitive` and `BlockCoverage` included,
+    /// runs through the trait objects.
+    fn trace(
+        self,
+        input: &[u8],
+        metric: &mut dyn CoverageMetric,
+        map: &mut dyn CoverageMap,
+    ) -> (BoundedRun, EnginePath, u64) {
+        let any = metric as &mut dyn Any;
+        if let Some(metric) = any.downcast_mut::<EdgeHitCount>() {
+            return self.trace_map(input, metric, map);
+        }
+        if let Some(metric) = any.downcast_mut::<NGram>() {
+            return self.trace_map(input, metric, map);
+        }
+        self.traced(input, metric, map)
+    }
+
+    /// [`Engine::trace`]'s second step, for a concrete metric `M`.
+    fn trace_map<M: CoverageMetric>(
+        self,
+        input: &[u8],
+        metric: &mut M,
+        map: &mut dyn CoverageMap,
+    ) -> (BoundedRun, EnginePath, u64) {
+        let any = map as &mut dyn Any;
+        if let Some(map) = any.downcast_mut::<BigMap>() {
+            return self.traced(input, metric, map);
+        }
+        if let Some(map) = any.downcast_mut::<FlatBitmap>() {
+            return self.traced(input, metric, map);
+        }
+        self.traced(input, metric as &mut dyn CoverageMetric, map)
+    }
+
+    /// The one traced code path, monomorphized per (metric, map) pair.
+    fn traced<M: CoverageMetric + ?Sized, C: CoverageMap + ?Sized>(
+        self,
+        input: &[u8],
+        metric: &mut M,
+        map: &mut C,
+    ) -> (BoundedRun, EnginePath, u64) {
+        let mut sink = MappingSink {
+            instrumentation: self.instrumentation,
+            metric,
+            map,
+            updates: 0,
+        };
+        let (run, path) = self.run(input, &mut sink);
+        (run, path, sink.updates)
+    }
 }
 
 /// Result of one untraced fast-path execution ([`Executor::run_fast`]).
