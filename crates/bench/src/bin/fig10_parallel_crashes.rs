@@ -9,7 +9,9 @@
 use bigmap_analytics::TextTable;
 use bigmap_bench::{report_header, Effort, PreparedBenchmark};
 use bigmap_core::{MapScheme, MapSize};
-use bigmap_fuzzer::{run_parallel, Budget, CampaignConfig};
+use bigmap_fuzzer::{
+    run_fleet, Budget, CampaignConfig, FleetConfig, Instance, InstanceOptions, Transport,
+};
 use bigmap_target::BenchmarkSpec;
 
 fn main() {
@@ -62,14 +64,21 @@ fn main() {
                     .budget(Budget::Time(effort.crash_arm_budget()))
                     .deterministic(true)
                     .build();
-                let stats = run_parallel(
-                    &prepared.program,
-                    &prepared.instrumentation,
-                    &config,
-                    &prepared.seeds,
+                let instance = Instance {
+                    program: &prepared.program,
+                    instrumentation: &prepared.instrumentation,
+                    config: &config,
+                    seeds: &prepared.seeds,
+                    options: InstanceOptions {
+                        sync_every: 5_000,
+                        ..InstanceOptions::default()
+                    },
+                };
+                let fleet = FleetConfig {
                     instances,
-                    5_000,
-                );
+                    ..FleetConfig::default()
+                };
+                let stats = run_fleet(&fleet, Transport::Threads(instance));
                 totals[i][scheme_idx] += stats.unique_crashes;
                 row.push(stats.unique_crashes.to_string());
             }

@@ -12,7 +12,7 @@ use bigmap_bench::{
     PreparedBenchmark,
 };
 use bigmap_core::MapScheme;
-use bigmap_fuzzer::{Budget, JsonlSink, TelemetryRegistry};
+use bigmap_fuzzer::{Budget, FleetAggregator, JsonlSink};
 use bigmap_target::BenchmarkSpec;
 
 fn main() {
@@ -23,17 +23,17 @@ fn main() {
         "throughput in execs/sec; speedup = BigMap / AFL; avg of 2 runs per arm",
     );
 
-    // `--telemetry <path>` attaches the live stats registry to every arm
+    // `--telemetry <path>` attaches live telemetry to every arm
     // and streams per-run snapshots to the file — the configuration used to
     // measure the telemetry layer's own overhead (see EXPERIMENTS.md).
-    let registry = telemetry_path_from_args().map(|path| {
+    let aggregator = telemetry_path_from_args().map(|path| {
         let sink = JsonlSink::to_file(&path)
             .unwrap_or_else(|e| panic!("cannot open telemetry sink {}: {e}", path.display()));
         eprintln!(
             "  telemetry: attached to every arm, sink {}",
             path.display()
         );
-        TelemetryRegistry::with_sink(sink)
+        FleetAggregator::with_sink(sink)
     });
 
     // `--checkpoint <dir>` snapshots every arm periodically; `--resume`
@@ -75,7 +75,7 @@ fn main() {
                 MapScheme::Flat,
                 budget,
                 runs,
-                registry.as_ref(),
+                aggregator.as_ref(),
                 checkpoint.as_ref(),
                 &format!("fig6-{}-{}-afl", spec.name, size.label()),
             );
@@ -83,7 +83,7 @@ fn main() {
                 MapScheme::TwoLevel,
                 budget,
                 runs,
-                registry.as_ref(),
+                aggregator.as_ref(),
                 checkpoint.as_ref(),
                 &format!("fig6-{}-{}-big", spec.name, size.label()),
             );

@@ -1,10 +1,10 @@
 //! Figure 9 companion: multi-process fleet scaling over the campaign
 //! fabric.
 //!
-//! The paper's Figure 9 measures master–secondary scaling across
-//! *threads*; this arm repeats the experiment across *processes*, with
-//! corpus exchange over the binary wire protocol instead of a shared
-//! in-memory hub. Each arm runs N worker processes (this same binary,
+//! `fig9_parallel_scaling` runs the master–secondary fleet on the
+//! thread transport; this binary runs the same fleet runtime on the
+//! *process* transport, with corpus exchange over the binary wire
+//! protocol. Each arm runs N worker processes (this same binary,
 //! re-invoked with the `BIGMAP_FABRIC_WORKER` handshake) to a fixed
 //! per-worker execution budget and reports aggregate throughput, its
 //! scaling relative to the single-worker arm, and the parallel
@@ -25,7 +25,8 @@ use bigmap_bench::{
 };
 use bigmap_core::MapSize;
 use bigmap_fuzzer::{
-    parse_jsonl, run_fleet, run_worker, FleetConfig, TelemetryEvent, WorkerOptions, WorkerRole,
+    parse_jsonl, run_fleet, run_worker, FleetConfig, Instance, InstanceOptions, JsonlSink,
+    TelemetryEvent, Transport, WorkerRole,
 };
 use bigmap_target::BenchmarkSpec;
 
@@ -53,19 +54,17 @@ fn worker_main(role: WorkerRole) -> ! {
         .budget_execs(execs)
         .deterministic(false)
         .build();
-    let options = WorkerOptions {
-        sync_every: SYNC_EVERY,
-        checkpoint_dir: None,
-        faults: None,
+    let instance = Instance {
+        program: &prepared.program,
+        instrumentation: &prepared.instrumentation,
+        config: &config,
+        seeds: &prepared.seeds,
+        options: InstanceOptions {
+            sync_every: SYNC_EVERY,
+            ..InstanceOptions::default()
+        },
     };
-    match run_worker(
-        role,
-        &prepared.program,
-        &prepared.instrumentation,
-        &config,
-        &prepared.seeds,
-        &options,
-    ) {
+    match run_worker(role, &instance) {
         Ok(_) => std::process::exit(0),
         Err(e) => {
             eprintln!("fig9_fleet worker {}: {e}", role.index);
@@ -117,30 +116,34 @@ fn main() {
     let mut four_worker_efficiency = None;
 
     for (arm, &workers) in worker_counts.iter().enumerate() {
+        // Only the largest arm streams telemetry: one file, one fleet.
+        let telemetry = match &fleet_jsonl {
+            Some(path) if workers == *worker_counts.last().unwrap() => {
+                Some(JsonlSink::to_file(path).unwrap_or_else(|e| {
+                    panic!("cannot create fleet jsonl {}: {e}", path.display())
+                }))
+            }
+            _ => None,
+        };
         let config = FleetConfig {
-            workers,
+            instances: workers,
             max_restarts: 1,
             backoff: Duration::from_millis(50),
-            // Only the largest arm streams telemetry: one file, one fleet.
-            fleet_jsonl: if workers == *worker_counts.last().unwrap() {
-                fleet_jsonl.clone()
-            } else {
-                None
-            },
+            telemetry,
             liveness_deadline: None,
         };
-        let started = Instant::now();
-        let stats = run_fleet(&config, |_| {
+        let command = |_| {
             let mut cmd = Command::new(&exe);
             cmd.arg("--worker-execs").arg(per_worker_execs.to_string());
             cmd
-        })
-        .unwrap_or_else(|e| panic!("fleet of {workers} failed: {e}"));
+        };
+        let started = Instant::now();
+        let stats = run_fleet(&config, Transport::Processes(&command));
         let wall = started.elapsed().as_secs_f64();
-        if !stats.stats.all_completed() {
-            eprintln!("  warning: fleet health {:?}", stats.stats.health);
+        if !stats.all_completed() {
+            eprintln!("  warning: fleet health {:?}", stats.health);
         }
-        let total = stats.stats.total_execs();
+        let total = stats.total_execs();
         let rate = total as f64 / wall.max(1e-9);
         if arm == 0 {
             base_rate = rate;
@@ -168,7 +171,7 @@ fn main() {
     println!(
         "host cores: {cores}; efficiency = (rate_N / rate_1) / min(N, cores). \
          Process workers add wire-protocol and scheduling overhead that the \
-         thread fleet (fig9_parallel_scaling) does not pay; the acceptance \
+         thread transport (fig9_parallel_scaling) does not pay; the acceptance \
          bar is >= 0.85 efficiency at 4 workers."
     );
     if let Some(eff) = four_worker_efficiency {

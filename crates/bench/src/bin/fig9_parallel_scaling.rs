@@ -8,14 +8,16 @@
 //! curve goes *negative* above four instances, and the BigMap/AFL speedup
 //! is therefore super-linear in the instance count.
 
+use std::time::Duration;
+
 use bigmap_analytics::{normalize_to_first, TextTable};
 use bigmap_bench::{
     report_header, telemetry_path_from_args, CheckpointArgs, Effort, PreparedBenchmark,
 };
 use bigmap_core::{MapScheme, MapSize};
 use bigmap_fuzzer::{
-    parse_jsonl, run_parallel_with_telemetry, run_supervised, Budget, CampaignConfig, JsonlSink,
-    SupervisorConfig, TelemetryEvent, TelemetryRegistry,
+    parse_jsonl, run_fleet, Budget, CampaignConfig, FleetConfig, Instance, InstanceOptions,
+    JsonlSink, TelemetryEvent, Transport,
 };
 use bigmap_target::BenchmarkSpec;
 
@@ -27,18 +29,20 @@ fn main() {
         "per benchmark: total execs at 1/4/8/12 instances; normalized + speedup",
     );
 
+    // Every fleet streams into the one sink: its instances' snapshots
+    // plus one `"fleet_total":1` summary line per fleet.
     let telemetry_path = telemetry_path_from_args();
-    let registry = telemetry_path.as_ref().map(|path| {
+    let sink = telemetry_path.as_ref().map(|path| {
         let sink = JsonlSink::to_file(path)
             .unwrap_or_else(|e| panic!("cannot open telemetry sink {}: {e}", path.display()));
         eprintln!("  telemetry: streaming snapshots to {}", path.display());
-        TelemetryRegistry::with_sink(sink)
+        sink
     });
 
-    // `--checkpoint <dir>` switches every fleet to the supervised runtime:
-    // per-instance checkpoints under a per-arm subdirectory, crashed
-    // workers restarted from their last snapshot, and `--resume` picks a
-    // killed run back up from disk.
+    // `--checkpoint <dir>` gives every fleet restarts: per-instance
+    // checkpoints under a per-arm subdirectory, crashed instances
+    // restarted from their last snapshot, and `--resume` picks a killed
+    // run back up from disk.
     let checkpoint = CheckpointArgs::from_args();
     if let Some(args) = &checkpoint {
         eprintln!(
@@ -86,62 +90,53 @@ fn main() {
                     .budget(Budget::Time(effort.arm_budget()))
                     .deterministic(true) // master runs deterministic stages
                     .build();
-                let before = registry.as_ref().map(|r| r.fleet_totals());
-                let stats = match &checkpoint {
-                    Some(args) => {
-                        let arm_key = format!(
-                            "fig9-{}-{}-n{instances}",
-                            spec.name,
-                            if scheme == MapScheme::TwoLevel {
-                                "big"
-                            } else {
-                                "afl"
-                            }
-                        );
-                        let supervisor = SupervisorConfig {
-                            checkpoint_every: args.every,
-                            checkpoint_root: Some(args.prepare_arm(&arm_key)),
-                            ..SupervisorConfig::resilient()
-                        };
-                        run_supervised(
-                            &prepared.program,
-                            &prepared.instrumentation,
-                            &config,
-                            &prepared.seeds,
-                            instances,
-                            5_000,
-                            &supervisor,
-                            registry.as_ref(),
-                        )
-                    }
-                    None => run_parallel_with_telemetry(
-                        &prepared.program,
-                        &prepared.instrumentation,
-                        &config,
-                        &prepared.seeds,
-                        instances,
-                        5_000,
-                        registry.as_ref(),
-                    ),
+                let mut fleet = FleetConfig {
+                    instances,
+                    telemetry: sink.clone(),
+                    ..FleetConfig::default()
                 };
+                let mut options = InstanceOptions {
+                    sync_every: 5_000,
+                    ..InstanceOptions::default()
+                };
+                if let Some(args) = &checkpoint {
+                    let arm_key = format!(
+                        "fig9-{}-{}-n{instances}",
+                        spec.name,
+                        if scheme == MapScheme::TwoLevel {
+                            "big"
+                        } else {
+                            "afl"
+                        }
+                    );
+                    fleet.max_restarts = 3;
+                    fleet.backoff = Duration::from_millis(25);
+                    options.checkpoint_root = Some(args.prepare_arm(&arm_key));
+                    options.checkpoint_every = args.every;
+                    options.checkpoint_min_interval = Duration::from_millis(250);
+                }
+                let instance = Instance {
+                    program: &prepared.program,
+                    instrumentation: &prepared.instrumentation,
+                    config: &config,
+                    seeds: &prepared.seeds,
+                    options,
+                };
+                let stats = run_fleet(&fleet, Transport::Threads(instance));
                 if !stats.all_completed() {
                     eprintln!(
                         "  warning: {} / {scheme:?} @{instances}: fleet health {:?}",
                         spec.name, stats.health
                     );
                 }
-                if let (Some(registry), Some(before)) = (&registry, before) {
-                    let after = registry.fleet_totals();
-                    let delta = |event| after.get(event) - before.get(event);
-                    eprintln!(
-                        "  sync traffic: {} / {scheme:?} @{instances}: \
-                         {} published, {} imported, {} rejected",
-                        spec.name,
-                        delta(TelemetryEvent::SyncPublish),
-                        delta(TelemetryEvent::SyncImport),
-                        delta(TelemetryEvent::ImportRejection),
-                    );
-                }
+                eprintln!(
+                    "  sync traffic: {} / {scheme:?} @{instances}: \
+                     {} published, {} imported, {} rejected",
+                    spec.name,
+                    stats.telemetry.get(TelemetryEvent::SyncPublish),
+                    stats.telemetry.get(TelemetryEvent::SyncImport),
+                    stats.telemetry.get(TelemetryEvent::ImportRejection),
+                );
                 per_count.push(stats.total_execs() as f64);
             }
             let norm = normalize_to_first(&per_count);

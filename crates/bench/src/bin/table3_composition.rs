@@ -8,13 +8,15 @@
 //! finding: the big map cuts the collision rate from ~79% to ~7.5% and
 //! lifts unique crashes by ~33%, while edge coverage stays flat.
 
+use std::sync::Arc;
+
 use bigmap_analytics::{collision_rate, mean, TextTable};
 use bigmap_bench::{
     report_header, telemetry_path_from_args, CheckpointArgs, Effort, PreparedBenchmark,
 };
 use bigmap_core::{MapScheme, MapSize};
 use bigmap_coverage::MetricKind;
-use bigmap_fuzzer::{replay_edge_coverage, Budget, JsonlSink, TelemetryRegistry};
+use bigmap_fuzzer::{replay_edge_coverage, Budget, FleetAggregator, JsonlSink, Telemetry};
 use bigmap_target::{apply_laf_intel, BenchmarkSpec, Interpreter};
 
 fn main() {
@@ -27,11 +29,11 @@ fn main() {
 
     // `--telemetry <path>` streams one snapshot per campaign arm to the
     // given JSONL file.
-    let registry = telemetry_path_from_args().map(|path| {
+    let aggregator = telemetry_path_from_args().map(|path| {
         let sink = JsonlSink::to_file(&path)
             .unwrap_or_else(|e| panic!("cannot open telemetry sink {}: {e}", path.display()));
         eprintln!("  telemetry: per-arm snapshots to {}", path.display());
-        TelemetryRegistry::with_sink(sink)
+        FleetAggregator::with_sink(sink)
     });
 
     // `--checkpoint <dir>` / `--resume`: crash arms run 8x longer than the
@@ -81,7 +83,9 @@ fn main() {
         let mut cells: Vec<(usize, usize)> = Vec::new(); // (edges, crashes)
         for size in [MapSize::K64, MapSize::M2] {
             let prepared = PreparedBenchmark::from_program(spec, laf.clone(), size, effort);
-            let telemetry = registry.as_ref().map(|r| r.register(r.snapshots().len()));
+            let telemetry = aggregator
+                .as_ref()
+                .map(|agg| Arc::new(Telemetry::new(agg.producers())));
             let arm_key = format!("table3-{}-{}", spec.name, size.label());
             let (stats, corpus) = prepared.run_campaign_with_corpus_checkpointed(
                 MapScheme::TwoLevel,
@@ -91,8 +95,8 @@ fn main() {
                 telemetry.clone(),
                 checkpoint.as_ref().map(|args| (args, arm_key.as_str())),
             );
-            if let (Some(registry), Some(telemetry)) = (&registry, &telemetry) {
-                registry.emit(telemetry);
+            if let (Some(aggregator), Some(telemetry)) = (&aggregator, &telemetry) {
+                aggregator.record(0, telemetry.snapshot());
             }
             let interp = Interpreter::new(&prepared.program);
             let edges = replay_edge_coverage(&interp, &corpus);

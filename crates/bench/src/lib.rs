@@ -35,8 +35,7 @@ use std::time::Duration;
 use bigmap_core::{MapScheme, MapSize};
 use bigmap_coverage::{Instrumentation, MetricKind};
 use bigmap_fuzzer::{
-    Budget, Campaign, CampaignConfig, CampaignStats, CheckpointManager, Telemetry,
-    TelemetryRegistry,
+    Budget, Campaign, CampaignConfig, CampaignStats, CheckpointManager, FleetAggregator, Telemetry,
 };
 use bigmap_target::{BenchmarkSpec, Interpreter, Program};
 
@@ -443,7 +442,7 @@ impl PreparedBenchmark {
 
     /// Runs a campaign arm and returns the final corpus alongside the stats
     /// (coverage replay experiments). `telemetry` optionally attaches a
-    /// live stats registry to the arm.
+    /// live telemetry handle to the arm.
     pub fn run_campaign_with_corpus_telemetry(
         &self,
         scheme: MapScheme,
@@ -484,18 +483,18 @@ impl PreparedBenchmark {
     }
 
     /// [`mean_throughput`](PreparedBenchmark::mean_throughput) with live
-    /// telemetry: each run registers a fresh instance in `registry` (when
-    /// given) and emits its final snapshot to the registry's sink — the
-    /// harness that measures the telemetry layer's own overhead (Figure 6
-    /// with `--telemetry`).
+    /// telemetry: each run gets a fresh instance index in `aggregator`
+    /// (when given) and records its final snapshot there, which forwards
+    /// it to the aggregator's sink — the harness that measures the
+    /// telemetry layer's own overhead (Figure 6 with `--telemetry`).
     pub fn mean_throughput_telemetry(
         &self,
         scheme: MapScheme,
         budget: Budget,
         runs: usize,
-        registry: Option<&TelemetryRegistry>,
+        aggregator: Option<&FleetAggregator>,
     ) -> f64 {
-        self.mean_throughput_checkpointed(scheme, budget, runs, registry, None, "")
+        self.mean_throughput_checkpointed(scheme, budget, runs, aggregator, None, "")
     }
 
     /// [`mean_throughput_telemetry`](PreparedBenchmark::mean_throughput_telemetry)
@@ -506,14 +505,14 @@ impl PreparedBenchmark {
         scheme: MapScheme,
         budget: Budget,
         runs: usize,
-        registry: Option<&TelemetryRegistry>,
+        aggregator: Option<&FleetAggregator>,
         checkpoint: Option<&CheckpointArgs>,
         arm_key: &str,
     ) -> f64 {
         let total: f64 = (0..runs)
             .map(|r| {
                 let seed = 0x5EED + r as u64;
-                let telemetry = registry.map(|reg| reg.register(reg.snapshots().len()));
+                let telemetry = aggregator.map(|agg| Arc::new(Telemetry::new(agg.producers())));
                 let run_key = format!("{arm_key}-r{r}");
                 let stats = self.run_campaign_checkpointed(
                     scheme,
@@ -523,8 +522,8 @@ impl PreparedBenchmark {
                     telemetry.clone(),
                     checkpoint.map(|args| (args, run_key.as_str())),
                 );
-                if let (Some(registry), Some(telemetry)) = (registry, &telemetry) {
-                    registry.emit(telemetry);
+                if let (Some(aggregator), Some(telemetry)) = (aggregator, &telemetry) {
+                    aggregator.record(0, telemetry.snapshot());
                 }
                 stats.throughput()
             })

@@ -333,7 +333,7 @@ impl CampaignConfigBuilder {
 
 /// Results of a campaign.
 ///
-/// `Default` is the all-zero record — what [`crate::ParallelStats`]
+/// `Default` is the all-zero record — what [`crate::FleetStats`]
 /// reports for an instance that died without producing results.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignStats {

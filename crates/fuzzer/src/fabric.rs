@@ -1,14 +1,14 @@
-//! The process-level campaign fabric: child-process workers, a framed
-//! stdio sync protocol, and fleet-hierarchical telemetry.
+//! The process transport of the fleet runtime: child-process workers and
+//! a framed stdio sync protocol.
 //!
-//! [`crate::parallel`] scales a campaign across threads in one process;
-//! this module scales it across **processes**. A parent ([`run_fleet`])
-//! spawns N child processes, each of which recognizes the
-//! `BIGMAP_FABRIC_WORKER` handshake and calls [`run_worker`] to fuzz one
-//! campaign instance, speaking the fabric protocol over its own
-//! stdin/stdout. The parent holds the authoritative corpus store (a
-//! [`ShardedHub`] behind the [`CorpusSync`] trait) and one service thread
-//! per worker that translates protocol frames into hub calls.
+//! [`run_fleet`](crate::fleet::run_fleet) with
+//! [`Transport::Processes`](crate::fleet::Transport::Processes) spawns N
+//! child processes, each of which recognizes the `BIGMAP_FABRIC_WORKER`
+//! handshake and calls [`run_worker`]. The worker runs the fleet's shared
+//! instance body over a pipe-backed [`CorpusSync`] client that speaks
+//! the protocol below on its stdin/stdout. The parent keeps the
+//! authoritative [`ShardedHub`] and one service thread per worker that
+//! translates frames into hub and aggregator calls.
 //!
 //! ## Protocol
 //!
@@ -33,23 +33,16 @@
 //! drains simply blocks at the next sync boundary — no unbounded queue
 //! on either side. Publishes larger than `BIGMAP_SYNC_BATCH` entries are
 //! split across frames so one giant find burst cannot monopolize the
-//! pipe between fetch opportunities.
-//!
-//! ## Fault tolerance
-//!
-//! A worker that exits abnormally (panic, kill, protocol corruption) is
-//! restarted by its service thread with the PR-3 supervision policy:
-//! bounded restarts with linear backoff, health reported as
-//! `Running`/`Restarted(n)`/`Dead`. A restarted worker resumes from its
-//! on-disk checkpoint (when [`WorkerOptions::checkpoint_dir`] is set),
-//! restarts its sync cursor at zero, and republishes what it knows — the
-//! hub's content-idempotent publish makes the replay harmless, exactly
-//! as for thread-level supervised restarts.
+//! pipe between fetch opportunities. A worker sends a `TELEMETRY` frame
+//! at every sync boundary and one more after its campaign ends, then
+//! `STATS` and `DONE`.
 //!
 //! A worker that receives [`FRAME_CURSOR_FAULT`] (its cursor ran past
 //! the published corpus — only possible through state corruption) resets
-//! its cursor to zero and re-fetches everything; novelty gating on
-//! import deduplicates the replay.
+//! its cursor to zero, as the instance body does for any cursor error.
+//! A mid-campaign pipe failure panics the worker: the parent is gone or
+//! the protocol broke, and the abnormal exit is what the parent's
+//! restart loop expects to see.
 //!
 //! ## Liveness
 //!
@@ -63,13 +56,11 @@
 //! advanced since the last one. A worker that stays silent past the
 //! deadline — or keeps heartbeating with a frozen exec counter — is
 //! killed, counted as a `heartbeat_miss` in the fleet telemetry, and
-//! handed to the ordinary bounded-backoff restart path. The deadline
-//! comes from [`FleetConfig::liveness_deadline`] (default
+//! handed to the fleet's restart loop. The deadline comes from
+//! [`FleetConfig::liveness_deadline`] (default
 //! `BIGMAP_LIVENESS_DEADLINE_MS`); a zero duration disables enforcement.
 
-use std::collections::HashSet;
 use std::io;
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -78,17 +69,14 @@ use std::time::{Duration, Instant};
 
 use bigmap_core::wire::{
     decode_sync_batch, encode_sync_batch, get_varint, put_varint, read_frame, write_frame,
-    SyncBatch, WireError,
+    WireError,
 };
-use bigmap_coverage::Instrumentation;
-use bigmap_target::{Interpreter, Program};
 
-use crate::campaign::{Campaign, CampaignConfig, CampaignStats};
-use crate::checkpoint::CheckpointManager;
+use crate::campaign::CampaignStats;
 use crate::faults::{FaultSite, InstanceFaults};
-use crate::parallel::{InstanceHealth, ParallelStats};
-use crate::sync::ShardedHub;
-use crate::telemetry::{FleetAggregator, JsonlSink, Telemetry, TelemetryEvent, TelemetrySnapshot};
+use crate::fleet::{FleetConfig, Instance};
+use crate::sync::{CorpusSync, CursorError, ShardedHub};
+use crate::telemetry::{FleetAggregator, Telemetry, TelemetryEvent, TelemetrySnapshot};
 
 /// Worker → parent: a batch of fresh finds.
 pub const FRAME_PUBLISH: u8 = 1;
@@ -114,8 +102,8 @@ pub const FRAME_HEARTBEAT: u8 = 8;
 /// handshake the parent sets on its children.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerRole {
-    /// This worker's index (also its sync publisher id and telemetry
-    /// node index).
+    /// This worker's instance index (also its sync publisher id and
+    /// telemetry node index).
     pub index: usize,
     /// Total workers in the fleet.
     pub workers: usize,
@@ -130,31 +118,96 @@ impl WorkerRole {
     }
 }
 
-/// Worker-side knobs for [`run_worker`].
-#[derive(Debug, Default)]
-pub struct WorkerOptions {
-    /// Sync cadence in executions (frames are exchanged at every
-    /// boundary). Zero means the campaign's budget runs uninterrupted
-    /// with a single final exchange.
-    pub sync_every: u64,
-    /// Checkpoint directory: restored from on start (supervised restarts
-    /// resume instead of recomputing), written to at sync boundaries.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Deterministic fault injection for this worker's campaign.
-    pub faults: Option<Arc<InstanceFaults>>,
-}
-
 fn send(kind: u8, payload: &[u8]) -> io::Result<()> {
     write_frame(&mut io::stdout().lock(), kind, payload)
 }
 
-/// Runs one fleet worker over this process's stdin/stdout.
-///
-/// Applies the same per-instance decorrelation as the thread fleet (seed
-/// XOR by index, deterministic stages on worker 0 only), resumes from
-/// the checkpoint directory when one is configured, and speaks the
-/// fabric protocol at every sync boundary. Returns the campaign stats it
-/// also reported over the pipe.
+/// The worker's corpus store: the parent's hub, reached over this
+/// process's stdin/stdout. Any pipe or protocol failure panics the
+/// worker (see the module docs).
+struct PipeSync {
+    index: usize,
+    batch_limit: usize,
+    faults: Option<Arc<InstanceFaults>>,
+}
+
+impl PipeSync {
+    fn die(&self, what: &str, error: impl std::fmt::Display) -> ! {
+        panic!("fabric worker {}: {what}: {error}", self.index)
+    }
+
+    fn send(&self, kind: u8, payload: &[u8], what: &str) {
+        if let Err(e) = send(kind, payload) {
+            self.die(what, e);
+        }
+    }
+}
+
+impl CorpusSync for PipeSync {
+    fn publish(&self, publisher: usize, inputs: Vec<Vec<u8>>) {
+        for chunk in inputs.chunks(self.batch_limit) {
+            let entries: Vec<(u64, &[u8])> = chunk
+                .iter()
+                .map(|input| (publisher as u64, input.as_slice()))
+                .collect();
+            self.send(
+                FRAME_PUBLISH,
+                &encode_sync_batch(0, &entries),
+                "publish frame",
+            );
+        }
+    }
+
+    fn fetch_since(&self, cursor: &mut u64, _reader: usize) -> Result<Vec<Arc<[u8]>>, CursorError> {
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|faults| faults.fire(FaultSite::PipeStall))
+        {
+            // Wedge this worker without exiting: executions freeze while
+            // the heartbeat thread keeps sending the same exec count.
+            // Only the parent's progress deadline can end it.
+            loop {
+                thread::sleep(Duration::from_secs(3600));
+            }
+        }
+        let mut request = Vec::with_capacity(10);
+        put_varint(&mut request, *cursor);
+        self.send(FRAME_FETCH, &request, "fetch frame");
+        let (kind, payload) =
+            read_frame(&mut io::stdin().lock()).unwrap_or_else(|e| self.die("fetch response", e));
+        match kind {
+            FRAME_BATCH => {
+                let batch =
+                    decode_sync_batch(&payload).unwrap_or_else(|e| self.die("batch payload", e));
+                *cursor = batch.cursor;
+                Ok(batch
+                    .entries
+                    .into_iter()
+                    .map(|(_, input)| input.into())
+                    .collect())
+            }
+            FRAME_CURSOR_FAULT => {
+                // The rejected cursor (ours), then the published count.
+                let published = get_varint(&payload)
+                    .and_then(|(_, used)| get_varint(&payload[used..]))
+                    .unwrap_or_else(|e| self.die("cursor fault payload", e))
+                    .0;
+                Err(CursorError {
+                    cursor: *cursor,
+                    published,
+                })
+            }
+            other => self.die("fetch response", format!("unexpected frame kind {other}")),
+        }
+    }
+}
+
+/// Runs one fleet worker over this process's stdin/stdout: the fleet's
+/// shared instance body, with the parent's hub behind a pipe, telemetry
+/// streamed as `TELEMETRY` frames, and a heartbeat thread for the
+/// parent's liveness deadline. Returns the campaign stats it also
+/// reported over the pipe.
 ///
 /// # Errors
 ///
@@ -164,53 +217,14 @@ fn send(kind: u8, payload: &[u8]) -> io::Result<()> {
 ///
 /// Panics if a mid-campaign pipe exchange fails — the parent is gone, so
 /// the process has nothing left to talk to; the abnormal exit is exactly
-/// what the parent-side supervisor (if any) expects to see.
-pub fn run_worker(
-    role: WorkerRole,
-    program: &Program,
-    instrumentation: &Instrumentation,
-    base_config: &CampaignConfig,
-    seeds: &[Vec<u8>],
-    options: &WorkerOptions,
-) -> io::Result<CampaignStats> {
-    let mut config = base_config.clone();
-    config.seed = base_config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(role.index as u64 + 1));
-    config.deterministic = role.index == 0 && base_config.deterministic;
-
-    let interpreter = Interpreter::with_config(program, config.exec);
-    let mut campaign = Campaign::new(config, &interpreter, instrumentation);
+/// what the parent's restart loop expects to see.
+pub fn run_worker(role: WorkerRole, instance: &Instance<'_>) -> io::Result<CampaignStats> {
     let telemetry = Arc::new(Telemetry::new(role.index));
-    campaign.set_telemetry(Arc::clone(&telemetry));
-    if let Some(faults) = &options.faults {
-        campaign.set_faults(Arc::clone(faults));
-    }
-
-    let mut manager = options
-        .checkpoint_dir
+    let faults = instance
+        .options
+        .fault_plan
         .as_ref()
-        .map(|dir| CheckpointManager::new(dir, options.sync_every.max(1)));
-    let restored = match &options.checkpoint_dir {
-        Some(dir) => match CheckpointManager::load(dir) {
-            Ok(Some(checkpoint)) => {
-                campaign.restore(&checkpoint);
-                true
-            }
-            // Absent or corrupt checkpoints are a cold start, not a
-            // death loop.
-            _ => false,
-        },
-        None => false,
-    };
-    if !restored {
-        campaign.add_seeds(seeds.to_vec());
-        // The seed corpus is common knowledge across the fleet.
-        let _ = campaign.take_fresh_finds();
-    }
-
-    let mut cursor = 0u64;
-    let batch_limit = bigmap_core::env::sync_batch();
-    let publisher = role.index as u64;
-    let tel = Arc::clone(&telemetry);
+        .map(|plan| Arc::new(InstanceFaults::new(Arc::clone(plan), role.index)));
 
     // Liveness heartbeats: a dedicated thread streams the cumulative
     // exec count so the parent can tell "alive but stuck" from "alive
@@ -235,68 +249,19 @@ pub fn run_worker(
         })
     });
 
-    let stall_faults = options.faults.clone();
-    let stats = campaign.run_with_hook(options.sync_every, move |c| {
-        if let Some(faults) = &stall_faults {
-            if faults.fire(FaultSite::PipeStall) {
-                // Wedge this worker without exiting: executions freeze
-                // while the heartbeat thread keeps sending the same exec
-                // count. Only the parent's progress deadline can end it.
-                loop {
-                    thread::sleep(Duration::from_secs(3600));
-                }
-            }
-        }
-        let exchange = || -> Result<(), String> {
-            // Publish fresh finds, split into bounded frames.
-            let finds = c.take_fresh_finds();
-            tel.add(TelemetryEvent::SyncPublish, finds.len() as u64);
-            for chunk in finds.chunks(batch_limit.max(1)) {
-                let entries: Vec<(u64, &[u8])> = chunk
-                    .iter()
-                    .map(|input| (publisher, input.as_slice()))
-                    .collect();
-                send(FRAME_PUBLISH, &encode_sync_batch(0, &entries))
-                    .map_err(|e| format!("publish frame: {e}"))?;
-            }
-
-            // Fetch: strict request/response.
-            let mut fetch = Vec::with_capacity(10);
-            put_varint(&mut fetch, cursor);
-            send(FRAME_FETCH, &fetch).map_err(|e| format!("fetch frame: {e}"))?;
-            let (kind, payload) =
-                read_frame(&mut io::stdin().lock()).map_err(|e| format!("fetch response: {e}"))?;
-            match kind {
-                FRAME_BATCH => {
-                    let batch =
-                        decode_sync_batch(&payload).map_err(|e| format!("batch payload: {e}"))?;
-                    cursor = batch.cursor;
-                    for (_, input) in &batch.entries {
-                        c.import(input);
-                    }
-                }
-                FRAME_CURSOR_FAULT => {
-                    // Corrupt cursor: resync from zero. Novelty gating on
-                    // import deduplicates the replayed entries.
-                    cursor = 0;
-                }
-                other => return Err(format!("unexpected frame kind {other} for fetch")),
-            }
-
-            // Stream the cumulative snapshot up to the aggregator.
-            send(FRAME_TELEMETRY, tel.snapshot().to_json().as_bytes())
-                .map_err(|e| format!("telemetry frame: {e}"))?;
-            Ok(())
-        }();
-        if let Err(e) = exchange {
-            // Mid-campaign pipe failure: the parent is gone or the
-            // protocol is broken. Die loudly; a supervisor restarts us.
-            panic!("fabric worker {}: {e}", role.index);
-        }
-        if let Some(manager) = &mut manager {
-            let _ = manager.maybe_checkpoint(c);
-        }
-    });
+    let pipe = PipeSync {
+        index: role.index,
+        batch_limit: bigmap_core::env::sync_batch().max(1),
+        faults: faults.clone(),
+    };
+    let report = |snapshot: TelemetrySnapshot| {
+        pipe.send(
+            FRAME_TELEMETRY,
+            snapshot.to_json().as_bytes(),
+            "telemetry frame",
+        );
+    };
+    let stats = instance.run(role.index, &pipe, &telemetry, faults.as_ref(), &report);
 
     heartbeat_stop.store(true, Ordering::Relaxed);
     send(FRAME_STATS, &encode_stats(&stats))?;
@@ -309,53 +274,36 @@ pub fn run_worker(
     Ok(stats)
 }
 
-/// Parent-side fleet configuration for [`run_fleet`].
-#[derive(Debug, Default)]
-pub struct FleetConfig {
-    /// Number of worker processes to spawn.
-    pub workers: usize,
-    /// Restarts allowed per worker before it is declared dead.
-    pub max_restarts: u32,
-    /// Base restart delay; attempt `n` waits `backoff * n` (linear, same
-    /// policy as the thread-level supervisor).
-    pub backoff: Duration,
-    /// Write the single merged fleet telemetry stream (every worker's
-    /// snapshots plus the final `"fleet_total":1` line) to this JSONL
-    /// file.
-    pub fleet_jsonl: Option<PathBuf>,
-    /// How long a worker may go without *progress* (any non-heartbeat
-    /// frame, or a heartbeat with an advanced exec count) before its
-    /// service thread kills and restarts it. `None` reads the
-    /// `BIGMAP_LIVENESS_DEADLINE_MS` default; `Some(Duration::ZERO)`
-    /// disables liveness enforcement entirely.
-    pub liveness_deadline: Option<Duration>,
-}
-
-/// What [`run_fleet`] returns: per-worker stats and health in the same
-/// shape as the thread fleet, plus the merged fleet telemetry.
-#[derive(Debug)]
-pub struct FleetStats {
-    /// Per-worker campaign statistics and health (index-aligned), with
-    /// fleet-wide crash dedup — the same shape thread fleets report, so
-    /// downstream analysis is transport-agnostic.
-    pub stats: ParallelStats,
-    /// Fleet-total telemetry: the latest snapshot of every worker,
-    /// merged (also appended to the JSONL stream as the summary line).
-    pub telemetry: TelemetrySnapshot,
-    /// Worker processes that reported at least one telemetry snapshot.
-    pub nodes: usize,
-    /// Workers killed by the liveness deadline across the whole run
-    /// (every kill also shows up as a `heartbeat_misses` counter in the
-    /// merged telemetry, attributed to the affected node).
-    pub heartbeat_misses: u64,
-}
-
-/// One worker attempt's outcome, as seen by its service thread.
-enum AttemptOutcome {
-    /// STATS + DONE arrived; the worker completed its budget.
-    Done(Box<CampaignStats>),
-    /// The pipe broke or the protocol was violated before DONE.
-    Abnormal(String),
+/// One attempt of worker `index`: spawn it, serve it until it is done or
+/// fails, and reap it. A spawn failure, a broken protocol, a liveness
+/// kill and a dirty exit are all failed attempts.
+pub(crate) fn attempt(
+    command: &(dyn Fn(usize) -> Command + Sync),
+    index: usize,
+    config: &FleetConfig,
+    hub: &ShardedHub,
+    aggregator: &FleetAggregator,
+    misses: &AtomicU64,
+) -> Result<CampaignStats, String> {
+    let mut child = command(index)
+        .env(
+            "BIGMAP_FABRIC_WORKER",
+            format!("{index}/{}", config.instances),
+        )
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("spawn failed: {e}"))?;
+    let deadline = config
+        .liveness_deadline
+        .unwrap_or_else(|| Duration::from_millis(bigmap_core::env::liveness_deadline_ms()));
+    let outcome = serve_attempt(&mut child, index, hub, aggregator, deadline, misses);
+    match (outcome, child.wait()) {
+        (Ok(stats), Ok(status)) if status.success() => Ok(stats),
+        // Completed the protocol but exited dirty: the stats are suspect.
+        (Ok(_), status) => Err(format!("dirty exit after done: {status:?}")),
+        (Err(msg), _) => Err(msg),
+    }
 }
 
 /// Serves one worker attempt: translates its frames against the hub and
@@ -373,7 +321,7 @@ fn serve_attempt(
     aggregator: &FleetAggregator,
     deadline: Duration,
     misses: &AtomicU64,
-) -> AttemptOutcome {
+) -> Result<CampaignStats, String> {
     let mut stdout = child.stdout.take().expect("worker stdout piped");
     let mut stdin = child.stdin.take().expect("worker stdin piped");
 
@@ -394,10 +342,9 @@ fn serve_attempt(
             // Liveness disabled: block until the reader delivers or the
             // pipe dies (the reader always sends its error before
             // exiting, so the channel cannot hang up silently).
-            match frames.recv() {
-                Ok(frame) => frame,
-                Err(_) => return AttemptOutcome::Abnormal("frame reader vanished".to_string()),
-            }
+            frames
+                .recv()
+                .map_err(|_| "frame reader vanished".to_string())?
         } else {
             let remaining = deadline.saturating_sub(last_progress.elapsed());
             match frames.recv_timeout(remaining) {
@@ -411,12 +358,10 @@ fn serve_attempt(
                     supervisor.incr(TelemetryEvent::HeartbeatMiss);
                     aggregator.record(index, supervisor.snapshot());
                     let _ = child.kill();
-                    return AttemptOutcome::Abnormal(format!(
-                        "no progress within {deadline:?}; worker killed"
-                    ));
+                    return Err(format!("no progress within {deadline:?}; worker killed"));
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return AttemptOutcome::Abnormal("frame reader vanished".to_string())
+                    return Err("frame reader vanished".to_string())
                 }
             }
         };
@@ -433,19 +378,18 @@ fn serve_attempt(
         }
         last_progress = Instant::now();
         match frame {
-            Ok((FRAME_PUBLISH, payload)) => match decode_sync_batch(&payload) {
-                Ok(batch) => {
-                    let inputs = batch.entries.into_iter().map(|(_, input)| input).collect();
-                    hub.publish(index, inputs);
-                }
-                Err(e) => return AttemptOutcome::Abnormal(format!("publish payload: {e}")),
-            },
+            Ok((FRAME_PUBLISH, payload)) => {
+                let batch =
+                    decode_sync_batch(&payload).map_err(|e| format!("publish payload: {e}"))?;
+                hub.publish(
+                    index,
+                    batch.entries.into_iter().map(|(_, input)| input).collect(),
+                );
+            }
             Ok((FRAME_FETCH, payload)) => {
-                let mut cursor = match get_varint(&payload) {
-                    Ok((cursor, _)) => cursor,
-                    Err(e) => return AttemptOutcome::Abnormal(format!("fetch payload: {e}")),
-                };
-                let reply = match hub.fetch_since(&mut cursor, index) {
+                let (mut cursor, _) =
+                    get_varint(&payload).map_err(|e| format!("fetch payload: {e}"))?;
+                let (kind, reply) = match hub.fetch_since(&mut cursor, index) {
                     Ok(entries) => {
                         let borrowed: Vec<(u64, &[u8])> =
                             entries.iter().map(|input| (0, &**input)).collect();
@@ -458,178 +402,27 @@ fn serve_attempt(
                         (FRAME_CURSOR_FAULT, payload)
                     }
                 };
-                if let Err(e) = write_frame(&mut stdin, reply.0, &reply.1) {
-                    return AttemptOutcome::Abnormal(format!("fetch reply: {e}"));
-                }
+                write_frame(&mut stdin, kind, &reply).map_err(|e| format!("fetch reply: {e}"))?;
             }
             Ok((FRAME_TELEMETRY, payload)) => {
-                if let Some(snap) = std::str::from_utf8(&payload)
+                if let Some(snapshot) = std::str::from_utf8(&payload)
                     .ok()
                     .and_then(TelemetrySnapshot::from_json)
                 {
-                    aggregator.record(index, snap);
+                    aggregator.record(index, snapshot);
                 }
             }
-            Ok((FRAME_STATS, payload)) => match decode_stats(&payload) {
-                Ok(decoded) => stats = Some(decoded),
-                Err(e) => return AttemptOutcome::Abnormal(format!("stats payload: {e}")),
-            },
-            Ok((FRAME_DONE, _)) => match stats.take() {
-                Some(stats) => {
-                    if let Some(tel) = &stats.telemetry {
-                        aggregator.record(index, tel.clone());
-                    }
-                    return AttemptOutcome::Done(Box::new(stats));
-                }
-                None => return AttemptOutcome::Abnormal("done before stats".to_string()),
-            },
-            Ok((kind, _)) => {
-                return AttemptOutcome::Abnormal(format!("unexpected frame kind {kind}"))
+            Ok((FRAME_STATS, payload)) => {
+                stats = Some(decode_stats(&payload).map_err(|e| format!("stats payload: {e}"))?);
             }
-            Err(WireError::Eof) => {
-                return AttemptOutcome::Abnormal("worker closed its pipe before done".to_string())
+            Ok((FRAME_DONE, _)) => {
+                return stats.take().ok_or_else(|| "done before stats".to_string())
             }
-            Err(e) => return AttemptOutcome::Abnormal(format!("worker stream: {e}")),
+            Ok((kind, _)) => return Err(format!("unexpected frame kind {kind}")),
+            Err(WireError::Eof) => return Err("worker closed its pipe before done".to_string()),
+            Err(e) => return Err(format!("worker stream: {e}")),
         }
     }
-}
-
-/// Spawns and supervises a fleet of worker processes.
-///
-/// `command` builds the invocation for worker `i` — typically the
-/// current executable with the arguments it needs to reconstruct the
-/// same program/config; [`run_fleet`] adds the `BIGMAP_FABRIC_WORKER`
-/// handshake and wires the pipes. Each worker is served by its own
-/// thread against one shared [`ShardedHub`] and [`FleetAggregator`];
-/// abnormal exits are restarted with linear backoff up to
-/// `max_restarts`, after which the worker is reported
-/// [`InstanceHealth::Dead`].
-///
-/// # Errors
-///
-/// Returns an error if the fleet JSONL sink cannot be created or a
-/// worker process cannot be spawned at all (spawn failures on *restart*
-/// count against the restart budget instead).
-///
-/// # Panics
-///
-/// Panics if `config.workers` is zero.
-pub fn run_fleet(
-    config: &FleetConfig,
-    command: impl Fn(usize) -> Command + Sync,
-) -> io::Result<FleetStats> {
-    assert!(config.workers > 0, "need at least one worker");
-    let hub = ShardedHub::new();
-    let aggregator = match &config.fleet_jsonl {
-        Some(path) => FleetAggregator::with_sink(JsonlSink::to_file(path)?),
-        None => FleetAggregator::new(),
-    };
-    let deadline = config
-        .liveness_deadline
-        .unwrap_or_else(|| Duration::from_millis(bigmap_core::env::liveness_deadline_ms()));
-    let misses = AtomicU64::new(0);
-
-    let spawn = |index: usize| -> io::Result<Child> {
-        command(index)
-            .env(
-                "BIGMAP_FABRIC_WORKER",
-                format!("{index}/{}", config.workers),
-            )
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-    };
-
-    let results: Vec<(CampaignStats, InstanceHealth)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.workers)
-            .map(|index| {
-                let hub = &hub;
-                let aggregator = &aggregator;
-                let spawn = &spawn;
-                let misses = &misses;
-                scope.spawn(move || {
-                    let mut restarts = 0u32;
-                    loop {
-                        let mut child = match spawn(index) {
-                            Ok(child) => child,
-                            Err(e) => {
-                                if restarts >= 1 {
-                                    // A spawn that worked once and now fails
-                                    // burns restart budget like any abnormal
-                                    // exit.
-                                    return (
-                                        CampaignStats::default(),
-                                        InstanceHealth::Dead(format!("respawn failed: {e}")),
-                                    );
-                                }
-                                return (
-                                    CampaignStats::default(),
-                                    InstanceHealth::Dead(format!("spawn failed: {e}")),
-                                );
-                            }
-                        };
-                        let outcome =
-                            serve_attempt(&mut child, index, hub, aggregator, deadline, misses);
-                        let status = child.wait();
-                        match (outcome, status) {
-                            (AttemptOutcome::Done(stats), Ok(status)) if status.success() => {
-                                let health = if restarts == 0 {
-                                    InstanceHealth::Running
-                                } else {
-                                    InstanceHealth::Restarted(restarts)
-                                };
-                                return (*stats, health);
-                            }
-                            (AttemptOutcome::Done(_), status) => {
-                                // Completed the protocol but exited dirty:
-                                // treat as abnormal, the stats are suspect.
-                                restarts += 1;
-                                if restarts > config.max_restarts {
-                                    return (
-                                        CampaignStats::default(),
-                                        InstanceHealth::Dead(format!(
-                                            "dirty exit after done: {status:?}"
-                                        )),
-                                    );
-                                }
-                            }
-                            (AttemptOutcome::Abnormal(msg), _) => {
-                                restarts += 1;
-                                if restarts > config.max_restarts {
-                                    return (CampaignStats::default(), InstanceHealth::Dead(msg));
-                                }
-                            }
-                        }
-                        thread::sleep(config.backoff * restarts);
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet service thread panicked"))
-            .collect()
-    });
-
-    let (instances, health): (Vec<CampaignStats>, Vec<InstanceHealth>) =
-        results.into_iter().unzip();
-    let unique_crashes = instances
-        .iter()
-        .flat_map(|s| s.crash_buckets.iter().copied())
-        .collect::<HashSet<u32>>()
-        .len();
-    let nodes = aggregator.nodes().len();
-    let telemetry = aggregator.finish();
-    Ok(FleetStats {
-        stats: ParallelStats {
-            instances,
-            health,
-            unique_crashes,
-        },
-        telemetry,
-        nodes,
-        heartbeat_misses: misses.load(Ordering::Relaxed),
-    })
 }
 
 /// Packs the transferable subset of [`CampaignStats`] as varints: the
@@ -700,13 +493,10 @@ pub fn decode_stats(payload: &[u8]) -> Result<CampaignStats, WireError> {
     Ok(stats)
 }
 
-/// Re-exported for the sync-batch shape the protocol shares with
-/// `bigmap_core::wire`.
-pub type FabricBatch = SyncBatch;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn stats_round_trip_through_the_wire() {
@@ -762,18 +552,6 @@ mod tests {
         }
         put_varint(&mut hostile, u64::MAX);
         assert!(matches!(decode_stats(&hostile), Err(WireError::Truncated)));
-    }
-
-    #[test]
-    fn worker_role_parses_the_handshake_shape() {
-        // The env accessor itself is covered in bigmap_core::env; here we
-        // only pin the mapping into WorkerRole.
-        let role = WorkerRole {
-            index: 2,
-            workers: 4,
-        };
-        assert_eq!(role.index, 2);
-        assert_eq!(role.workers, 4);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! per-stage wall-time attribution, snapshotted at sync boundaries into a
 //! JSONL sink.
 //!
-//! Corpus exchange is abstracted behind the [`sync::CorpusSync`] trait:
-//! the in-process [`SyncHub`], the lock-striped [`ShardedHub`], and — via
-//! the [`fabric`] module — a process-boundary transport speaking the
-//! `bigmap_core::wire` binary protocol, with supervised child-process
-//! workers and fleet-hierarchical telemetry aggregation
-//! ([`telemetry::FleetAggregator`]).
+//! Parallel campaigns run on one fleet runtime ([`fleet::run_fleet`])
+//! over two transports: threads of this process, or supervised child
+//! processes speaking the `bigmap_core::wire` binary protocol
+//! ([`fabric`]). Both run the same instance body, restart loop, corpus
+//! store ([`ShardedHub`] behind the [`sync::CorpusSync`] trait) and
+//! telemetry aggregation ([`telemetry::FleetAggregator`]).
 //!
 //! The campaign is parametric over the three axes of the paper's
 //! evaluation: map scheme (AFL flat vs BigMap two-level), map size, and
@@ -57,12 +57,11 @@ pub mod crashwalk;
 pub mod executor;
 pub mod fabric;
 pub mod faults;
+pub mod fleet;
 pub mod mutate;
 pub mod output_dir;
-pub mod parallel;
 pub mod queue;
 pub mod replay;
-pub mod supervisor;
 pub mod sync;
 pub mod telemetry;
 pub mod timeline;
@@ -77,20 +76,19 @@ pub use checkpoint::{Checkpoint, CheckpointManager, RestoreReport};
 pub use cmin::{minimize_corpus, MinimizedCorpus};
 pub use crashwalk::CrashWalk;
 pub use executor::{EnginePath, Execution, Executor, FastExecution};
-pub use fabric::{run_fleet, run_worker, FleetConfig, FleetStats, WorkerOptions, WorkerRole};
+pub use fabric::{run_worker, WorkerRole};
 pub use faults::{FaultPlan, FaultSite, InstanceFaults};
+pub use fleet::{
+    run_fleet, FleetConfig, FleetStats, Instance, InstanceHealth, InstanceOptions, Transport,
+};
 pub use mutate::Mutator;
 pub use output_dir::OutputDir;
-pub use parallel::{
-    run_parallel, run_parallel_with_telemetry, InstanceHealth, ParallelStats, SyncHub,
-};
 pub use queue::{Queue, QueueEntry};
 pub use replay::{replay_edge_coverage, ReplayCoverage};
-pub use supervisor::{run_supervised, SupervisorConfig};
 pub use sync::{CorpusSync, CursorError, ShardedHub};
 pub use telemetry::{
     parse_jsonl, FleetAggregator, JsonlSink, SharedBuffer, Stage, Telemetry, TelemetryEvent,
-    TelemetryRegistry, TelemetrySnapshot,
+    TelemetrySnapshot,
 };
 pub use timeline::{CoverageTimeline, TimelinePoint};
 pub use trim::{trim_input, TrimResult};

@@ -1,17 +1,10 @@
-//! The corpus sync abstraction: [`CorpusSync`] and its two stores.
+//! The corpus sync contract, [`CorpusSync`], and the fleet's one store,
+//! [`ShardedHub`].
 //!
-//! PR 2's parallel fleet synchronized corpora through one concrete type,
-//! [`SyncHub`] — an in-memory, single-mutex exchange that only works when
-//! every instance shares the hub's address space. The process-level fleet
-//! ([`crate::fabric`]) needs the same publish/fetch-since/cursor contract
-//! over a pipe, so the contract now lives in a trait with two
-//! implementations:
-//!
-//! * [`SyncHub`] — the original single-lock store, still what the
-//!   thread-level fleets ([`crate::parallel`], [`crate::supervisor`]) use.
-//! * [`ShardedHub`] — lock-striped by content hash with a global sequence
-//!   counter, sized for one authoritative store serving many worker
-//!   service threads concurrently (the fabric parent).
+//! Every fleet instance exchanges corpora through a `CorpusSync`. A
+//! thread instance holds the parent's [`ShardedHub`] directly; a worker
+//! process holds a pipe-backed client ([`crate::fabric`]) whose frames
+//! the parent turns into calls on the same hub.
 //!
 //! ## The contract
 //!
@@ -24,13 +17,11 @@
 //!   advances the cursor past everything (own entries are skipped, not
 //!   deferred).
 //! * **Typed cursor errors**: a cursor beyond the published count returns
-//!   [`CursorError`] instead of clamping. PR 2 split this case into a
-//!   `debug_assert!` and release-mode saturation, which was tolerable
-//!   when every cursor lived in the same process as the hub; a remote
-//!   transport echoing back a corrupt cursor must get a hard error it
-//!   can surface, not a silent clamp that re-delivers or skips entries.
-//!   Cursors are `u64` so the contract is identical across process
-//!   boundaries and pointer widths.
+//!   [`CursorError`] instead of clamping, so a remote transport echoing
+//!   back a corrupt cursor gets a hard error it can surface, not a
+//!   silent clamp that re-delivers or skips entries. Cursors are `u64`
+//!   so the contract is identical across process boundaries and pointer
+//!   widths.
 
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -80,9 +71,6 @@ pub trait CorpusSync: Send + Sync {
     /// [`CursorError`] if `cursor` is beyond the published count; the
     /// cursor is left untouched.
     fn fetch_since(&self, cursor: &mut u64, reader: usize) -> Result<Vec<Arc<[u8]>>, CursorError>;
-
-    /// Total distinct inputs ever published.
-    fn published_count(&self) -> u64;
 }
 
 /// One published corpus entry: the payload plus who found it.
@@ -90,105 +78,6 @@ pub trait CorpusSync: Send + Sync {
 struct SyncEntry {
     publisher: usize,
     input: Arc<[u8]>,
-}
-
-/// The hub's shared state, guarded by one mutex: the append-only entry
-/// list plus the content set that makes `publish` idempotent.
-#[derive(Debug, Default)]
-struct HubState {
-    entries: Vec<SyncEntry>,
-    seen: HashSet<Arc<[u8]>>,
-}
-
-/// The shared in-memory corpus exchange.
-///
-/// Append-only list of discovered inputs; instances fetch from their own
-/// cursor so every instance eventually sees every *other* instance's
-/// published find exactly once.
-///
-/// Publishing is **content-idempotent**: an input that is byte-identical
-/// to one already in the hub is silently dropped, whoever publishes it.
-/// That makes a supervised restart safe — an instance resumed from a
-/// checkpoint may rediscover and republish finds its dead predecessor
-/// already shared, and the fleet must not re-import them as new entries.
-/// (The dedup set stores `Arc` clones of the published payloads, so it
-/// costs pointers, not copies.)
-#[derive(Debug, Default)]
-pub struct SyncHub {
-    corpus: Mutex<HubState>,
-}
-
-impl SyncHub {
-    /// Creates an empty hub.
-    pub fn new() -> Self {
-        SyncHub::default()
-    }
-
-    /// Publishes newly found inputs on behalf of instance `publisher`.
-    /// Inputs the hub has already seen (from any publisher) are dropped.
-    pub fn publish(&self, publisher: usize, inputs: Vec<Vec<u8>>) {
-        if inputs.is_empty() {
-            return;
-        }
-        let mut state = self.corpus.lock().expect("corpus mutex poisoned");
-        for input in inputs {
-            let input: Arc<[u8]> = Arc::from(input);
-            if state.seen.insert(Arc::clone(&input)) {
-                state.entries.push(SyncEntry { publisher, input });
-            }
-        }
-    }
-
-    /// Fetches inputs published since `cursor` by instances other than
-    /// `reader`, advancing the cursor past everything seen (own entries
-    /// included — they are skipped, not deferred).
-    ///
-    /// # Errors
-    ///
-    /// [`CursorError`] if `cursor` is beyond the published count (broken
-    /// cursor accounting in the caller); the cursor is left untouched.
-    pub fn fetch_since(
-        &self,
-        cursor: &mut u64,
-        reader: usize,
-    ) -> Result<Vec<Arc<[u8]>>, CursorError> {
-        let state = self.corpus.lock().expect("corpus mutex poisoned");
-        let published = state.entries.len() as u64;
-        if *cursor > published {
-            return Err(CursorError {
-                cursor: *cursor,
-                published,
-            });
-        }
-        let fresh = state.entries[*cursor as usize..]
-            .iter()
-            .filter(|e| e.publisher != reader)
-            .map(|e| Arc::clone(&e.input))
-            .collect();
-        *cursor = published;
-        Ok(fresh)
-    }
-
-    /// Total distinct inputs ever published.
-    pub fn published_count(&self) -> u64 {
-        self.corpus
-            .lock()
-            .expect("corpus mutex poisoned")
-            .entries
-            .len() as u64
-    }
-}
-
-impl CorpusSync for SyncHub {
-    fn publish(&self, publisher: usize, inputs: Vec<Vec<u8>>) {
-        SyncHub::publish(self, publisher, inputs)
-    }
-    fn fetch_since(&self, cursor: &mut u64, reader: usize) -> Result<Vec<Arc<[u8]>>, CursorError> {
-        SyncHub::fetch_since(self, cursor, reader)
-    }
-    fn published_count(&self) -> u64 {
-        SyncHub::published_count(self)
-    }
 }
 
 /// One stripe of a [`ShardedHub`]: globally sequenced entries whose
@@ -200,15 +89,15 @@ struct Shard {
     seen: HashSet<Arc<[u8]>>,
 }
 
-/// A lock-striped [`CorpusSync`] store for many concurrent publishers.
+/// The fleet's corpus store: a lock-striped [`CorpusSync`] for many
+/// concurrent publishers.
 ///
-/// [`SyncHub`] serializes every operation behind one mutex — fine for a
-/// handful of threads syncing every few thousand execs, hostile as the
-/// single authoritative store of a process fleet where one service thread
-/// per worker hammers it concurrently. `ShardedHub` stripes the corpus by
-/// **content hash** (so the idempotence check for a given input always
-/// lands on the same stripe) and orders entries with a global atomic
-/// sequence counter.
+/// Published payloads are stored as [`Arc<[u8]>`], so a fetch is
+/// O(new entries) pointer clones — payload bytes are shared across the
+/// whole fleet, never deep-copied — and the dedup set costs pointers, not
+/// copies. The hub stripes the corpus by **content hash** (so the
+/// idempotence check for a given input always lands on the same stripe)
+/// and orders entries with a global atomic sequence counter.
 ///
 /// Sequence numbers are assigned *while holding the stripe lock*, which
 /// gives fetchers a simple visibility rule: after loading the counter,
@@ -252,9 +141,20 @@ impl ShardedHub {
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
-    /// Publishes newly found inputs on behalf of instance `publisher`.
-    /// Inputs the hub has already seen (from any publisher) are dropped.
-    pub fn publish(&self, publisher: usize, inputs: Vec<Vec<u8>>) {
+    /// Total distinct inputs ever published.
+    pub fn published_count(&self) -> u64 {
+        self.seq.load(Ordering::Acquire)
+    }
+}
+
+impl Default for ShardedHub {
+    fn default() -> Self {
+        ShardedHub::new()
+    }
+}
+
+impl CorpusSync for ShardedHub {
+    fn publish(&self, publisher: usize, inputs: Vec<Vec<u8>>) {
         for input in inputs {
             let input: Arc<[u8]> = Arc::from(input);
             let mut shard = self.shard_for(&input).lock().expect("shard poisoned");
@@ -267,19 +167,7 @@ impl ShardedHub {
         }
     }
 
-    /// Fetches inputs published since `cursor` by instances other than
-    /// `reader`, merged into publish order, advancing the cursor past
-    /// everything seen.
-    ///
-    /// # Errors
-    ///
-    /// [`CursorError`] if `cursor` is beyond the published count; the
-    /// cursor is left untouched.
-    pub fn fetch_since(
-        &self,
-        cursor: &mut u64,
-        reader: usize,
-    ) -> Result<Vec<Arc<[u8]>>, CursorError> {
+    fn fetch_since(&self, cursor: &mut u64, reader: usize) -> Result<Vec<Arc<[u8]>>, CursorError> {
         let upto = self.seq.load(Ordering::Acquire);
         if *cursor > upto {
             return Err(CursorError {
@@ -305,41 +193,17 @@ impl ShardedHub {
         *cursor = upto;
         Ok(fresh.into_iter().map(|(_, input)| input).collect())
     }
-
-    /// Total distinct inputs ever published.
-    pub fn published_count(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
-    }
-}
-
-impl Default for ShardedHub {
-    fn default() -> Self {
-        ShardedHub::new()
-    }
-}
-
-impl CorpusSync for ShardedHub {
-    fn publish(&self, publisher: usize, inputs: Vec<Vec<u8>>) {
-        ShardedHub::publish(self, publisher, inputs)
-    }
-    fn fetch_since(&self, cursor: &mut u64, reader: usize) -> Result<Vec<Arc<[u8]>>, CursorError> {
-        ShardedHub::fetch_since(self, cursor, reader)
-    }
-    fn published_count(&self) -> u64 {
-        ShardedHub::published_count(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Both implementations, behind the trait, for contract tests.
-    fn stores() -> Vec<(&'static str, Arc<dyn CorpusSync>)> {
+    /// The default striping and a single stripe, for contract tests.
+    fn stores() -> Vec<(&'static str, ShardedHub)> {
         vec![
-            ("SyncHub", Arc::new(SyncHub::new())),
-            ("ShardedHub", Arc::new(ShardedHub::new())),
-            ("ShardedHub(1)", Arc::new(ShardedHub::with_shards(1))),
+            ("ShardedHub", ShardedHub::new()),
+            ("ShardedHub(1)", ShardedHub::with_shards(1)),
         ]
     }
 

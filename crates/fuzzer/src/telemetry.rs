@@ -16,8 +16,8 @@
 //!   boundaries (never on the per-exec path), serializable to/from a
 //!   single JSON line.
 //! * [`JsonlSink`] — an append-only JSONL writer shared by a fleet.
-//! * [`TelemetryRegistry`] — hands out per-instance [`Telemetry`] handles
-//!   and fans snapshots into the sink.
+//! * [`FleetAggregator`] — keeps the latest snapshot per instance, rolls
+//!   them up, and forwards every snapshot to the sink.
 //!
 //! Counters use [`EventCounter`]/[`StageNanos`] from `bigmap-core`: one
 //! relaxed `fetch_add` per event, `#[inline]` all the way down, so the
@@ -472,12 +472,14 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TelemetrySnapshot>, String> {
     Ok(snaps)
 }
 
-/// An append-only JSONL sink, shareable across a fleet's threads.
+/// An append-only JSONL sink, shareable across a fleet's threads (and,
+/// cloned, across fleets: clones write to the same stream).
 ///
 /// Each [`emit`](JsonlSink::emit) writes one snapshot line under a mutex
 /// — contention is bounded by the sync cadence, not the exec rate.
+#[derive(Clone)]
 pub struct JsonlSink {
-    out: Mutex<Box<dyn Write + Send>>,
+    out: Arc<Mutex<Box<dyn Write + Send>>>,
 }
 
 impl fmt::Debug for JsonlSink {
@@ -490,7 +492,7 @@ impl JsonlSink {
     /// Wraps any writer (a file, a pipe, a shared test buffer).
     pub fn new(out: Box<dyn Write + Send>) -> Self {
         JsonlSink {
-            out: Mutex::new(out),
+            out: Arc::new(Mutex::new(out)),
         }
     }
 
@@ -556,73 +558,6 @@ impl Write for SharedBuffer {
 
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
-    }
-}
-
-/// Hands out per-instance [`Telemetry`] handles and fans snapshots into
-/// an optional shared [`JsonlSink`].
-#[derive(Debug, Default)]
-pub struct TelemetryRegistry {
-    instances: Mutex<Vec<Arc<Telemetry>>>,
-    sink: Option<JsonlSink>,
-}
-
-impl TelemetryRegistry {
-    /// Creates a registry with no sink (snapshots are only readable
-    /// in-process).
-    pub fn new() -> Self {
-        TelemetryRegistry::default()
-    }
-
-    /// Creates a registry that emits every snapshot to `sink`.
-    pub fn with_sink(sink: JsonlSink) -> Self {
-        TelemetryRegistry {
-            instances: Mutex::new(Vec::new()),
-            sink: Some(sink),
-        }
-    }
-
-    /// Registers (and returns) the telemetry handle for one fleet
-    /// instance.
-    pub fn register(&self, instance: usize) -> Arc<Telemetry> {
-        let telemetry = Arc::new(Telemetry::new(instance));
-        self.instances
-            .lock()
-            .expect("registry mutex poisoned")
-            .push(Arc::clone(&telemetry));
-        telemetry
-    }
-
-    /// Snapshots `telemetry` and appends it to the sink (no-op without a
-    /// sink; sink I/O errors are reported to stderr once per call rather
-    /// than unwinding a fuzzing thread).
-    pub fn emit(&self, telemetry: &Telemetry) {
-        if let Some(sink) = &self.sink {
-            if let Err(e) = sink.emit(&telemetry.snapshot()) {
-                eprintln!("telemetry sink write failed: {e}");
-            }
-        }
-    }
-
-    /// Live snapshots of every registered instance, in registration
-    /// order.
-    pub fn snapshots(&self) -> Vec<TelemetrySnapshot> {
-        self.instances
-            .lock()
-            .expect("registry mutex poisoned")
-            .iter()
-            .map(|t| t.snapshot())
-            .collect()
-    }
-
-    /// Fleet-wide totals: every instance's snapshot merged (counters
-    /// summed, wall time maxed).
-    pub fn fleet_totals(&self) -> TelemetrySnapshot {
-        let mut total = TelemetrySnapshot::default();
-        for snap in self.snapshots() {
-            total.merge(&snap);
-        }
-        total
     }
 }
 
@@ -704,6 +639,11 @@ impl FleetAggregator {
             .collect();
         nodes.dedup();
         nodes
+    }
+
+    /// How many (node, instance) producers have reported a snapshot.
+    pub fn producers(&self) -> usize {
+        self.latest.lock().expect("aggregator mutex poisoned").len()
     }
 
     /// Totals for one node: the latest snapshot of each of its instances,
@@ -991,32 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_tracks_instances_and_totals() {
-        let registry = TelemetryRegistry::new();
-        let a = registry.register(0);
-        let b = registry.register(1);
-        a.add(TelemetryEvent::Exec, 100);
-        b.add(TelemetryEvent::Exec, 50);
-        b.incr(TelemetryEvent::Crash);
-
-        let snaps = registry.snapshots();
-        assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[0].instance, 0);
-        assert_eq!(snaps[1].get(TelemetryEvent::Exec), 50);
-
-        let totals = registry.fleet_totals();
-        assert_eq!(totals.get(TelemetryEvent::Exec), 150);
-        assert_eq!(totals.get(TelemetryEvent::Crash), 1);
-    }
-
-    #[test]
-    fn registry_emit_without_sink_is_noop() {
-        let registry = TelemetryRegistry::new();
-        let t = registry.register(0);
-        registry.emit(&t); // must not panic
-    }
-
-    #[test]
     fn node_field_round_trips_and_defaults_to_zero() {
         let mut snap = TelemetrySnapshot {
             instance: 3,
@@ -1088,18 +1002,5 @@ mod tests {
                 .get(TelemetryEvent::Exec),
             20
         );
-    }
-
-    #[test]
-    fn registry_emit_writes_to_sink() {
-        let buffer = SharedBuffer::new();
-        let registry = TelemetryRegistry::with_sink(JsonlSink::new(Box::new(buffer.clone())));
-        let t = registry.register(4);
-        t.add(TelemetryEvent::QueueCycle, 3);
-        registry.emit(&t);
-        let parsed = parse_jsonl(&buffer.contents()).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].instance, 4);
-        assert_eq!(parsed[0].get(TelemetryEvent::QueueCycle), 3);
     }
 }

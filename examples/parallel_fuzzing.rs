@@ -43,14 +43,21 @@ fn main() {
                 .budget_time(Duration::from_secs(2))
                 .deterministic(true) // the master runs deterministic stages
                 .build();
-            let stats = run_parallel(
-                &program,
-                &instrumentation,
-                &config,
-                &seeds,
+            let instance = Instance {
+                program: &program,
+                instrumentation: &instrumentation,
+                config: &config,
+                seeds: &seeds,
+                options: InstanceOptions {
+                    sync_every: 5_000,
+                    ..InstanceOptions::default()
+                },
+            };
+            let fleet = FleetConfig {
                 instances,
-                5_000,
-            );
+                ..FleetConfig::default()
+            };
+            let stats = run_fleet(&fleet, Transport::Threads(instance));
             let total = stats.total_execs() as f64;
             if instances == 1 {
                 base_execs = total;

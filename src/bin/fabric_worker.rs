@@ -1,10 +1,10 @@
 //! Fleet worker binary for the distributed campaign fabric.
 //!
-//! Spawned by `bigmap::fuzzer::fabric::run_fleet` (see the fabric fleet
-//! integration tests and the `fig9_fleet` bench): reconstructs the same
-//! benchmark target from its CLI arguments, reads its fleet role from the
-//! `BIGMAP_FABRIC_WORKER` handshake, and hands its stdin/stdout to
-//! [`run_worker`] to speak the fabric protocol.
+//! Spawned by `bigmap::fuzzer::run_fleet` over the process transport
+//! (see the fleet transport integration tests): reconstructs the
+//! benchmark target and instance from its CLI arguments, reads its fleet
+//! role from the `BIGMAP_FABRIC_WORKER` handshake, and hands its
+//! stdin/stdout to [`run_worker`] to speak the fabric protocol.
 //!
 //! Arguments (all `--flag value`, all optional):
 //!
@@ -12,7 +12,8 @@
 //! * `--execs <n>` — per-worker execution budget (default 20000)
 //! * `--sync-every <n>` — sync cadence in executions (default 500)
 //! * `--map-size <k64|m2|m8>` — coverage map size (default `m2`)
-//! * `--checkpoint-dir <dir>` — resume/checkpoint directory
+//! * `--checkpoint-root <dir>` — resume/checkpoint root; this worker
+//!   uses `instance-NN/` below it and checkpoints at every sync boundary
 //! * `--panic-once <sentinel>` — inject one worker panic at the third
 //!   sync boundary, but only if `sentinel` does not exist yet (the file
 //!   is created first, so the supervised respawn runs clean — this is
@@ -27,9 +28,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
-use bigmap::fuzzer::faults::{FaultPlan, FaultSite, InstanceFaults};
-use bigmap::fuzzer::{run_worker, WorkerOptions, WorkerRole};
+use bigmap::fuzzer::faults::{FaultPlan, FaultSite};
 use bigmap::prelude::*;
 
 fn fail(msg: &str) -> ! {
@@ -46,7 +47,7 @@ fn main() -> ExitCode {
     let mut execs = 20_000u64;
     let mut sync_every = 500u64;
     let mut map_size = MapSize::M2;
-    let mut checkpoint_dir: Option<PathBuf> = None;
+    let mut checkpoint_root: Option<PathBuf> = None;
     let mut panic_once: Option<PathBuf> = None;
     let mut stall_once: Option<PathBuf> = None;
 
@@ -76,7 +77,9 @@ fn main() -> ExitCode {
                     other => fail(&format!("--map-size: unknown size {other}")),
                 };
             }
-            "--checkpoint-dir" => checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir"))),
+            "--checkpoint-root" => {
+                checkpoint_root = Some(PathBuf::from(value("--checkpoint-root")));
+            }
             "--panic-once" => panic_once = Some(PathBuf::from(value("--panic-once"))),
             "--stall-once" => stall_once = Some(PathBuf::from(value("--stall-once"))),
             other => fail(&format!("unknown flag {other}")),
@@ -115,14 +118,20 @@ fn main() -> ExitCode {
     };
     arm(&panic_once, FaultSite::WorkerPanic);
     arm(&stall_once, FaultSite::PipeStall);
-    let faults = armed.then(|| Arc::new(InstanceFaults::new(Arc::new(plan), role.index)));
-
-    let options = WorkerOptions {
-        sync_every,
-        checkpoint_dir,
-        faults,
+    let instance = Instance {
+        program: &program,
+        instrumentation: &instrumentation,
+        config: &config,
+        seeds: &seeds,
+        options: InstanceOptions {
+            sync_every,
+            checkpoint_root,
+            checkpoint_every: sync_every,
+            checkpoint_min_interval: Duration::ZERO,
+            fault_plan: armed.then(|| Arc::new(plan)),
+        },
     };
-    match run_worker(role, &program, &instrumentation, &config, &seeds, &options) {
+    match run_worker(role, &instance) {
         Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("fabric_worker {}: {e}", role.index);

@@ -83,13 +83,11 @@ pub mod prelude {
         CoverageMetric, EdgeHitCount, Instrumentation, MetricKind, MetricStack, NGram, TraceEvent,
     };
     pub use bigmap_fuzzer::{
-        replay_edge_coverage, run_fleet, run_parallel, run_parallel_with_telemetry, run_supervised,
-        run_worker, Budget, Campaign, CampaignConfig, CampaignConfigBuilder, CampaignStats,
-        Checkpoint, CheckpointManager, CorpusSync, CrashWalk, CursorError, Executor, FaultPlan,
-        FaultSite, FleetAggregator, FleetConfig, FleetStats, HangBudget, InstanceFaults,
-        InstanceHealth, JsonlSink, Mutator, ParallelStats, ShardedHub, Stage, SupervisorConfig,
-        SyncHub, Telemetry, TelemetryEvent, TelemetryRegistry, TelemetrySnapshot, WorkerOptions,
-        WorkerRole,
+        replay_edge_coverage, run_fleet, run_worker, Budget, Campaign, CampaignConfig,
+        CampaignConfigBuilder, CampaignStats, Checkpoint, CheckpointManager, CorpusSync, CrashWalk,
+        CursorError, Executor, FaultPlan, FaultSite, FleetAggregator, FleetConfig, FleetStats,
+        HangBudget, Instance, InstanceFaults, InstanceHealth, InstanceOptions, JsonlSink, Mutator,
+        ShardedHub, Stage, Telemetry, TelemetryEvent, TelemetrySnapshot, Transport, WorkerRole,
     };
     pub use bigmap_target::{
         apply_laf_intel, generate_seeds, BenchmarkSpec, CompiledProgram, ExecConfig, ExecOutcome,

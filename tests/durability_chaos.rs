@@ -328,13 +328,13 @@ fn stuck_worker_is_killed_by_the_liveness_deadline_and_restarted() {
     let sentinel = root.join("stall-once");
 
     let config = FleetConfig {
-        workers: 2,
+        instances: 2,
         max_restarts: 2,
         backoff: Duration::from_millis(10),
-        fleet_jsonl: Some(jsonl.clone()),
+        telemetry: Some(JsonlSink::to_file(&jsonl).expect("create fleet jsonl")),
         liveness_deadline: Some(Duration::from_millis(1_500)),
     };
-    let stats = run_fleet(&config, |index| {
+    let command = |index| {
         let mut cmd = Command::new(WORKER);
         cmd.args([
             "--benchmark",
@@ -346,8 +346,7 @@ fn stuck_worker_is_killed_by_the_liveness_deadline_and_restarted() {
             "--map-size",
             "m2",
         ]);
-        cmd.arg("--checkpoint-dir")
-            .arg(root.join(format!("ckpt-{index}")));
+        cmd.arg("--checkpoint-root").arg(&root);
         // Fast heartbeats so the frozen-exec-counter detection (not just
         // pipe silence) is what trips the deadline.
         cmd.env("BIGMAP_HEARTBEAT_MS", "100");
@@ -355,15 +354,15 @@ fn stuck_worker_is_killed_by_the_liveness_deadline_and_restarted() {
             cmd.arg("--stall-once").arg(&sentinel);
         }
         cmd
-    })
-    .expect("fleet failed to launch");
+    };
+    let stats = run_fleet(&config, Transport::Processes(&command));
 
     assert!(sentinel.exists(), "the injected stall never armed");
-    assert_eq!(stats.stats.health[0], InstanceHealth::Running);
+    assert_eq!(stats.health[0], InstanceHealth::Running);
     assert!(
-        matches!(stats.stats.health[1], InstanceHealth::Restarted(n) if n >= 1),
+        matches!(stats.health[1], InstanceHealth::Restarted(n) if n >= 1),
         "stuck worker was not killed and restarted: {:?}",
-        stats.stats.health[1]
+        stats.health[1]
     );
     assert!(
         stats.heartbeat_misses >= 1,
@@ -375,8 +374,8 @@ fn stuck_worker_is_killed_by_the_liveness_deadline_and_restarted() {
     );
     // The survivor never tripped the deadline, and the restarted worker
     // resumed from its checkpoint to deliver the full budget.
-    assert_eq!(stats.stats.instances[0].execs, 4_000);
-    assert_eq!(stats.stats.instances[1].execs, 4_000);
+    assert_eq!(stats.instances[0].execs, 4_000);
+    assert_eq!(stats.instances[1].execs, 4_000);
 
     // The merged stream still covers both nodes.
     let text = std::fs::read_to_string(&jsonl).expect("fleet jsonl written");

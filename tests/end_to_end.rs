@@ -258,8 +258,25 @@ fn parallel_fleet_beats_single_instance() {
         budget: Budget::Time(Duration::from_millis(600)),
         ..Default::default()
     };
-    let one = run_parallel(&program, &instrumentation, &config, &seeds, 1, 2_000);
-    let four = run_parallel(&program, &instrumentation, &config, &seeds, 4, 2_000);
+    let fleet = |instances| {
+        let instance = Instance {
+            program: &program,
+            instrumentation: &instrumentation,
+            config: &config,
+            seeds: &seeds,
+            options: InstanceOptions {
+                sync_every: 2_000,
+                ..InstanceOptions::default()
+            },
+        };
+        let config = FleetConfig {
+            instances,
+            ..FleetConfig::default()
+        };
+        run_fleet(&config, Transport::Threads(instance))
+    };
+    let one = fleet(1);
+    let four = fleet(4);
     assert_eq!(four.instances.len(), 4);
     // Wall-clock scaling depends on physical core count (a single-core
     // host time-shares the instances), so the portable assertion is that

@@ -1,17 +1,20 @@
-//! End-to-end tests for the distributed campaign fabric: real child
-//! processes, the binary wire protocol over pipes, supervised restarts,
-//! and the single merged fleet telemetry stream.
+//! Node-loss tests for the process transport of the fleet runtime: real
+//! `fabric_worker` child processes, the binary wire protocol over pipes,
+//! supervised restarts, and the single merged fleet telemetry stream.
 //!
 //! These spawn the `fabric_worker` binary (`src/bin/fabric_worker.rs`)
 //! via `CARGO_BIN_EXE_`, so they exercise the full process boundary —
 //! frame encode/decode on both sides, pipe backpressure, and exit-status
-//! supervision — not an in-process simulation of it.
+//! supervision — not an in-process simulation of it. The same scenarios
+//! on both transports are in `fleet_transports.rs`.
 
 use std::collections::HashSet;
+use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 
-use bigmap::fuzzer::{parse_jsonl, run_fleet, FleetConfig, InstanceHealth};
+use bigmap::fuzzer::parse_jsonl;
+use bigmap::prelude::*;
 
 const WORKER: &str = env!("CARGO_BIN_EXE_fabric_worker");
 
@@ -28,53 +31,6 @@ fn base_args(execs: u64) -> Vec<String> {
     ]
 }
 
-/// Two clean workers: both complete, per-worker stats come back over the
-/// wire, and the fleet telemetry is one merged stream covering both
-/// nodes plus a fleet-total summary line.
-#[test]
-fn two_worker_fleet_completes_and_merges_telemetry() {
-    let dir = tempdir("fabric-clean");
-    let jsonl = dir.join("fleet.jsonl");
-    let config = FleetConfig {
-        workers: 2,
-        max_restarts: 0,
-        backoff: Duration::from_millis(10),
-        fleet_jsonl: Some(jsonl.clone()),
-        liveness_deadline: None,
-    };
-    let args = base_args(4_000);
-    let stats = run_fleet(&config, |_| {
-        let mut cmd = Command::new(WORKER);
-        cmd.args(&args);
-        cmd
-    })
-    .expect("fleet failed to launch");
-
-    assert_eq!(stats.stats.instances.len(), 2);
-    for (i, health) in stats.stats.health.iter().enumerate() {
-        assert_eq!(*health, InstanceHealth::Running, "worker {i}: {health:?}");
-    }
-    for (i, instance) in stats.stats.instances.iter().enumerate() {
-        assert_eq!(instance.execs, 4_000, "worker {i} budget mismatch");
-    }
-    assert_eq!(stats.stats.total_execs(), 8_000);
-    assert_eq!(stats.nodes, 2);
-
-    // The merged stream: snapshots from both nodes, one summary line.
-    let text = std::fs::read_to_string(&jsonl).expect("fleet jsonl written");
-    let snapshots = parse_jsonl(&text).expect("fleet jsonl parses");
-    assert!(!snapshots.is_empty());
-    let nodes: HashSet<usize> = snapshots.iter().map(|s| s.node).collect();
-    assert_eq!(nodes, HashSet::from([0, 1]), "stream missing a node");
-    assert_eq!(
-        text.matches("\"fleet_total\":1").count(),
-        1,
-        "expected exactly one fleet summary line"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Node-loss recovery: worker 1 panics at its third sync boundary
 /// (single-shot via a sentinel file, so the respawn runs clean). The
 /// fleet must restart it, resume from its checkpoint, and still end with
@@ -84,37 +40,41 @@ fn killed_worker_is_respawned_and_fleet_recovers() {
     let dir = tempdir("fabric-kill");
     let jsonl = dir.join("fleet.jsonl");
     let sentinel = dir.join("panic-once");
+    let checkpoints = dir.join("ckpt");
     let config = FleetConfig {
-        workers: 2,
+        instances: 2,
         max_restarts: 2,
         backoff: Duration::from_millis(10),
-        fleet_jsonl: Some(jsonl.clone()),
+        telemetry: Some(JsonlSink::to_file(&jsonl).expect("create fleet jsonl")),
         liveness_deadline: None,
     };
     let args = base_args(4_000);
-    let stats = run_fleet(&config, |index| {
+    let command = |index| {
         let mut cmd = Command::new(WORKER);
         cmd.args(&args);
-        let checkpoints = dir.join(format!("ckpt-{index}"));
-        cmd.arg("--checkpoint-dir").arg(&checkpoints);
+        cmd.arg("--checkpoint-root").arg(&checkpoints);
         if index == 1 {
             cmd.arg("--panic-once").arg(&sentinel);
         }
         cmd
-    })
-    .expect("fleet failed to launch");
+    };
+    let stats = run_fleet(&config, Transport::Processes(&command));
 
     assert!(sentinel.exists(), "the injected panic never armed");
-    assert_eq!(stats.stats.health[0], InstanceHealth::Running);
+    assert_eq!(stats.health[0], InstanceHealth::Running);
     assert!(
-        matches!(stats.stats.health[1], InstanceHealth::Restarted(n) if n >= 1),
+        matches!(stats.health[1], InstanceHealth::Restarted(n) if n >= 1),
         "worker 1 should have died and been respawned: {:?}",
-        stats.stats.health[1]
+        stats.health[1]
     );
     // The respawned worker still completes its budget (resuming from its
     // checkpoint, not double-counting) and the survivor is untouched.
-    assert_eq!(stats.stats.instances[0].execs, 4_000);
-    assert_eq!(stats.stats.instances[1].execs, 4_000);
+    assert_eq!(stats.instances[0].execs, 4_000);
+    assert_eq!(stats.instances[1].execs, 4_000);
+    assert!(
+        checkpoints.join("instance-01").is_dir(),
+        "worker 1 never checkpointed"
+    );
 
     // One merged stream, both nodes present despite the mid-run death.
     let text = std::fs::read_to_string(&jsonl).expect("fleet jsonl written");
@@ -130,47 +90,40 @@ fn killed_worker_is_respawned_and_fleet_recovers() {
 /// stats, and the rest of the fleet still completes.
 #[test]
 fn worker_that_keeps_dying_is_declared_dead() {
-    let dir = tempdir("fabric-dead");
     let config = FleetConfig {
-        workers: 2,
+        instances: 2,
         max_restarts: 1,
         backoff: Duration::from_millis(10),
-        fleet_jsonl: None,
+        telemetry: None,
         liveness_deadline: None,
     };
     let args = base_args(2_000);
-    let stats = run_fleet(&config, |index| {
+    let command = |index| {
+        let mut cmd = Command::new(WORKER);
         if index == 1 {
             // A command that dies instantly without ever speaking the
             // protocol.
-            let mut cmd = Command::new(WORKER);
             cmd.arg("--unknown-flag-kills-me");
-            cmd
         } else {
-            let mut cmd = Command::new(WORKER);
             cmd.args(&args);
-            cmd
         }
-    })
-    .expect("fleet failed to launch");
+        cmd
+    };
+    let stats = run_fleet(&config, Transport::Processes(&command));
 
-    assert_eq!(stats.stats.health[0], InstanceHealth::Running);
+    assert_eq!(stats.health[0], InstanceHealth::Running);
     assert!(
-        matches!(stats.stats.health[1], InstanceHealth::Dead(_)),
+        matches!(stats.health[1], InstanceHealth::Dead(_)),
         "unexpected health: {:?}",
-        stats.stats.health[1]
+        stats.health[1]
     );
-    assert_eq!(stats.stats.instances[0].execs, 2_000);
-    assert_eq!(
-        stats.stats.instances[1].execs, 0,
-        "dead worker has zero stats"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(stats.instances[0].execs, 2_000);
+    assert_eq!(stats.instances[1].execs, 0, "dead worker has zero stats");
 }
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("bigmap-{tag}-{}", std::process::id(),));
+fn tempdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bigmap-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }

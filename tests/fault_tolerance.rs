@@ -2,16 +2,17 @@
 //!
 //! Exercises the three layers end to end through the public facade:
 //! deterministic fault injection (worker panics, checkpoint-write
-//! failures), the supervised fleet that restarts crashed instances from
-//! their checkpoints, and single-campaign kill-and-resume via the on-disk
-//! checkpoint format.
+//! failures), the supervised thread fleet that restarts crashed
+//! instances from their checkpoints, and single-campaign kill-and-resume
+//! via the on-disk checkpoint format. The fleet scenarios on both
+//! transports, threads and worker processes, are in
+//! `fleet_transports.rs`.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bigmap::fuzzer::InstanceHealth;
 use bigmap::prelude::*;
 
 fn fixture() -> (Program, Instrumentation, Vec<Vec<u8>>) {
@@ -45,48 +46,54 @@ fn tmp_root(name: &str) -> PathBuf {
     dir
 }
 
+/// Runs the fixture campaign as a thread fleet under `fleet`.
+fn run_thread_fleet(fleet: &FleetConfig, execs: u64, options: InstanceOptions) -> FleetStats {
+    let (program, instrumentation, seeds) = fixture();
+    let config = config(execs);
+    let instance = Instance {
+        program: &program,
+        instrumentation: &instrumentation,
+        config: &config,
+        seeds: &seeds,
+        options,
+    };
+    run_fleet(fleet, Transport::Threads(instance))
+}
+
 /// The headline acceptance test: a two-instance fleet with an injected
 /// worker panic completes with `Restarted` health, still trades inputs
 /// over the hub, and lands within noise of the uninjected fleet's
 /// coverage.
 #[test]
 fn injected_panic_fleet_completes_within_noise_of_clean_fleet() {
-    let (program, instrumentation, seeds) = fixture();
-
-    let clean = run_supervised(
-        &program,
-        &instrumentation,
-        &config(2_000),
-        &seeds,
-        2,
-        200,
-        &SupervisorConfig::resilient(),
-        None,
-    );
+    let fleet = FleetConfig {
+        instances: 2,
+        max_restarts: 3,
+        backoff: Duration::from_millis(1),
+        ..FleetConfig::default()
+    };
+    let options = InstanceOptions {
+        sync_every: 200,
+        checkpoint_every: 200,
+        checkpoint_min_interval: Duration::from_millis(250),
+        ..InstanceOptions::default()
+    };
+    let clean = run_thread_fleet(&fleet, 2_000, options.clone());
     assert_eq!(clean.health, vec![InstanceHealth::Running; 2]);
 
     let root = tmp_root("noise");
-    let registry = TelemetryRegistry::new();
-    let supervisor = SupervisorConfig {
-        backoff: Duration::from_millis(1),
-        checkpoint_every: 200,
-        checkpoint_root: Some(root.clone()),
-        fault_plan: Some(Arc::new(FaultPlan::new().inject(
-            FaultSite::WorkerPanic,
-            1,
-            1,
-        ))),
-        ..SupervisorConfig::resilient()
-    };
-    let injected = run_supervised(
-        &program,
-        &instrumentation,
-        &config(2_000),
-        &seeds,
-        2,
-        200,
-        &supervisor,
-        Some(&registry),
+    let injected = run_thread_fleet(
+        &fleet,
+        2_000,
+        InstanceOptions {
+            checkpoint_root: Some(root.clone()),
+            fault_plan: Some(Arc::new(FaultPlan::new().inject(
+                FaultSite::WorkerPanic,
+                1,
+                1,
+            ))),
+            ..options
+        },
     );
 
     assert_eq!(injected.health[0], InstanceHealth::Running);
@@ -100,13 +107,13 @@ fn injected_panic_fleet_completes_within_noise_of_clean_fleet() {
     // the hub (the content-idempotent hub deduplicates re-publications
     // from the relaunched instance instead of dropping fresh ones).
     assert!(
-        registry.fleet_totals().get(TelemetryEvent::SyncPublish) > 0,
+        injected.telemetry.get(TelemetryEvent::SyncPublish) > 0,
         "restarted fleet published nothing"
     );
 
     // Coverage within noise of the clean fleet: the restart loses at most
     // the work since the last checkpoint, not the campaign.
-    let best = |stats: &ParallelStats| {
+    let best = |stats: &FleetStats| {
         stats
             .instances
             .iter()
@@ -225,21 +232,19 @@ fn checkpoint_write_fault_degrades_one_snapshot_not_the_campaign() {
 /// `Dead` while the rest of the fleet finishes untouched.
 #[test]
 fn unsupervised_fleet_contains_a_dead_instance() {
-    let (program, instrumentation, seeds) = fixture();
     let plan = Arc::new(FaultPlan::new().inject(FaultSite::WorkerPanic, 1, 0));
-    let supervisor = SupervisorConfig {
-        fault_plan: Some(plan),
-        ..Default::default()
+    let fleet = FleetConfig {
+        instances: 2,
+        ..FleetConfig::default()
     };
-    let stats = run_supervised(
-        &program,
-        &instrumentation,
-        &config(1_000),
-        &seeds,
-        2,
-        250,
-        &supervisor,
-        None,
+    let stats = run_thread_fleet(
+        &fleet,
+        1_000,
+        InstanceOptions {
+            sync_every: 250,
+            fault_plan: Some(plan),
+            ..InstanceOptions::default()
+        },
     );
     assert_eq!(stats.health[0], InstanceHealth::Running);
     match &stats.health[1] {
