@@ -1,12 +1,12 @@
 //! Map-op microbenchmark harness: per-kernel throughput for the whole-map
 //! operations (§IV-E), region sizes 64 KiB → 16 MiB.
 //!
-//! Sweeps every kernel the host supports (`scalar`, `sse2`, `avx2`) over
+//! Sweeps every kernel the host supports (`scalar`, `avx2`) over
 //! {classify, compare, fused classify+compare} at each region size, plus
 //! the kernel-independent admission-path reads of the same region (the
 //! zero-run-skipping CRC32 `hash` and the word-skip slot `scan`), plus a
 //! reset-strategy sweep ({cached `fill(0)`, non-temporal streaming stores})
-//! that locates the crossover justifying the `BIGMAP_NT_THRESHOLD` default,
+//! that locates the crossover justifying the `simd::NT_THRESHOLD` cutoff,
 //! plus a coverage-density sweep ({sparse journal walk, dense kernel,
 //! adaptive dispatch} × {clustered, uniform} slot layouts) that locates the
 //! sparse/dense crossover behind `DENSITY_CROSSOVER_DIVISOR`, plus a
@@ -46,7 +46,7 @@ use bigmap_core::classify::classify_slice;
 use bigmap_core::diff::for_each_nonzero_byte;
 use bigmap_core::journal::{runs_from_slots, SlotRun};
 use bigmap_core::kernels::{active, available, table_for, KernelKind};
-use bigmap_core::simd::{nt_threshold, stream_zero};
+use bigmap_core::simd::{stream_zero, NT_THRESHOLD};
 use bigmap_core::sparse::{classify_and_compare_runs, select_path, OpPath, SparseMode};
 use bigmap_core::Crc32;
 use rand::rngs::SmallRng;
@@ -157,7 +157,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!("nt_threshold: {} bytes\n", nt_threshold());
+    println!("nt_threshold: {NT_THRESHOLD} bytes\n");
 
     let mut samples: Vec<Sample> = Vec::new();
     let mut density_samples: Vec<DensitySample> = Vec::new();
@@ -202,7 +202,7 @@ fn main() {
         }
 
         // --- reset sweep: cached fill vs streaming stores around the NT
-        //     threshold (the satellite that pins BIGMAP_NT_THRESHOLD) ---
+        //     threshold ---
         println!("\nreset sweep (fill vs non-temporal stream):");
         println!(
             "{:<10} {:<8} {:>9} {:>12} {:>10}",
@@ -922,7 +922,7 @@ fn render_json(
     out.push_str("{\n");
     let _ = writeln!(out, "  \"benchmark\": \"bench_mapops\",");
     let _ = writeln!(out, "  \"mode\": \"{}\",", effort.label());
-    let _ = writeln!(out, "  \"nt_threshold\": {},", nt_threshold());
+    let _ = writeln!(out, "  \"nt_threshold\": {NT_THRESHOLD},");
     let kernel_list = kernels
         .iter()
         .map(|k| format!("\"{}\"", k.label()))

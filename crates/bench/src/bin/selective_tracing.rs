@@ -1,17 +1,18 @@
 //! Two-speed execution: throughput of always-trace vs selective tracing
 //! on trace-heavy arms.
 //!
-//! Selective tracing (`BIGMAP_TRACE_MODE=selective`) runs most test cases
-//! through the untraced fast interpreter and re-traces only the ones the
-//! novelty oracle cannot prove boring. The win is largest exactly where
+//! Selective tracing (`CampaignConfig::trace` set to
+//! `TraceMode::Selective`) runs most test cases through the untraced fast
+//! interpreter and re-traces only the ones the novelty oracle cannot
+//! prove boring. The win is largest exactly where
 //! tracing hurts most — the flat AFL map at large sizes, where every
 //! traced exec also pays whole-map classify/compare. This harness measures
 //! both modes on the same arms and attributes the gap with the
 //! `fast_path_execs` / `retrace_execs` telemetry counters.
 //!
 //! The comparison is throughput-only by construction: the coverage
-//! trajectory itself is mode-invariant (see `tests/kernel_trajectory.rs`
-//! and the CI trace-mode equivalence job).
+//! trajectory itself is mode-invariant (see the policy-product matrix in
+//! `tests/kernel_trajectory.rs`).
 
 use std::sync::Arc;
 

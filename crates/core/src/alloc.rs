@@ -17,10 +17,10 @@
 //!   `transparent_hugepage=always` host does not promote the range. The
 //!   control arm for benchmarking.
 //!
-//! Which backend actually served each buffer is recorded per buffer
-//! ([`MapBuffer::backend`]) and in process-wide counters
-//! ([`backend_allocs`], [`huge_fallbacks`]) that the fuzzer's telemetry
-//! layer surfaces.
+//! Which backend actually served each buffer, and whether an explicit
+//! request fell back, is recorded per buffer ([`MapBuffer::backend`],
+//! [`MapBuffer::fell_back`]); the fuzzer's telemetry layer surfaces it
+//! per campaign through `CoverageMap::alloc_info`.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::Cell;
@@ -28,8 +28,6 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::OnceLock;
-
-use crate::counters::EventCounter;
 
 /// Alignment used for map allocations: the x86-64 huge-page size (2 MiB).
 /// Smaller maps still benefit from the page alignment (no straddled lines,
@@ -113,15 +111,6 @@ impl AllocBackend {
             AllocBackend::Plain => "plain",
         }
     }
-
-    fn slot(self) -> usize {
-        match self {
-            AllocBackend::ExplicitGigantic => 0,
-            AllocBackend::ExplicitHuge => 1,
-            AllocBackend::Thp => 2,
-            AllocBackend::Plain => 3,
-        }
-    }
 }
 
 impl fmt::Display for AllocBackend {
@@ -161,27 +150,6 @@ pub fn with_huge_policy<R>(policy: HugePolicy, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(prev);
     f()
-}
-
-// ----------------------------------------------------------------- counters
-
-static ALLOC_BACKENDS: [EventCounter; 4] = [
-    EventCounter::new(),
-    EventCounter::new(),
-    EventCounter::new(),
-    EventCounter::new(),
-];
-static HUGE_FALLBACKS: EventCounter = EventCounter::new();
-
-/// Process-wide count of buffers served by `backend` since start.
-pub fn backend_allocs(backend: AllocBackend) -> u64 {
-    ALLOC_BACKENDS[backend.slot()].get()
-}
-
-/// Process-wide count of explicit-huge-page requests that fell back to the
-/// THP path (empty hugetlb pool, unsupported kernel, non-Linux build).
-pub fn huge_fallbacks() -> u64 {
-    HUGE_FALLBACKS.get()
 }
 
 // ---------------------------------------------------------------- MapBuffer
@@ -270,11 +238,9 @@ impl<T: MapElement> MapBuffer<T> {
         let mut fell_back = false;
         if policy == HugePolicy::Explicit && bytes >= HUGE_PAGE_BYTES {
             if let Some(buf) = Self::try_explicit(len, bytes) {
-                ALLOC_BACKENDS[buf.backend.slot()].incr();
                 return buf;
             }
             fell_back = true;
-            HUGE_FALLBACKS.incr();
         }
 
         // Heap path: THP advice for `thp` (and the explicit fallback),
@@ -296,7 +262,6 @@ impl<T: MapElement> MapBuffer<T> {
             // Sub-huge-page buffers: nothing to promote.
             _ => AllocBackend::Plain,
         };
-        ALLOC_BACKENDS[backend.slot()].incr();
         MapBuffer {
             ptr: raw.cast::<T>(),
             len,
@@ -585,17 +550,15 @@ mod tests {
 
     #[test]
     fn explicit_request_is_served_or_recorded_as_fallback() {
-        let fallbacks_before = huge_fallbacks();
         let buf: MapBuffer<u8> = MapBuffer::zeroed_with(4 << 20, HugePolicy::Explicit);
         match buf.backend() {
             AllocBackend::ExplicitHuge | AllocBackend::ExplicitGigantic => {
                 assert!(!buf.fell_back());
             }
             AllocBackend::Thp => {
-                // No hugetlb pool on this host: the fallback must be
-                // visible both per-buffer and in the process counter.
+                // No hugetlb pool on this host: the buffer itself must
+                // record the fallback.
                 assert!(buf.fell_back());
-                assert!(huge_fallbacks() > fallbacks_before);
             }
             AllocBackend::Plain => panic!("explicit request degraded past THP"),
         }
@@ -620,10 +583,13 @@ mod tests {
     }
 
     #[test]
-    fn backend_counters_are_monotone_and_attributed() {
-        let before = backend_allocs(AllocBackend::Plain);
-        let _buf: MapBuffer<u8> = MapBuffer::zeroed_with(4096, HugePolicy::Thp);
-        assert!(backend_allocs(AllocBackend::Plain) > before);
+    fn thp_policy_attributes_each_buffer_by_size() {
+        // Below one huge page there is nothing to promote: plain pages.
+        let small: MapBuffer<u8> = MapBuffer::zeroed_with(4096, HugePolicy::Thp);
+        assert_eq!(small.backend(), AllocBackend::Plain);
+        let large: MapBuffer<u8> = MapBuffer::zeroed_with(4 << 20, HugePolicy::Thp);
+        assert_eq!(large.backend(), AllocBackend::Thp);
+        assert!(!small.fell_back() && !large.fell_back());
     }
 
     #[test]

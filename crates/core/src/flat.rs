@@ -33,12 +33,6 @@ pub enum ResetKind {
     Adaptive,
 }
 
-/// Maps at or below this size reset with a plain memset under
-/// [`ResetKind::Adaptive`] (the modeled L2 capacity). This is the default
-/// cutoff of [`crate::simd::nt_threshold`], which `BIGMAP_NT_THRESHOLD`
-/// can override at runtime.
-pub const ADAPTIVE_RESET_THRESHOLD: usize = crate::simd::NT_THRESHOLD_DEFAULT;
-
 /// AFL's flat, one-level coverage bitmap.
 ///
 /// # Examples
@@ -139,7 +133,7 @@ impl CoverageMap for FlatBitmap {
             // Forced streaming, regardless of size — the ablation arm.
             ResetKind::NonTemporal => stream_zero(self.coverage.as_mut_slice()),
             // Threshold-aware: plain memset below the cutoff, streaming
-            // above it (see `simd::nt_threshold`).
+            // above it (see `simd::NT_THRESHOLD`).
             ResetKind::Adaptive => nontemporal_zero(self.coverage.as_mut_slice()),
         }
     }

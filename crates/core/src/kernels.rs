@@ -4,21 +4,16 @@
 //! operations — classify, compare, and the merged classify+compare —
 //! dominate fuzzer-side cost as maps grow. The word-wise loops in
 //! [`crate::classify`] and [`crate::diff`] top out at 8 bytes per
-//! iteration; this module adds SSE2 (16 B) and AVX2 (32 B) kernels for the
-//! same three operations and selects an implementation **once per
-//! process**, at first use, into a function-pointer table. The hot path
-//! pays zero per-call feature branching: callers grab
-//! [`active()`](active) (one `OnceLock` load) and jump through the table.
+//! iteration; this module adds AVX2 (32 B) kernels for the same three
+//! operations and selects an implementation **once per process**, at
+//! first use, into a function-pointer table. The hot path pays zero
+//! per-call feature branching: callers grab [`active()`](active) (one
+//! `OnceLock` load) and jump through the table.
 //!
-//! Selection policy, in order:
-//!
-//! 1. `BIGMAP_KERNEL=scalar|sse2|avx2` forces a kernel. Requesting a
-//!    kernel the CPU cannot run falls back to auto-detection with a
-//!    warning on stderr (a forced *downgrade* is always honoured — that is
-//!    how CI pins the scalar path).
-//! 2. Otherwise the widest kernel the CPU supports, probed with
-//!    [`std::arch::is_x86_feature_detected!`]: AVX2, then SSE2, then the
-//!    portable scalar code.
+//! The CPU alone picks the table: AVX2 when
+//! [`std::arch::is_x86_feature_detected!`] reports it, else the portable
+//! scalar code. Nothing overrides the choice — tests and benchmarks that
+//! need another tier take its table from [`table_for`] directly.
 //!
 //! The scalar implementations in [`crate::classify`] / [`crate::diff`]
 //! remain the **semantic oracle**: every vector kernel must be
@@ -26,10 +21,6 @@
 //! `kernel_equivalence` property-test suite) and they serve as the
 //! portable fallback on non-x86-64 targets and for region tails shorter
 //! than one vector block.
-//!
-//! Each dispatched call bumps a global per-kernel [`EventCounter`], so
-//! telemetry (and the `bench_mapops` harness) can prove which
-//! implementation a campaign actually ran.
 //!
 //! # Examples
 //!
@@ -49,22 +40,19 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::classify::classify_slice;
-use crate::counters::EventCounter;
 use crate::diff::{classify_and_compare_region, compare_region};
 use crate::traits::NewCoverage;
 
 /// The kernel implementations this build knows about.
 ///
-/// `Sse2` and `Avx2` exist on every build (so configuration and telemetry
-/// can name them portably) but [`table_for`] only returns a table for the
-/// ones the *running* CPU supports.
+/// `Avx2` exists on every build (so telemetry can name it portably) but
+/// [`table_for`] only returns its table when the *running* CPU supports
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Portable word-wise Rust (`crate::classify` / `crate::diff`) — the
     /// semantic oracle and universal fallback.
     Scalar,
-    /// 128-bit x86-64 kernels: SIMD zero-skim and compare, LUT classify.
-    Sse2,
     /// 256-bit x86-64 kernels: in-register nibble-LUT classify plus
     /// `vptest`-based compare.
     Avx2,
@@ -72,34 +60,14 @@ pub enum KernelKind {
 
 impl KernelKind {
     /// Every kind, narrowest to widest.
-    pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Sse2, KernelKind::Avx2];
+    pub const ALL: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Avx2];
 
-    /// Stable lower-case label (`"scalar"`, `"sse2"`, `"avx2"`) used by
-    /// `BIGMAP_KERNEL`, benchmark reports and telemetry keys.
+    /// Stable lower-case label (`"scalar"`, `"avx2"`) used by benchmark
+    /// reports and telemetry keys.
     pub fn label(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Sse2 => "sse2",
             KernelKind::Avx2 => "avx2",
-        }
-    }
-
-    /// Parses a [`label`](KernelKind::label) back into a kind.
-    pub fn from_label(label: &str) -> Option<KernelKind> {
-        match label {
-            "scalar" => Some(KernelKind::Scalar),
-            "sse2" => Some(KernelKind::Sse2),
-            "avx2" => Some(KernelKind::Avx2),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn slot(self) -> usize {
-        match self {
-            KernelKind::Scalar => 0,
-            KernelKind::Sse2 => 1,
-            KernelKind::Avx2 => 2,
         }
     }
 }
@@ -131,7 +99,6 @@ impl KernelTable {
     /// (kernel-dispatched [`crate::classify::classify_slice`]).
     #[inline]
     pub fn classify(&self, counts: &mut [u8]) {
-        INVOCATIONS[self.kind.slot()].incr();
         (self.classify_fn)(counts)
     }
 
@@ -143,7 +110,6 @@ impl KernelTable {
     /// Panics if the regions have different lengths.
     #[inline]
     pub fn compare(&self, cur: &[u8], virgin: &mut [u8]) -> NewCoverage {
-        INVOCATIONS[self.kind.slot()].incr();
         (self.compare_fn)(cur, virgin)
     }
 
@@ -155,58 +121,14 @@ impl KernelTable {
     /// Panics if the regions have different lengths.
     #[inline]
     pub fn classify_and_compare(&self, cur: &mut [u8], virgin: &mut [u8]) -> NewCoverage {
-        INVOCATIONS[self.kind.slot()].incr();
         (self.fused_fn)(cur, virgin)
     }
-
-    // Uncounted entry points for the sparse run dispatcher
-    // (`crate::sparse`): a sparse pass may make one kernel call per long
-    // run, and counting each would make `invocations` useless as a
-    // "how many dense passes ran" telemetry signal. Sparse work is
-    // accounted through `crate::sparse::dispatches` instead.
-
-    #[inline]
-    pub(crate) fn classify_uncounted(&self, counts: &mut [u8]) {
-        (self.classify_fn)(counts)
-    }
-
-    #[inline]
-    pub(crate) fn compare_uncounted(&self, cur: &[u8], virgin: &mut [u8]) -> NewCoverage {
-        (self.compare_fn)(cur, virgin)
-    }
-
-    #[inline]
-    pub(crate) fn fused_uncounted(&self, cur: &mut [u8], virgin: &mut [u8]) -> NewCoverage {
-        (self.fused_fn)(cur, virgin)
-    }
-}
-
-/// Global per-kernel invocation totals, indexed by [`KernelKind::slot`].
-static INVOCATIONS: [EventCounter; 3] = [
-    EventCounter::new(),
-    EventCounter::new(),
-    EventCounter::new(),
-];
-
-/// How many kernel calls (classify, compare, or fused — each counts one)
-/// have dispatched to `kind` since process start.
-pub fn invocations(kind: KernelKind) -> u64 {
-    INVOCATIONS[kind.slot()].get()
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     kind: KernelKind::Scalar,
     classify_fn: classify_slice,
     compare_fn: compare_region,
-    fused_fn: classify_and_compare_region,
-};
-
-#[cfg(target_arch = "x86_64")]
-static SSE2_TABLE: KernelTable = KernelTable {
-    kind: KernelKind::Sse2,
-    classify_fn: x86::classify_sse2,
-    compare_fn: x86::compare_sse2,
-    // Scalar: every SSE2 fused variant measured slower than it (bench_mapops).
     fused_fn: classify_and_compare_region,
 };
 
@@ -220,7 +142,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
 
 /// The kernel table for `kind`, if the running CPU supports it.
 ///
-/// [`KernelKind::Scalar`] is always available. The vector kinds require an
+/// [`KernelKind::Scalar`] is always available. The vector kind requires an
 /// x86-64 build *and* a positive runtime feature probe — this function is
 /// the only constructor of vector tables, which is the safety argument for
 /// the `unsafe` blocks inside them.
@@ -228,11 +150,9 @@ pub fn table_for(kind: KernelKind) -> Option<&'static KernelTable> {
     match kind {
         KernelKind::Scalar => Some(&SCALAR_TABLE),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Sse2 => std::arch::is_x86_feature_detected!("sse2").then_some(&SSE2_TABLE),
-        #[cfg(target_arch = "x86_64")]
         KernelKind::Avx2 => std::arch::is_x86_feature_detected!("avx2").then_some(&AVX2_TABLE),
         #[cfg(not(target_arch = "x86_64"))]
-        KernelKind::Sse2 | KernelKind::Avx2 => None,
+        KernelKind::Avx2 => None,
     }
 }
 
@@ -244,42 +164,15 @@ pub fn available() -> Vec<KernelKind> {
         .collect()
 }
 
-/// Resolves the selection policy for a requested kind (`None` = unset or
-/// unparseable): honour a CPU-supported request, warn and fall back to
-/// auto-detection otherwise. Pure so tests can cover the policy without
-/// touching process environment.
-fn select_kind(request: Option<KernelKind>) -> &'static KernelTable {
-    if let Some(kind) = request {
-        match table_for(kind) {
-            Some(table) => return table,
-            None => eprintln!(
-                "BIGMAP_KERNEL={}: kernel not supported by this CPU, \
-                 falling back to auto-detection",
-                kind.label()
-            ),
-        }
-    }
-    table_for(KernelKind::Avx2)
-        .or_else(|| table_for(KernelKind::Sse2))
-        .unwrap_or(&SCALAR_TABLE)
-}
-
-/// Resolves the selection policy for a given `BIGMAP_KERNEL` value
-/// (`None` = unset), parsing through the shared [`crate::env`] policy.
-#[cfg(test)]
-fn select(env_override: Option<&str>) -> &'static KernelTable {
-    select_kind(crate::env::parse_kernel(env_override))
-}
-
-/// The process-wide active kernel table.
+/// The process-wide active kernel table: the widest kernel the CPU
+/// supports (AVX2, else scalar).
 ///
-/// Resolved once, at first call, from `BIGMAP_KERNEL` (via
-/// [`crate::env::kernel_request`]) and runtime feature detection; every
+/// Resolved once, at first call, by runtime feature detection; every
 /// later call is a single atomic load. Both map schemes route their
 /// classify/compare/fused operations through this table.
 pub fn active() -> &'static KernelTable {
     static ACTIVE: OnceLock<&'static KernelTable> = OnceLock::new();
-    ACTIVE.get_or_init(|| select_kind(crate::env::kernel_request()))
+    ACTIVE.get_or_init(|| table_for(KernelKind::Avx2).unwrap_or(&SCALAR_TABLE))
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -296,7 +189,6 @@ mod x86 {
     //! alignment-phase concerns of the scalar path do not apply.
 
     use super::*;
-    use crate::classify::classify_word;
     use std::arch::x86_64::*;
 
     /// Verdict accumulator mirroring `diff.rs`: once `NewEdge` is found the
@@ -306,83 +198,6 @@ mod x86 {
         if v > *verdict {
             *verdict = v;
         }
-    }
-
-    // ---------------------------------------------------------------- SSE2
-
-    /// SSE2 classify: 16-byte zero skim, 16-bit-LUT classification of the
-    /// words inside non-zero blocks.
-    ///
-    /// SSE2 has no byte shuffle (`pshufb` is SSSE3), so the bucket mapping
-    /// itself stays on the scalar LUT; the win is skipping zero blocks
-    /// twice as fast as the word loop, which on sparse coverage maps is
-    /// almost all of the work.
-    pub(super) fn classify_sse2(counts: &mut [u8]) {
-        let len = counts.len();
-        let blocks = len / 16;
-        let ptr = counts.as_mut_ptr();
-        // SAFETY: see module-level safety argument; `i * 16 + 16 <= len`.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            for i in 0..blocks {
-                let p = ptr.add(i * 16);
-                let v = _mm_loadu_si128(p.cast::<__m128i>());
-                if _mm_movemask_epi8(_mm_cmpeq_epi8(v, zero)) == 0xFFFF {
-                    continue;
-                }
-                for j in 0..2 {
-                    let wp = p.add(j * 8).cast::<u64>();
-                    let w = wp.read_unaligned();
-                    let classified = classify_word(w);
-                    // Store elision: counts 0/1/2 and already-bucketed
-                    // values are fixed points of the classifier, so most
-                    // real coverage words come out unchanged — skipping
-                    // the store keeps their cache lines clean.
-                    if classified != w {
-                        wp.write_unaligned(classified);
-                    }
-                }
-            }
-        }
-        classify_slice(&mut counts[blocks * 16..]);
-    }
-
-    /// SSE2 compare: 16-byte blocks, `pand` + zero test for the skip path,
-    /// `pcmpeqb` against 0xFF for the new-edge test, `pandn` clear.
-    pub(super) fn compare_sse2(cur: &[u8], virgin: &mut [u8]) -> NewCoverage {
-        assert_eq!(cur.len(), virgin.len(), "region length mismatch");
-        let len = cur.len();
-        let blocks = len / 16;
-        let mut verdict = NewCoverage::None;
-        let cur_ptr = cur.as_ptr();
-        let vir_ptr = virgin.as_mut_ptr();
-        // SAFETY: see module-level safety argument.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            let ff = _mm_set1_epi8(-1);
-            for i in 0..blocks {
-                let cp = cur_ptr.add(i * 16).cast::<__m128i>();
-                let vp = vir_ptr.add(i * 16).cast::<__m128i>();
-                let c = _mm_loadu_si128(cp);
-                let v = _mm_loadu_si128(vp);
-                let hits = _mm_and_si128(c, v);
-                if _mm_movemask_epi8(_mm_cmpeq_epi8(hits, zero)) == 0xFFFF {
-                    continue;
-                }
-                if verdict < NewCoverage::NewEdge {
-                    let virgin_ff = _mm_cmpeq_epi8(v, ff);
-                    let edge = _mm_and_si128(hits, virgin_ff);
-                    if _mm_movemask_epi8(_mm_cmpeq_epi8(edge, zero)) != 0xFFFF {
-                        raise(&mut verdict, NewCoverage::NewEdge);
-                    } else {
-                        raise(&mut verdict, NewCoverage::NewBucket);
-                    }
-                }
-                _mm_storeu_si128(vp, _mm_andnot_si128(c, v));
-            }
-        }
-        let tail = blocks * 16;
-        verdict.max(compare_region(&cur[tail..], &mut virgin[tail..]))
     }
 
     // ---------------------------------------------------------------- AVX2
@@ -591,40 +406,24 @@ mod tests {
     }
 
     #[test]
-    fn labels_round_trip() {
+    fn display_uses_the_label() {
         for kind in KernelKind::ALL {
-            assert_eq!(KernelKind::from_label(kind.label()), Some(kind));
             assert_eq!(kind.to_string(), kind.label());
         }
-        assert_eq!(KernelKind::from_label("neon"), None);
-    }
-
-    #[test]
-    fn select_honours_supported_override() {
-        assert_eq!(select(Some("scalar")).kind, KernelKind::Scalar);
-    }
-
-    #[test]
-    fn select_falls_back_on_unknown_override() {
-        let auto = select(None).kind;
-        assert_eq!(select(Some("quantum")).kind, auto);
     }
 
     #[test]
     fn auto_selection_prefers_widest_available() {
-        let auto = select(None).kind;
         let avail = available();
-        assert_eq!(auto, *avail.last().unwrap());
+        assert_eq!(active().kind, *avail.last().unwrap());
     }
 
     #[test]
-    fn active_is_stable_and_counts_invocations() {
+    fn active_is_stable_and_classifies() {
         let table = active();
-        assert_eq!(active().kind, table.kind);
-        let before = invocations(table.kind);
+        assert!(std::ptr::eq(active(), table));
         let mut buf = vec![3u8; 64];
         table.classify(&mut buf);
-        assert!(invocations(table.kind) > before);
         assert!(buf.iter().all(|&b| b == 4)); // 3 hits → bucket 4
     }
 

@@ -24,8 +24,8 @@
 //! * [`VirginState`] — the global "virgin" map that `compare` diffs against,
 //! * the §IV-E optimizations: merged classify+compare, non-temporal reset
 //!   ([`simd`]) and huge-page-backed allocation ([`alloc`]),
-//! * [`kernels`] — SSE2/AVX2 vector kernels for classify, compare and the
-//!   merged pass, selected once at startup into a dispatch table,
+//! * [`kernels`] — AVX2 vector kernels for classify, compare and the
+//!   merged pass, picked once by CPU detection into a dispatch table,
 //! * [`journal`] / [`sparse`] — the per-exec touched-slot journal and the
 //!   adaptive sparse/dense dispatcher that shrink the per-exec map ops
 //!   from `O(used_key)` to `O(touched)` at low densities,

@@ -1,30 +1,26 @@
 //! Adaptive sparse/dense dispatch for the per-exec map operations.
 //!
-//! The PR-4 kernel table ([`crate::kernels`]) picks *how* a dense pass over
-//! the used prefix runs (scalar/SSE2/AVX2). This module sits next to it and
+//! The kernel table ([`crate::kernels`]) picks *how* a dense pass over
+//! the used prefix runs (scalar/AVX2). This module sits next to it and
 //! picks *whether* a dense pass runs at all: when the touch journal
 //! ([`crate::journal`]) is a complete account of this exec's writes, the
 //! sparse pipeline (classify/compare/fused/reset over journaled slots only)
 //! costs `O(touched)` instead of `O(used_key)`.
 //!
 //! The decision is made once per exec from the journal's density
-//! (`touched / used`) against a measured crossover, and is overridable
-//! process-wide with `BIGMAP_SPARSE=on|off|auto` (mirroring
-//! `BIGMAP_KERNEL`) or per map instance via
-//! [`crate::traits::CoverageMap::set_sparse_override`] — the per-instance
-//! override exists so one process can run both paths side by side
-//! (equivalence tests, benchmark arms).
-
-use std::sync::OnceLock;
+//! (`touched / used`) against a measured crossover ([`SparseMode::Auto`]).
+//! A map instance can force either path with
+//! [`crate::traits::CoverageMap::set_sparse_override`] (a campaign sets it
+//! from `CampaignConfig::sparse`), so one process can run both paths side
+//! by side (equivalence tests, benchmark arms).
 
 use crate::classify::BUCKET_LUT;
-use crate::counters::EventCounter;
 use crate::diff;
 use crate::journal::SlotRun;
 use crate::kernels::KernelTable;
 use crate::traits::NewCoverage;
 
-/// Dispatch policy for the sparse pipeline, settable via `BIGMAP_SPARSE`.
+/// Dispatch policy for the sparse pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SparseMode {
     /// Use the journal-driven sparse path whenever the journal is complete.
@@ -36,27 +32,6 @@ pub enum SparseMode {
     Auto,
 }
 
-impl SparseMode {
-    /// The env-var spelling of this mode.
-    pub fn label(self) -> &'static str {
-        match self {
-            SparseMode::On => "on",
-            SparseMode::Off => "off",
-            SparseMode::Auto => "auto",
-        }
-    }
-
-    /// Parses an env-var spelling (case-insensitive).
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label.to_ascii_lowercase().as_str() {
-            "on" => Some(SparseMode::On),
-            "off" => Some(SparseMode::Off),
-            "auto" => Some(SparseMode::Auto),
-            _ => None,
-        }
-    }
-}
-
 /// Which implementation a per-exec map op dispatched to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OpPath {
@@ -65,16 +40,6 @@ pub enum OpPath {
     Dense,
     /// Journal-driven walk over this exec's touched slots.
     Sparse,
-}
-
-impl OpPath {
-    /// Stable index for per-path counters.
-    fn slot(self) -> usize {
-        match self {
-            OpPath::Dense => 0,
-            OpPath::Sparse => 1,
-        }
-    }
 }
 
 /// Run-count crossover for [`SparseMode::Auto`], as a divisor: the sparse
@@ -172,63 +137,6 @@ pub fn select_path(
     }
 }
 
-/// Resolves the process-wide default mode from `BIGMAP_SPARSE`.
-///
-/// Pure helper behind [`sparse_mode`]; unknown values fall back to
-/// [`SparseMode::Auto`] with a warning on stderr, mirroring the
-/// `BIGMAP_KERNEL` fallback behaviour.
-pub fn select_mode(env_override: Option<&str>) -> SparseMode {
-    match env_override {
-        None => SparseMode::Auto,
-        Some(raw) => match SparseMode::from_label(raw.trim()) {
-            Some(mode) => mode,
-            None => {
-                eprintln!("bigmap: BIGMAP_SPARSE={raw:?} is not one of on|off|auto; using auto");
-                SparseMode::Auto
-            }
-        },
-    }
-}
-
-/// The process-wide default dispatch mode, resolved once from
-/// `BIGMAP_SPARSE` (via [`crate::env::sparse_request`]) on first use.
-pub fn sparse_mode() -> SparseMode {
-    static MODE: OnceLock<SparseMode> = OnceLock::new();
-    *MODE.get_or_init(crate::env::sparse_request)
-}
-
-/// Per-path dispatch counters (indexed by `OpPath::slot`), mirroring the
-/// kernel table's invocation counters.
-static DISPATCHES: [EventCounter; 2] = [EventCounter::new(), EventCounter::new()];
-
-/// Execs whose journal overflowed (dense fallback forced).
-static OVERFLOWS: EventCounter = EventCounter::new();
-
-/// Records one dispatched map op on `path`.
-#[inline]
-pub(crate) fn note_dispatch(path: OpPath) {
-    DISPATCHES[path.slot()].incr();
-}
-
-/// Records one exec whose journal overflowed.
-#[inline]
-pub(crate) fn note_overflow() {
-    OVERFLOWS.incr();
-}
-
-/// Process-wide count of map ops dispatched to `path` so far.
-///
-/// Diagnostic mirror of [`crate::kernels::invocations`]; the fuzzer's
-/// telemetry layer keeps its own per-exec counters on top of this.
-pub fn dispatches(path: OpPath) -> u64 {
-    DISPATCHES[path.slot()].get()
-}
-
-/// Process-wide count of journal overflows observed so far.
-pub fn journal_overflows() -> u64 {
-    OVERFLOWS.get()
-}
-
 /// Journal-driven reset: zeroes exactly the listed condensed slots.
 ///
 /// Equivalent to `counts.fill(0)` over the used prefix whenever `slots`
@@ -257,7 +165,7 @@ pub fn reset_slots(counts: &mut [u8], slots: &[u32]) {
 // The journal stores maximal runs of consecutive slots
 // ([`crate::journal::SlotRun`]), and these are the ops the BigMap hot path
 // actually dispatches to. Runs at or above [`VECTOR_RUN_MIN`] are handed to
-// the PR-4 vector kernels as ordinary sub-slices — the kernels are offset-
+// the vector kernels as ordinary sub-slices — the kernels are offset-
 // and length-agnostic — so clustered coverage is processed at full SIMD
 // width; shorter runs take a scalar per-slot loop. Equivalence with the
 // dense pass holds under the journal guarantee (runs cover every nonzero
@@ -330,7 +238,7 @@ pub fn classify_runs(counts: &mut [u8], runs: &[SlotRun], table: &KernelTable) {
     validate_runs(counts.len(), runs);
     for r in runs {
         if r.len as usize >= VECTOR_RUN_MIN {
-            table.classify_uncounted(&mut counts[r.range()]);
+            table.classify(&mut counts[r.range()]);
         } else {
             for s in r.range() {
                 // SAFETY: every run was bounds-checked above.
@@ -366,7 +274,7 @@ pub fn compare_runs(
     for (i, r) in runs.iter().enumerate() {
         prefetch_run(cur, virgin, runs, i);
         if r.len as usize >= VECTOR_RUN_MIN {
-            verdict = verdict.max(table.compare_uncounted(&cur[r.range()], &mut virgin[r.range()]));
+            verdict = verdict.max(table.compare(&cur[r.range()], &mut virgin[r.range()]));
         } else {
             for s in r.range() {
                 // SAFETY: every run was bounds-checked above.
@@ -404,8 +312,8 @@ pub fn classify_and_compare_runs(
     for (i, r) in runs.iter().enumerate() {
         prefetch_run(cur, virgin, runs, i);
         if r.len as usize >= VECTOR_RUN_MIN {
-            verdict =
-                verdict.max(table.fused_uncounted(&mut cur[r.range()], &mut virgin[r.range()]));
+            verdict = verdict
+                .max(table.classify_and_compare(&mut cur[r.range()], &mut virgin[r.range()]));
         } else {
             for s in r.range() {
                 // SAFETY: every run was bounds-checked above.
@@ -428,23 +336,6 @@ pub fn classify_and_compare_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip() {
-        for mode in [SparseMode::On, SparseMode::Off, SparseMode::Auto] {
-            assert_eq!(SparseMode::from_label(mode.label()), Some(mode));
-        }
-        assert_eq!(SparseMode::from_label("AUTO"), Some(SparseMode::Auto));
-        assert_eq!(SparseMode::from_label("sparse"), None);
-    }
-
-    #[test]
-    fn select_mode_falls_back_to_auto() {
-        assert_eq!(select_mode(None), SparseMode::Auto);
-        assert_eq!(select_mode(Some("on")), SparseMode::On);
-        assert_eq!(select_mode(Some(" Off ")), SparseMode::Off);
-        assert_eq!(select_mode(Some("bogus")), SparseMode::Auto);
-    }
 
     #[test]
     fn overflow_always_forces_dense() {
@@ -622,19 +513,5 @@ mod tests {
             assert_eq!(verdict, model, "{kind}: replay verdict");
             assert_eq!(virgin, model_virgin, "{kind}: replay virgin");
         }
-    }
-
-    #[test]
-    fn dispatch_counters_accumulate() {
-        let dense0 = dispatches(OpPath::Dense);
-        let sparse0 = dispatches(OpPath::Sparse);
-        let over0 = journal_overflows();
-        note_dispatch(OpPath::Dense);
-        note_dispatch(OpPath::Sparse);
-        note_dispatch(OpPath::Sparse);
-        note_overflow();
-        assert_eq!(dispatches(OpPath::Dense), dense0 + 1);
-        assert_eq!(dispatches(OpPath::Sparse), sparse0 + 2);
-        assert_eq!(journal_overflows(), over0 + 1);
     }
 }

@@ -4,8 +4,9 @@
 //! (`always`), run untraced fast execs and re-trace only the ones the
 //! novelty oracle flags (`selective`), or let the campaign fall back to
 //! direct tracing in windows where selective tracing is re-tracing
-//! almost everything anyway (`auto`). The mode is a pure dispatch
-//! choice: selective tracing is coverage-preserving by construction
+//! almost everything anyway (`auto`). Each campaign picks its mode
+//! (`CampaignConfig::trace`, default `always`). The mode is a pure
+//! dispatch choice: selective tracing is coverage-preserving by construction
 //! (the oracle is strictly conservative), so all three modes produce
 //! bit-identical campaign trajectories.
 
@@ -25,71 +26,13 @@ pub enum TraceMode {
 }
 
 impl TraceMode {
-    /// The canonical lowercase label (`always` / `selective` / `auto`).
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceMode::Always => "always",
-            TraceMode::Selective => "selective",
-            TraceMode::Auto => "auto",
-        }
-    }
-
-    /// Parses a label, case-insensitively. `None` for unknown values.
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label.to_ascii_lowercase().as_str() {
-            "always" => Some(TraceMode::Always),
-            "selective" => Some(TraceMode::Selective),
-            "auto" => Some(TraceMode::Auto),
-            _ => None,
-        }
-    }
-
     /// All modes, for exhaustive tests and equivalence sweeps.
     pub const ALL: [TraceMode; 3] = [TraceMode::Always, TraceMode::Selective, TraceMode::Auto];
-}
-
-/// Resolves the trace mode from an env override (the raw value of
-/// `BIGMAP_TRACE_MODE`, if set). Unknown values warn on stderr and fall
-/// back to the default ([`TraceMode::Always`]).
-pub fn select_trace_mode(env_override: Option<&str>) -> TraceMode {
-    match env_override {
-        None => TraceMode::default(),
-        Some(raw) => match TraceMode::from_label(raw.trim()) {
-            Some(mode) => mode,
-            None => {
-                eprintln!(
-                    "BIGMAP_TRACE_MODE={raw}: unknown mode (expected always|selective|auto), \
-                     using always"
-                );
-                TraceMode::default()
-            }
-        },
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip() {
-        for mode in TraceMode::ALL {
-            assert_eq!(TraceMode::from_label(mode.label()), Some(mode));
-        }
-        assert_eq!(
-            TraceMode::from_label("SELECTIVE"),
-            Some(TraceMode::Selective)
-        );
-        assert_eq!(TraceMode::from_label("fast"), None);
-    }
-
-    #[test]
-    fn select_falls_back_to_always() {
-        assert_eq!(select_trace_mode(None), TraceMode::Always);
-        assert_eq!(select_trace_mode(Some("selective")), TraceMode::Selective);
-        assert_eq!(select_trace_mode(Some(" Auto ")), TraceMode::Auto);
-        assert_eq!(select_trace_mode(Some("bogus")), TraceMode::Always);
-    }
 
     #[test]
     fn default_is_always() {

@@ -148,13 +148,13 @@ pub trait CoverageMap: Any + Send {
     /// (after folding). Returns 0 for keys never recorded.
     fn value_of_key(&self, key: u32) -> u8;
 
-    /// Overrides the process-wide `BIGMAP_SPARSE` dispatch policy for this
-    /// map instance; `None` restores the process default.
+    /// Overrides this map instance's sparse/dense dispatch policy; `None`
+    /// restores the default, [`SparseMode::Auto`].
     ///
-    /// Exists so one process can run sparse and dense pipelines side by
-    /// side (equivalence tests, benchmark arms) despite the env policy
-    /// being resolved once. Maps without a sparse pipeline (the flat
-    /// scheme) ignore the override — the default implementation is a no-op.
+    /// Campaigns set it from `CampaignConfig::sparse`, so one process can
+    /// run sparse and dense pipelines side by side (equivalence tests,
+    /// benchmark arms). Maps without a sparse pipeline (the flat scheme)
+    /// ignore the override — the default implementation is a no-op.
     fn set_sparse_override(&mut self, _mode: Option<SparseMode>) {}
 
     /// Which path the most recent classify/compare/merged op dispatched

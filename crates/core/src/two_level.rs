@@ -68,8 +68,8 @@ pub struct BigMap {
     /// Condensed slots first-touched this exec, epoch-deduped; drives the
     /// sparse pipeline when complete.
     journal: TouchJournal,
-    /// Per-instance `BIGMAP_SPARSE` override (`None` = process default).
-    sparse_override: Option<SparseMode>,
+    /// The dispatch policy in force for this instance.
+    sparse_mode: SparseMode,
     /// Path the most recent classify/compare/merged op dispatched to.
     last_path: OpPath,
 }
@@ -110,7 +110,7 @@ impl BigMap {
             size,
             mask: size.mask(),
             journal: TouchJournal::with_capacity(size.bytes(), journal_capacity),
-            sparse_override: None,
+            sparse_mode: SparseMode::Auto,
             last_path: OpPath::Dense,
         })
     }
@@ -155,12 +155,6 @@ impl BigMap {
         self.used_key as usize
     }
 
-    /// The dispatch policy in force for this instance.
-    #[inline]
-    fn sparse_mode(&self) -> SparseMode {
-        self.sparse_override.unwrap_or_else(sparse::sparse_mode)
-    }
-
     /// One dispatch decision per exec, shared by every per-exec op: the
     /// journal does not change between classify, compare and the merged
     /// pass (and `reset` consumes the same journal at the start of the
@@ -169,7 +163,7 @@ impl BigMap {
     #[inline]
     fn dispatch_path(&self) -> OpPath {
         sparse::select_path(
-            self.sparse_mode(),
+            self.sparse_mode,
             self.journal.is_complete(),
             self.journal.len(),
             self.journal.runs().len(),
@@ -220,9 +214,6 @@ impl CoverageMap for BigMap {
             OpPath::Sparse => sparse::reset_runs(&mut self.coverage[..used], self.journal.runs()),
             OpPath::Dense => self.coverage[..used].fill(0),
         }
-        if self.journal.overflowed() {
-            sparse::note_overflow();
-        }
         self.journal.advance();
     }
 
@@ -234,7 +225,6 @@ impl CoverageMap for BigMap {
         // long runs back to the same kernels as sub-slices.
         let used = self.used();
         let path = self.dispatch_path();
-        sparse::note_dispatch(path);
         self.last_path = path;
         match path {
             OpPath::Sparse => sparse::classify_runs(
@@ -250,7 +240,6 @@ impl CoverageMap for BigMap {
         assert_eq!(virgin.map_size(), self.size, "virgin map size mismatch");
         let used = self.used();
         let path = self.dispatch_path();
-        sparse::note_dispatch(path);
         self.last_path = path;
         match path {
             OpPath::Sparse => sparse::compare_runs(
@@ -268,7 +257,6 @@ impl CoverageMap for BigMap {
         assert_eq!(virgin.map_size(), self.size, "virgin map size mismatch");
         let used = self.used();
         let path = self.dispatch_path();
-        sparse::note_dispatch(path);
         self.last_path = path;
         match path {
             OpPath::Sparse => sparse::classify_and_compare_runs(
@@ -319,7 +307,7 @@ impl CoverageMap for BigMap {
     }
 
     fn set_sparse_override(&mut self, mode: Option<SparseMode>) {
-        self.sparse_override = mode;
+        self.sparse_mode = mode.unwrap_or_default();
     }
 
     fn last_op_path(&self) -> OpPath {

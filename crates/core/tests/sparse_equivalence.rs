@@ -6,10 +6,10 @@
 //! state to one forced onto the dense path over arbitrary exec streams,
 //! including journals small enough to overflow mid-exec.
 //!
-//! CI runs this file under every `BIGMAP_KERNEL` setting it exercises for
-//! `kernel_equivalence` — the function-level properties loop over
-//! `available()` explicitly, and the map-level properties go through
-//! whatever table the dispatcher pinned.
+//! The function-level properties loop over every kernel in `available()`;
+//! the map-level properties go through the table the CPU selected
+//! (`kernels::active()`). CI also reruns this file with AVX2 codegen
+//! flags.
 
 use bigmap_core::classify::classify_slice;
 use bigmap_core::diff::classify_and_compare_region;

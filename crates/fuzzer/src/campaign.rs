@@ -130,16 +130,15 @@ pub struct CampaignConfig {
     /// keeps the configured `exec.max_steps` (the paper's fixed-budget
     /// setup).
     pub hang_budget: Option<HangBudget>,
-    /// Per-campaign override of the sparse/dense map-op dispatch policy
-    /// (`bigmap_core::sparse`). `None` follows the process-wide
-    /// `BIGMAP_SPARSE` setting (default: adaptive). Only meaningful for
-    /// the two-level scheme; the flat map is always dense.
+    /// The sparse/dense map-op dispatch policy (`bigmap_core::sparse`).
+    /// `None` means [`SparseMode::Auto`]: pick per exec by journal
+    /// density. Only meaningful for the two-level scheme; the flat map is
+    /// always dense.
     pub sparse: Option<SparseMode>,
-    /// Per-campaign override of the two-speed execution mode
-    /// (`bigmap_core::trace`). `None` follows the process-wide
-    /// `BIGMAP_TRACE_MODE` setting (default: always trace). Selective
-    /// tracing is coverage-preserving: every mode produces a
-    /// bit-identical campaign trajectory.
+    /// The two-speed execution mode (`bigmap_core::trace`). `None` means
+    /// [`TraceMode::Always`]: trace every exec. Selective tracing is
+    /// coverage-preserving: every mode produces a bit-identical campaign
+    /// trajectory.
     pub trace: Option<TraceMode>,
     /// Per-campaign override of the target execution engine
     /// (`bigmap_core::interp`). `None` follows the process-wide
@@ -304,14 +303,14 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Per-campaign override of the sparse/dense map-op dispatch policy.
+    /// The sparse/dense map-op dispatch policy (default: adaptive).
     #[must_use]
     pub fn sparse(mut self, mode: SparseMode) -> Self {
         self.config.sparse = Some(mode);
         self
     }
 
-    /// Per-campaign override of the two-speed execution mode.
+    /// The two-speed execution mode (default: always trace).
     #[must_use]
     pub fn trace_mode(mut self, mode: TraceMode) -> Self {
         self.config.trace = Some(mode);
@@ -439,8 +438,8 @@ pub struct Campaign<'p> {
     /// suppresses trimming, re-admission side effects, telemetry counts
     /// and seed-step sampling (the replay is reconstruction, not work).
     restoring: bool,
-    /// The resolved two-speed execution mode (config override or the
-    /// process-wide `BIGMAP_TRACE_MODE`).
+    /// The resolved two-speed execution mode (`config.trace`, default
+    /// [`TraceMode::Always`]).
     trace_mode: TraceMode,
     /// The novelty oracle behind selective tracing; `Some` whenever
     /// `trace_mode` is not [`TraceMode::Always`].
@@ -499,7 +498,7 @@ impl<'p> Campaign<'p> {
         let mut map = build_map(config.scheme, config.map_size);
         map.set_sparse_override(config.sparse);
         let metric = build_metric(config.metric);
-        let trace_mode = config.trace.unwrap_or_else(bigmap_core::env::trace_request);
+        let trace_mode = config.trace.unwrap_or_default();
         let oracle = (trace_mode != TraceMode::Always)
             .then(|| NoveltyOracle::new(interpreter.program().block_count()));
         let mut executor = Executor::new(interpreter, instrumentation, metric);
@@ -1695,14 +1694,8 @@ mod tests {
         );
         let active = TelemetryEvent::for_kernel(bigmap_core::kernels::active().kind);
         assert_eq!(snap.get(active), dense);
-        let kernel_total: u64 = [
-            TelemetryEvent::KernelScalarOp,
-            TelemetryEvent::KernelSse2Op,
-            TelemetryEvent::KernelAvx2Op,
-        ]
-        .iter()
-        .map(|&e| snap.get(e))
-        .sum();
+        let kernel_total =
+            snap.get(TelemetryEvent::KernelScalarOp) + snap.get(TelemetryEvent::KernelAvx2Op);
         assert_eq!(kernel_total, dense, "only the active kernel counts");
         // The default journal capacity is far above anything these
         // simulated targets touch per exec.

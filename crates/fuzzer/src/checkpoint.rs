@@ -35,8 +35,8 @@
 //!   *detected* on load rather than silently restoring garbage. Every
 //!   restored checkpoint is checksum-verified: other versions (such as
 //!   the pre-checksum v1) are rejected like any corrupt generation.
-//! * The last [`env::ckpt_keep`](bigmap_core::env::ckpt_keep)
-//!   generations are retained (`checkpoint`, `checkpoint.1`, …);
+//! * The last three generations are retained (`checkpoint`,
+//!   `checkpoint.1`, …; [`CheckpointManager::with_keep`] changes that);
 //!   [`CheckpointManager::load`] falls back to the newest generation
 //!   whose checksums verify, so one corrupt snapshot degrades the
 //!   campaign by one checkpoint interval instead of forcing a cold
@@ -96,6 +96,8 @@ use crate::telemetry::TelemetryEvent;
 pub const CHECKPOINT_FILE: &str = "checkpoint";
 /// Temp file the snapshot is staged in before the atomic rename.
 const CHECKPOINT_TMP: &str = "checkpoint.tmp";
+/// Generations a [`CheckpointManager`] retains by default.
+const DEFAULT_KEEP: usize = 3;
 /// Format magic + version written by [`Checkpoint::to_text`].
 const MAGIC_V2: &str = "bigmap-checkpoint v2";
 
@@ -544,8 +546,8 @@ pub struct RestoreReport {
 }
 
 /// Writes periodic checkpoints for one campaign into a directory, via
-/// fsynced temp-file + atomic rename, retaining the last
-/// [`env::ckpt_keep`](bigmap_core::env::ckpt_keep) generations.
+/// fsynced temp-file + atomic rename, retaining the last three
+/// generations unless [`CheckpointManager::with_keep`] says otherwise.
 ///
 /// The manager owns the cadence (every N executions, checked at sync
 /// boundaries) and the persistence; the state capture itself is
@@ -569,7 +571,7 @@ pub struct CheckpointManager {
 impl CheckpointManager {
     /// Manager writing into `dir` (created on first write) every `every`
     /// executions. An `every` of 0 checkpoints at every opportunity.
-    /// Retains `BIGMAP_CKPT_KEEP` generations (override with
+    /// Retains three generations (override with
     /// [`CheckpointManager::with_keep`]).
     ///
     /// A stale `checkpoint.tmp` left by a crash mid-publish is removed
@@ -585,7 +587,7 @@ impl CheckpointManager {
             next_at: every,
             min_interval: Duration::ZERO,
             last_write: None,
-            keep: bigmap_core::env::ckpt_keep(),
+            keep: DEFAULT_KEEP,
         }
     }
 

@@ -31,11 +31,11 @@
 //! is the pipe itself**: frames are written straight to the blocking
 //! stdio pipe, so a worker that publishes faster than its service thread
 //! drains simply blocks at the next sync boundary — no unbounded queue
-//! on either side. Publishes larger than `BIGMAP_SYNC_BATCH` entries are
-//! split across frames so one giant find burst cannot monopolize the
-//! pipe between fetch opportunities. A worker sends a `TELEMETRY` frame
-//! at every sync boundary and one more after its campaign ends, then
-//! `STATS` and `DONE`.
+//! on either side. Publishes larger than 64 entries are split across
+//! frames so one giant find burst cannot monopolize the pipe between
+//! fetch opportunities. A worker sends a `TELEMETRY` frame at every sync
+//! boundary and one more after its campaign ends, then `STATS` and
+//! `DONE`.
 //!
 //! A worker that receives [`FRAME_CURSOR_FAULT`] (its cursor ran past
 //! the published corpus — only possible through state corruption) resets
@@ -48,17 +48,20 @@
 //!
 //! Exit-based supervision cannot see a worker that is *stuck*: alive,
 //! pipe open, making no progress (a hung target, a wedged syscall, a
-//! stalled filesystem). For that, each worker runs a heartbeat thread
-//! that sends [`FRAME_HEARTBEAT`] — carrying the cumulative exec count —
-//! every `BIGMAP_HEARTBEAT_MS` milliseconds, and each service thread
-//! enforces a *progress* deadline: any non-heartbeat frame counts as
+//! stalled filesystem). For that, each service thread enforces a
+//! *progress* deadline, [`FleetConfig::liveness_deadline`] (default
+//! 30 s; zero disables it), and each worker runs a heartbeat thread that
+//! sends [`FRAME_HEARTBEAT`] — carrying the cumulative exec count — 60
+//! times per deadline (at least 1 ms apart; 500 ms at the default). The
+//! parent derives that cadence from the deadline and passes it in the
+//! `BIGMAP_FABRIC_WORKER` handshake, so a busy worker always reports
+//! progress well inside any deadline. Any non-heartbeat frame counts as
 //! progress, and a heartbeat counts only when its exec count has
 //! advanced since the last one. A worker that stays silent past the
 //! deadline — or keeps heartbeating with a frozen exec counter — is
 //! killed, counted as a `heartbeat_miss` in the fleet telemetry, and
-//! handed to the fleet's restart loop. The deadline comes from
-//! [`FleetConfig::liveness_deadline`] (default
-//! `BIGMAP_LIVENESS_DEADLINE_MS`); a zero duration disables enforcement.
+//! handed to the fleet's restart loop. A zero deadline also means no
+//! heartbeat thread.
 
 use std::io;
 use std::process::{Child, Command, Stdio};
@@ -93,10 +96,28 @@ pub const FRAME_STATS: u8 = 6;
 /// Worker → parent: clean completion.
 pub const FRAME_DONE: u8 = 7;
 /// Worker → parent: liveness heartbeat carrying the cumulative exec
-/// count as a varint. Sent by a dedicated worker thread every
-/// `BIGMAP_HEARTBEAT_MS`; the parent treats it as progress only when
+/// count as a varint. Sent by a dedicated worker thread at the cadence
+/// the handshake carries; the parent treats it as progress only when
 /// the exec count has advanced.
 pub const FRAME_HEARTBEAT: u8 = 8;
+
+/// Max corpus entries per `PUBLISH` frame; larger publishes are split.
+const SYNC_BATCH: usize = 64;
+
+/// The liveness deadline when [`FleetConfig::liveness_deadline`] is
+/// `None`.
+const DEFAULT_LIVENESS_DEADLINE: Duration = Duration::from_secs(30);
+
+/// The heartbeat cadence, in milliseconds, the parent hands a worker
+/// whose liveness deadline is `deadline`: 60 heartbeats per deadline, at
+/// least 1 ms apart. Zero (no heartbeats) when liveness is disabled.
+fn heartbeat_ms(deadline: Duration) -> u64 {
+    if deadline.is_zero() {
+        0
+    } else {
+        (deadline / 60).as_millis().max(1) as u64
+    }
+}
 
 /// This process's role in a fleet, from the `BIGMAP_FABRIC_WORKER`
 /// handshake the parent sets on its children.
@@ -107,14 +128,22 @@ pub struct WorkerRole {
     pub index: usize,
     /// Total workers in the fleet.
     pub workers: usize,
+    /// Milliseconds between heartbeats, derived by the parent from its
+    /// liveness deadline; zero means no heartbeats.
+    pub heartbeat_ms: u64,
 }
 
 impl WorkerRole {
-    /// Reads the role from `BIGMAP_FABRIC_WORKER` (`"<index>/<count>"`).
-    /// `None` means this process is not a fleet worker. Host binaries
-    /// check this first thing in `main` and hand off to [`run_worker`].
+    /// Reads the role from `BIGMAP_FABRIC_WORKER`
+    /// (`"<index>/<count>/<heartbeat_ms>"`). `None` means this process is
+    /// not a fleet worker. Host binaries check this first thing in `main`
+    /// and hand off to [`run_worker`].
     pub fn from_env() -> Option<WorkerRole> {
-        bigmap_core::env::fabric_worker().map(|(index, workers)| WorkerRole { index, workers })
+        bigmap_core::env::fabric_worker().map(|(index, workers, heartbeat_ms)| WorkerRole {
+            index,
+            workers,
+            heartbeat_ms,
+        })
     }
 }
 
@@ -127,7 +156,6 @@ fn send(kind: u8, payload: &[u8]) -> io::Result<()> {
 /// worker (see the module docs).
 struct PipeSync {
     index: usize,
-    batch_limit: usize,
     faults: Option<Arc<InstanceFaults>>,
 }
 
@@ -145,7 +173,7 @@ impl PipeSync {
 
 impl CorpusSync for PipeSync {
     fn publish(&self, publisher: usize, inputs: Vec<Vec<u8>>) {
-        for chunk in inputs.chunks(self.batch_limit) {
+        for chunk in inputs.chunks(SYNC_BATCH) {
             let entries: Vec<(u64, &[u8])> = chunk
                 .iter()
                 .map(|input| (publisher as u64, input.as_slice()))
@@ -230,7 +258,7 @@ pub fn run_worker(role: WorkerRole, instance: &Instance<'_>) -> io::Result<Campa
     // exec count so the parent can tell "alive but stuck" from "alive
     // and working". Per-frame stdout locking keeps heartbeats atomic
     // with respect to the sync frames on the main thread.
-    let heartbeat_ms = bigmap_core::env::heartbeat_ms();
+    let heartbeat_ms = role.heartbeat_ms;
     let heartbeat_stop = Arc::new(AtomicBool::new(false));
     let heartbeat = (heartbeat_ms > 0).then(|| {
         let stop = Arc::clone(&heartbeat_stop);
@@ -251,7 +279,6 @@ pub fn run_worker(role: WorkerRole, instance: &Instance<'_>) -> io::Result<Campa
 
     let pipe = PipeSync {
         index: role.index,
-        batch_limit: bigmap_core::env::sync_batch().max(1),
         faults: faults.clone(),
     };
     let report = |snapshot: TelemetrySnapshot| {
@@ -285,18 +312,18 @@ pub(crate) fn attempt(
     aggregator: &FleetAggregator,
     misses: &AtomicU64,
 ) -> Result<CampaignStats, String> {
+    let deadline = config
+        .liveness_deadline
+        .unwrap_or(DEFAULT_LIVENESS_DEADLINE);
     let mut child = command(index)
         .env(
             "BIGMAP_FABRIC_WORKER",
-            format!("{index}/{}", config.instances),
+            format!("{index}/{}/{}", config.instances, heartbeat_ms(deadline)),
         )
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
         .map_err(|e| format!("spawn failed: {e}"))?;
-    let deadline = config
-        .liveness_deadline
-        .unwrap_or_else(|| Duration::from_millis(bigmap_core::env::liveness_deadline_ms()));
     let outcome = serve_attempt(&mut child, index, hub, aggregator, deadline, misses);
     match (outcome, child.wait()) {
         (Ok(stats), Ok(status)) if status.success() => Ok(stats),
@@ -552,6 +579,15 @@ mod tests {
         }
         put_varint(&mut hostile, u64::MAX);
         assert!(matches!(decode_stats(&hostile), Err(WireError::Truncated)));
+    }
+
+    #[test]
+    fn heartbeat_cadence_is_a_sixtieth_of_the_deadline() {
+        assert_eq!(heartbeat_ms(DEFAULT_LIVENESS_DEADLINE), 500);
+        assert_eq!(heartbeat_ms(Duration::from_millis(1_500)), 25);
+        assert_eq!(heartbeat_ms(Duration::from_millis(400)), 6);
+        assert_eq!(heartbeat_ms(Duration::from_millis(10)), 1);
+        assert_eq!(heartbeat_ms(Duration::ZERO), 0);
     }
 
     #[test]

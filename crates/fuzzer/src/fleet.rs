@@ -158,9 +158,9 @@ pub struct FleetConfig {
     pub telemetry: Option<JsonlSink>,
     /// Processes only: how long a worker may go without progress (any
     /// non-heartbeat frame, or a heartbeat with an advanced exec count)
-    /// before it is killed and restarted. `None` reads the
-    /// `BIGMAP_LIVENESS_DEADLINE_MS` default; `Some(Duration::ZERO)`
-    /// disables enforcement. A hung thread cannot be killed, so thread
+    /// before it is killed and restarted. `None` means 30 s;
+    /// `Some(Duration::ZERO)` disables enforcement. Workers heartbeat 60
+    /// times per deadline. A hung thread cannot be killed, so thread
     /// fleets ignore it.
     pub liveness_deadline: Option<Duration>,
 }

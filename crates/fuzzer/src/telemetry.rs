@@ -124,12 +124,10 @@ telemetry_events! {
     /// Map operations (classify/compare/fused) dispatched to the scalar
     /// word-wise kernel.
     KernelScalarOp => "kernel_scalar_ops",
-    /// Map operations dispatched to the SSE2 kernel.
-    KernelSse2Op => "kernel_sse2_ops",
     /// Map operations dispatched to the AVX2 kernel.
     KernelAvx2Op => "kernel_avx2_ops",
     /// Executions whose post-exec map ops took the journal-driven sparse
-    /// path (`BIGMAP_SPARSE`, see `bigmap_core::sparse`).
+    /// path (`CampaignConfig::sparse`, see `bigmap_core::sparse`).
     SparseDispatch => "sparse_dispatches",
     /// Executions whose post-exec map ops took the dense kernel path.
     DenseDispatch => "dense_dispatches",
@@ -138,8 +136,8 @@ telemetry_events! {
     JournalOverflow => "journal_overflows",
     /// Untraced fast-path executions whose novelty oracle proved them
     /// already-seen, so the traced re-execution was skipped entirely
-    /// (`BIGMAP_TRACE_MODE=selective|auto`). Disjoint from `RetraceExec`;
-    /// together they partition the fast-pass attempts.
+    /// (`CampaignConfig::trace` selective or auto). Disjoint from
+    /// `RetraceExec`; together they partition the fast-pass attempts.
     FastPathExec => "fast_path_execs",
     /// Fast-path executions the oracle flagged as suspicious (or that
     /// crashed/hanged), forcing a full traced re-execution.
@@ -193,7 +191,6 @@ impl TelemetryEvent {
     pub fn for_kernel(kind: bigmap_core::KernelKind) -> TelemetryEvent {
         match kind {
             bigmap_core::KernelKind::Scalar => TelemetryEvent::KernelScalarOp,
-            bigmap_core::KernelKind::Sse2 => TelemetryEvent::KernelSse2Op,
             bigmap_core::KernelKind::Avx2 => TelemetryEvent::KernelAvx2Op,
         }
     }
@@ -749,10 +746,6 @@ mod tests {
             TelemetryEvent::KernelScalarOp
         );
         assert_eq!(
-            TelemetryEvent::for_kernel(KernelKind::Sse2),
-            TelemetryEvent::KernelSse2Op
-        );
-        assert_eq!(
             TelemetryEvent::for_kernel(KernelKind::Avx2),
             TelemetryEvent::KernelAvx2Op
         );
@@ -834,10 +827,11 @@ mod tests {
 
     #[test]
     fn thirty_five_slot_snapshot_lines_still_parse() {
-        // A line in the 35-slot format, which ended with two since-removed
-        // thread-placement counters (each counter holds its old slot + 1).
-        // The two unknown keys are ignored; every other counter and stage
-        // clock must survive intact.
+        // A line in the 35-slot format, which carried three since-removed
+        // counters (the SSE2 kernel's op count and two thread-placement
+        // counters); every counter holds a distinct value, its old slot + 1.
+        // The three unknown keys are ignored; every other counter and
+        // stage clock must survive intact.
         let parent_line = "{\"instance\":5,\"node\":1,\"wall_nanos\":123,\"map_resets\":1,\
                            \"classify_passes\":2,\"virgin_compares\":3,\"queue_cycles\":4,\
                            \"sync_publishes\":5,\"sync_imports\":6,\"import_rejections\":7,\
@@ -857,8 +851,18 @@ mod tests {
                            \"stage_map_ops_nanos\":102,\"stage_target_exec_nanos\":103}";
         let snap = TelemetrySnapshot::from_json(parent_line).expect("35-slot line parses");
         assert_eq!((snap.instance, snap.node, snap.wall_nanos), (5, 1, 123));
+        // What the line carries under each key, split out independently
+        // of the parser under test.
+        let carried: std::collections::HashMap<&str, u64> = parent_line
+            .trim_matches(|c| c == '{' || c == '}')
+            .split(',')
+            .map(|field| {
+                let (key, value) = field.split_once(':').expect("key:value");
+                (key.trim_matches('"'), value.parse().expect("integer value"))
+            })
+            .collect();
         for event in TelemetryEvent::ALL {
-            assert_eq!(snap.get(event), event.slot() as u64 + 1, "{event:?}");
+            assert_eq!(snap.get(event), carried[event.key()], "{event:?}");
         }
         for stage in Stage::ALL {
             assert_eq!(snap.stage_nanos[stage.slot()], stage.slot() as u64 + 100);

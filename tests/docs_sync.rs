@@ -32,3 +32,23 @@ fn readme_mentions_every_knob() {
         );
     }
 }
+
+/// A deleted knob must not be ignored silently: a process that still sets
+/// one gets the unrecognized-knob warning on its first knob read (here,
+/// the worker binary's handshake check).
+#[test]
+fn deleted_knobs_warn_as_unrecognized() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_fabric_worker"))
+        .env_remove("BIGMAP_FABRIC_WORKER")
+        .env("BIGMAP_SPARSE", "off")
+        .env("BIGMAP_KERNEL", "scalar")
+        .output()
+        .expect("run fabric_worker");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    for name in ["BIGMAP_SPARSE", "BIGMAP_KERNEL"] {
+        assert!(
+            stderr.contains(&format!("unrecognized environment knob {name}")),
+            "{name} was not reported as unrecognized:\n{stderr}"
+        );
+    }
+}

@@ -317,9 +317,11 @@ fn damaged_corpus_entries_are_quarantined_and_the_rest_reseeds() {
 
 /// Hung-worker detection in a real process fleet: one worker wedges at
 /// its third sync boundary (executions frozen, heartbeats still
-/// flowing). The parent's progress deadline must kill it, count the
-/// miss, and restart it through the ordinary supervision path — and the
-/// restarted worker still completes its full budget.
+/// flowing — every 25 ms, a sixtieth of the deadline, so the frozen exec
+/// counter rather than pipe silence is what trips it). The parent's
+/// progress deadline must kill it, count the miss, and restart it
+/// through the ordinary supervision path — and the restarted worker
+/// still completes its full budget.
 #[test]
 fn stuck_worker_is_killed_by_the_liveness_deadline_and_restarted() {
     let root = tmp_root("stuck");
@@ -347,9 +349,6 @@ fn stuck_worker_is_killed_by_the_liveness_deadline_and_restarted() {
             "m2",
         ]);
         cmd.arg("--checkpoint-root").arg(&root);
-        // Fast heartbeats so the frozen-exec-counter detection (not just
-        // pipe silence) is what trips the deadline.
-        cmd.env("BIGMAP_HEARTBEAT_MS", "100");
         if index == 1 {
             cmd.arg("--stall-once").arg(&sentinel);
         }
@@ -384,4 +383,44 @@ fn stuck_worker_is_killed_by_the_liveness_deadline_and_restarted() {
     assert!(nodes.contains(&0) && nodes.contains(&1));
 
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// A liveness deadline shorter than the default deadline's 500 ms
+/// heartbeat cadence must not kill a healthy worker: the parent derives
+/// the cadence from the deadline, so a worker that fuzzes for several
+/// deadlines without reaching a sync boundary still proves its progress
+/// by heartbeat.
+#[test]
+fn busy_worker_outlives_a_short_liveness_deadline() {
+    // About two seconds of fuzzing in either test profile.
+    const EXECS: u64 = if cfg!(debug_assertions) {
+        60_000
+    } else {
+        600_000
+    };
+    let deadline = Duration::from_millis(400);
+    let config = FleetConfig {
+        instances: 1,
+        liveness_deadline: Some(deadline),
+        ..Default::default()
+    };
+    let command = |_| {
+        let mut cmd = Command::new(WORKER);
+        cmd.args(["--benchmark", "gvn", "--map-size", "m2"]);
+        // No sync boundary inside the budget: heartbeats are the only
+        // progress the parent sees until the worker is done.
+        cmd.arg("--execs").arg(EXECS.to_string());
+        cmd.arg("--sync-every").arg((10 * EXECS).to_string());
+        cmd
+    };
+    let stats = run_fleet(&config, Transport::Processes(&command));
+
+    assert_eq!(stats.health[0], InstanceHealth::Running);
+    assert_eq!(stats.heartbeat_misses, 0);
+    assert_eq!(stats.instances[0].execs, EXECS);
+    assert!(
+        stats.instances[0].wall_time > 2 * deadline,
+        "the campaign took {:?}, too short to span the deadline",
+        stats.instances[0].wall_time
+    );
 }

@@ -4,7 +4,8 @@
 //! sparse policy) is pure mechanism — where map bytes live and
 //! which walk visits them. These tests pin the boundary at a 256 MiB map:
 //!
-//! 1. Campaigns under `BIGMAP_HUGE=off|thp|explicit` with `BIGMAP_SPARSE`
+//! 1. Campaigns under every huge-page policy (`off`, `thp`, `explicit`,
+//!    set in-process with `with_huge_policy`) with sparse dispatch on
 //!    auto walk bit-identical coverage trajectories (the
 //!    `tests/kernel_trajectory.rs` pattern, one regime up).
 //! 2. The journal's capacity scales with the map and its PR-5 overflow
@@ -12,9 +13,6 @@
 //! 3. Maps report which backend served them, and every policy yields a
 //!    correctly aligned, zeroed buffer — telemetry sees fallbacks, the
 //!    campaign never does.
-//!
-//! (CI additionally runs this file under `BIGMAP_HUGE=off` and `=thp`,
-//! pinning the process-wide default both ways.)
 
 use bigmap::core::alloc::{with_huge_policy, AllocBackend, HugePolicy, HUGE_PAGE_BYTES};
 use bigmap::core::journal::{capacity_for, TouchJournal, MAX_JOURNAL_CAPACITY};

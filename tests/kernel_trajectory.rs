@@ -1,42 +1,58 @@
-//! Kernel-independence of coverage trajectories: a campaign's coverage
-//! decisions must not depend on which map-op kernel the dispatcher picked.
+//! Policy-independence of coverage trajectories: a campaign's coverage
+//! decisions must not depend on which map-op kernel the CPU selected, on
+//! the sparse/dense dispatch policy, on the trace mode, on the execution
+//! engine, or on the pages backing the map.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
 //! 1. Exec-budgeted campaigns are bit-deterministic run-to-run in one
 //!    process (same seeds, same timeline, same discovered coverage) — so
-//!    any cross-kernel divergence WOULD show up as a trajectory change.
-//! 2. Replaying real target coverage maps through every kernel the host
+//!    any cross-policy divergence WOULD show up as a trajectory change.
+//! 2. Every combination of the per-campaign policies (`CampaignConfig`
+//!    `sparse` × `trace` × `interp`, on both map schemes) walks the
+//!    trajectory of one naive reference per scheme: dense dispatch,
+//!    always-trace, the tree interpreter and plain pages. All of it runs
+//!    in one process, through config overrides, with no environment pins.
+//! 3. Replaying real target coverage maps through every kernel the host
 //!    supports produces identical verdict sequences and identical virgin
 //!    state — the per-exec decision is kernel-invariant on real data, not
 //!    just on the random regions the property suite generates.
-//!
-//! (CI additionally runs the whole suite under `BIGMAP_KERNEL=scalar`,
-//! which pins the process dispatcher itself to the oracle path.)
 
+use bigmap::core::alloc::{with_huge_policy, HugePolicy};
 use bigmap::core::kernels::{available, table_for};
+use bigmap::fuzzer::CampaignOutput;
 use bigmap::prelude::*;
 
 fn run_once(seed: u64, sparse: Option<SparseMode>) -> CampaignStats {
-    run_configured(seed, sparse, None, None).0
+    run_configured(MapScheme::TwoLevel, seed, sparse, None, None)
+        .0
+        .stats
 }
 
 fn run_configured(
+    scheme: MapScheme,
     seed: u64,
     sparse: Option<SparseMode>,
     trace: Option<TraceMode>,
     interp: Option<InterpMode>,
-) -> (CampaignStats, std::sync::Arc<Telemetry>) {
+) -> (CampaignOutput, std::sync::Arc<Telemetry>) {
+    // The flat map's per-exec ops span its whole allocation, so it runs
+    // at 4 KiB to keep unoptimised test builds fast (the extra collisions
+    // do not matter to an invariance check).
+    let map_size = match scheme {
+        MapScheme::TwoLevel => MapSize::M2,
+        MapScheme::Flat => MapSize::new(4 << 10).unwrap(),
+    };
     let spec = BenchmarkSpec::by_name("libpng").unwrap();
     let program = spec.build(0.05);
     let seeds = spec.build_seeds(&program, 8);
     let instrumentation =
-        Instrumentation::assign(program.block_count(), program.call_sites, MapSize::M2, 9);
+        Instrumentation::assign(program.block_count(), program.call_sites, map_size, 9);
     let interpreter = Interpreter::new(&program);
     let mut campaign = Campaign::new(
         CampaignConfig {
-            scheme: MapScheme::TwoLevel,
-            map_size: MapSize::M2,
+            scheme,
+            map_size,
             budget: Budget::Execs(4_000),
             seed,
             sparse,
@@ -50,7 +66,7 @@ fn run_configured(
     let tel = std::sync::Arc::new(Telemetry::new(0));
     campaign.set_telemetry(std::sync::Arc::clone(&tel));
     campaign.add_seeds(seeds);
-    (campaign.run(), tel)
+    (campaign.run_detailed(), tel)
 }
 
 #[test]
@@ -72,9 +88,7 @@ fn campaign_trajectory_is_sparse_mode_invariant() {
     // The sparse journal walk and the dense kernel pass are alternative
     // implementations of the same map ops — forcing either one (or leaving
     // the adaptive policy to flip between them per exec) must not move a
-    // single point on the coverage timeline. CI also runs this whole file
-    // under BIGMAP_SPARSE=off and BIGMAP_SPARSE=on, pinning the
-    // process-wide default both ways.
+    // single point on the coverage timeline.
     let baseline = run_once(23, None);
     for mode in [SparseMode::Off, SparseMode::On, SparseMode::Auto] {
         let forced = run_once(23, Some(mode));
@@ -93,13 +107,14 @@ fn campaign_trajectory_is_sparse_mode_invariant() {
 fn campaign_trajectory_is_trace_mode_invariant() {
     // Selective tracing runs most test cases untraced and re-traces only
     // novelty-oracle-flagged ones — an *observation* optimization that
-    // must not move a single point on the coverage timeline. CI also runs
-    // this whole file under BIGMAP_TRACE_MODE=always and =selective,
-    // pinning the process-wide default both ways.
-    let (baseline, baseline_tel) = run_configured(31, None, Some(TraceMode::Always), None);
+    // must not move a single point on the coverage timeline.
+    let run = |mode| run_configured(MapScheme::TwoLevel, 31, None, Some(mode), None);
+    let (baseline, baseline_tel) = run(TraceMode::Always);
+    let baseline = baseline.stats;
     assert_eq!(baseline_tel.get(TelemetryEvent::FastPathExec), 0);
     for mode in [TraceMode::Selective, TraceMode::Auto] {
-        let (two_speed, tel) = run_configured(31, None, Some(mode), None);
+        let (two_speed, tel) = run(mode);
+        let two_speed = two_speed.stats;
         assert_eq!(baseline.execs, two_speed.execs, "{mode:?}: exec count");
         assert_eq!(baseline.queue_len, two_speed.queue_len, "{mode:?}: queue");
         assert_eq!(
@@ -130,12 +145,13 @@ fn campaign_trajectory_is_interp_mode_invariant() {
     // The compiled bytecode engine and its snapshot-reset fast path are
     // alternative *executors* of the same target semantics — switching
     // engines (or resuming children from a parent's memoized trace
-    // prefix) must not move a single point on the coverage timeline. CI
-    // also runs this whole file under BIGMAP_INTERP=tree, pinning the
-    // process-wide default the other way.
-    let (baseline, baseline_tel) = run_configured(47, None, None, Some(InterpMode::Tree));
+    // prefix) must not move a single point on the coverage timeline.
+    let run = |mode| run_configured(MapScheme::TwoLevel, 47, None, None, Some(mode));
+    let (baseline, baseline_tel) = run(InterpMode::Tree);
+    let baseline = baseline.stats;
     assert_eq!(baseline_tel.get(TelemetryEvent::CompiledExec), 0);
-    let (fast, tel) = run_configured(47, None, None, Some(InterpMode::Auto));
+    let (fast, tel) = run(InterpMode::Auto);
+    let fast = fast.stats;
     assert_eq!(baseline.execs, fast.execs, "exec count");
     assert_eq!(baseline.queue_len, fast.queue_len, "queue");
     assert_eq!(baseline.used_len, fast.used_len, "used prefix");
@@ -156,6 +172,84 @@ fn campaign_trajectory_is_interp_mode_invariant() {
         tel.get(TelemetryEvent::SnapshotHit) > 0,
         "no snapshot was ever reused — the test proves nothing"
     );
+}
+
+#[test]
+fn campaign_trajectory_is_invariant_across_the_policy_product() {
+    // One naive reference per scheme — dense dispatch, always-trace, the
+    // tree interpreter, plain pages — against every combination of the
+    // per-campaign policies. The flat map has no sparse pipeline, so its
+    // product is trace × interp.
+    const SEED: u64 = 59;
+    const SPARSE: [SparseMode; 3] = [SparseMode::Off, SparseMode::On, SparseMode::Auto];
+    for scheme in [MapScheme::TwoLevel, MapScheme::Flat] {
+        let (reference, _) = with_huge_policy(HugePolicy::Off, || {
+            run_configured(
+                scheme,
+                SEED,
+                Some(SparseMode::Off),
+                Some(TraceMode::Always),
+                Some(InterpMode::Tree),
+            )
+        });
+        let sparse_modes: &[SparseMode] = match scheme {
+            MapScheme::TwoLevel => &SPARSE,
+            MapScheme::Flat => &[SparseMode::Auto],
+        };
+        for &sparse in sparse_modes {
+            for trace in TraceMode::ALL {
+                for interp in InterpMode::ALL {
+                    let cell = format!("{scheme:?} {sparse:?}/{trace:?}/{interp:?}");
+                    let (out, tel) =
+                        run_configured(scheme, SEED, Some(sparse), Some(trace), Some(interp));
+                    let (want, got) = (&reference.stats, &out.stats);
+                    assert_eq!(got.execs, want.execs, "{cell}: exec count");
+                    assert_eq!(got.queue_len, want.queue_len, "{cell}: queue");
+                    assert_eq!(got.used_len, want.used_len, "{cell}: used prefix");
+                    assert_eq!(got.total_crashes, want.total_crashes, "{cell}: crashes");
+                    assert_eq!(got.hangs, want.hangs, "{cell}: hangs");
+                    assert_eq!(
+                        got.timeline.points(),
+                        want.timeline.points(),
+                        "{cell}: coverage trajectory"
+                    );
+                    assert_eq!(out.corpus, reference.corpus, "{cell}: final corpus");
+                    assert_eq!(
+                        out.crash_inputs, reference.crash_inputs,
+                        "{cell}: crash inputs"
+                    );
+                    assert_eq!(
+                        out.hang_inputs, reference.hang_inputs,
+                        "{cell}: hang inputs"
+                    );
+
+                    // Each cell must have run its policy, or it proves
+                    // nothing.
+                    if trace != TraceMode::Always {
+                        assert!(
+                            tel.get(TelemetryEvent::FastPathExec) > 0,
+                            "{cell}: fast path never fired"
+                        );
+                    }
+                    let compiled = tel.get(TelemetryEvent::CompiledExec);
+                    match interp {
+                        InterpMode::Tree => assert_eq!(compiled, 0, "{cell}: compiled engine ran"),
+                        InterpMode::Auto => assert!(compiled > 0, "{cell}: compiled engine idle"),
+                    }
+                    let sparse_ops = tel.get(TelemetryEvent::SparseDispatch);
+                    match (scheme, sparse) {
+                        (MapScheme::TwoLevel, SparseMode::On) => {
+                            assert!(sparse_ops > 0, "{cell}: sparse path never ran")
+                        }
+                        (MapScheme::TwoLevel, SparseMode::Off) => {
+                            assert_eq!(sparse_ops, 0, "{cell}: sparse path ran")
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
