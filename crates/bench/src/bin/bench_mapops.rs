@@ -9,11 +9,16 @@
 //! that locates the crossover justifying the `simd::NT_THRESHOLD` cutoff,
 //! plus a coverage-density sweep ({sparse journal walk, dense kernel,
 //! adaptive dispatch} × {clustered, uniform} slot layouts) that locates the
-//! sparse/dense crossover behind `DENSITY_CROSSOVER_DIVISOR`, plus a
-//! giant-map arm (64 MiB → 1 GiB × {dense, sparse, adaptive} ×
-//! {thp, explicit, off} huge-page policies) with a uniform-layout crossover
-//! re-measurement behind `GIANT_RUN_CROSSOVER_DIVISOR` and a locality
-//! cross-check against the `bigmap-cache` simulator.
+//! sparse/dense crossover behind `RUN_CROSSOVER_DIVISOR`, plus a
+//! record-inclusive journal sweep (whole execs — `record`, `reset`, fused
+//! classify+compare — on a `BigMap` with the touch journal forced on, off,
+//! and under the shipped `Auto` gate, used prefixes 4 KiB → 64 MiB) whose
+//! fixed-footprint gate cells locate the used prefix behind
+//! `JOURNAL_MIN_USED` (the run fails when they disagree), plus a giant-map
+//! arm (64 MiB → 1 GiB × {dense, sparse, adaptive} × {thp, explicit, off}
+//! huge-page policies) with a uniform-layout crossover re-measurement
+//! behind `GIANT_RUN_CROSSOVER_DIVISOR` and a locality cross-check against
+//! the `bigmap-cache` simulator.
 //! Results print as a table and land in `BENCH_mapops.json`.
 //!
 //! Usage:
@@ -23,7 +28,8 @@
 //! ```
 //!
 //! * `--quick` — 64 KiB → 1 MiB, small iteration budget (CI smoke);
-//!   the giant arm shrinks to its 64 MiB row.
+//!   the journal sweep runs 4 KiB → 1 MiB and the giant arm shrinks to
+//!   its 64 MiB row.
 //! * default  — 64 KiB → 16 MiB, giant arm 64 MiB → 1 GiB.
 //! * `--full` — same sizes, ~4× the iteration budget.
 //! * `--giant` — run only the giant-map arm (CI smoke pairs this with
@@ -47,8 +53,10 @@ use bigmap_core::diff::for_each_nonzero_byte;
 use bigmap_core::journal::{runs_from_slots, SlotRun};
 use bigmap_core::kernels::{active, available, table_for, KernelKind};
 use bigmap_core::simd::{stream_zero, NT_THRESHOLD};
-use bigmap_core::sparse::{classify_and_compare_runs, select_path, OpPath, SparseMode};
-use bigmap_core::Crc32;
+use bigmap_core::sparse::{
+    classify_and_compare_runs, select_path, OpPath, SparseMode, JOURNAL_MIN_USED,
+};
+use bigmap_core::{BigMap, CoverageMap, Crc32, MapSize, Recorder, VirginState};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,6 +85,23 @@ struct DensitySample {
     touched: usize,
     iters: u64,
     ns_per_op: f64,
+}
+
+/// One measured cell of the record-inclusive journal sweep.
+struct JournalSample {
+    /// Used prefix (condensed slots = bytes) of the map.
+    used: usize,
+    density: f64,
+    /// `clustered` or `uniform`, as in the density sweep.
+    layout: &'static str,
+    /// `off` (plain `record`, dense ops), `on` (journaled `record`, sparse
+    /// walk), or `auto` (the shipped gate and crossover).
+    variant: &'static str,
+    touched: usize,
+    iters: u64,
+    /// One whole exec: reset, the exec's `record` calls, fused
+    /// classify+compare.
+    ns_per_exec: f64,
 }
 
 /// One measured cell of the giant-map arm.
@@ -165,6 +190,7 @@ fn main() {
     let mut crossover: Option<f64> = None;
     let mut speedup_2pct = 0.0;
     let mut adaptive_overhead = 0.0;
+    let mut journal: Option<JournalSweep> = None;
     let dense_table = active();
 
     if !giant_only {
@@ -383,6 +409,20 @@ fn main() {
                 "FAIL"
             }
         );
+
+        let sweep = run_journal_sweep(effort, densities);
+        println!(
+            "journal gate ({GATE_FOOTPRINT}-slot clustered exec): journaling pays from \
+             used prefix {} — configured JOURNAL_MIN_USED {}: {}",
+            sweep.gate.map_or("never".to_string(), size_label),
+            size_label(JOURNAL_MIN_USED),
+            if sweep.gate == Some(JOURNAL_MIN_USED) {
+                "PASS"
+            } else {
+                "FAIL"
+            }
+        );
+        journal = Some(sweep);
     } // if !giant_only
 
     let giant = run_giant_arm(effort, dense_table);
@@ -396,10 +436,273 @@ fn main() {
         crossover,
         speedup_2pct,
         adaptive_overhead,
+        journal.as_ref(),
         &giant,
     );
     std::fs::write(&out_path, json).expect("write BENCH_mapops.json");
     println!("\nwrote {out_path}");
+    // A gate the sweep no longer backs fails the run (after the JSON is
+    // written, so the cells behind the verdict are kept).
+    if journal.is_some_and(|sweep| sweep.gate != Some(JOURNAL_MIN_USED)) {
+        eprintln!("bench_mapops: JOURNAL_MIN_USED disagrees with the measured journal gate");
+        std::process::exit(1);
+    }
+}
+
+/// `record` calls per touched slot in one journal-sweep exec ([`replay`]
+/// records every touched key once, then every second one again): what
+/// seeds and mutants of sqlite3, zlib (64 KiB, edges) and instcombine
+/// (8 MiB, 3-grams) average (1.4–1.5). Only a slot's first call journals;
+/// repeats pay the journaled variant's per-event cost alone.
+const HITS_PER_SLOT: f64 = 1.5;
+
+/// Slots one exec first-touches in the largest measured program:
+/// instcombine's 3-gram campaign on its 8 MiB map averages 1,538 over
+/// seeds and mutants (sqlite3 588, zlib 67). The gate cells time execs of
+/// this footprint, as 24 clustered runs of 64 slots, at every swept used
+/// prefix: the used prefix from which journaling them pays is
+/// `JOURNAL_MIN_USED`.
+const GATE_FOOTPRINT: usize = 1536;
+
+/// The journal sweep's variants: the journal forced off (plain `record`,
+/// dense ops), forced on (journaled `record`, sparse walk when the run
+/// count allows), and the shipped `Auto` gate.
+const JOURNAL_VARIANTS: [(&str, SparseMode); 3] = [
+    ("off", SparseMode::Off),
+    ("on", SparseMode::On),
+    ("auto", SparseMode::Auto),
+];
+
+/// A journal-sweep cell counts as paying when the journaled exec costs at
+/// most this share of the plain one. A cell near break-even reads either
+/// way from run to run (the 64 KiB gate cell read 0.96–1.13× over four
+/// quick runs), and a gate on it would flip with the noise; one sweep
+/// step up, at 256 KiB, the journaled exec costs under half of plain.
+const PAYS_AT_MOST: f64 = 0.9;
+
+/// Timed rounds per journal-sweep cell. The variants alternate round by
+/// round and each reports its median round, so drift between two
+/// variants' timed loops cannot decide a crossover.
+const JOURNAL_ROUNDS: usize = 5;
+
+/// Everything the journal sweep produces, for the acceptance line and
+/// the JSON.
+struct JournalSweep {
+    /// Used prefix × density × layout × variant.
+    grid: Vec<JournalSample>,
+    /// Used prefix × variant for a [`GATE_FOOTPRINT`]-slot clustered exec.
+    gate_cells: Vec<JournalSample>,
+    /// The smallest swept used prefix from which journaling the gate
+    /// cells' exec pays over recording it plain.
+    gate: Option<usize>,
+}
+
+/// The record-inclusive journal sweep: whole execs — `reset`, the exec's
+/// `record` calls, fused `classify_and_compare` — on a real `BigMap` whose
+/// used prefix is the whole map, with the journal forced off, forced on,
+/// and under the shipped `Auto` policy. The grid covers the density
+/// sweep's densities and layouts; the gate cells hold the exec footprint
+/// fixed ([`GATE_FOOTPRINT`]) so the exec's density falls as the prefix
+/// grows, which is what a used-prefix gate can see. Used prefixes start at
+/// 4 KiB, among the measured programs' own prefixes (0.2–7 KB), so the
+/// gate can land on either side of `JOURNAL_MIN_USED`.
+fn run_journal_sweep(effort: Effort, densities: &[f64]) -> JournalSweep {
+    let used_sizes: &[usize] = match effort {
+        Effort::Quick => &[4 * KIB, 16 * KIB, 64 * KIB, 256 * KIB, MIB],
+        Effort::Standard | Effort::Full => &[
+            4 * KIB,
+            16 * KIB,
+            64 * KIB,
+            256 * KIB,
+            MIB,
+            4 * MIB,
+            16 * MIB,
+            64 * MIB,
+        ],
+    };
+    // Wall time each variant of a cell aims for, over all its rounds.
+    let cell_ns: f64 = match effort {
+        Effort::Quick => 20e6,
+        Effort::Standard => 100e6,
+        Effort::Full => 400e6,
+    };
+    println!(
+        "\njournal sweep (reset + {HITS_PER_SLOT} records per touched slot + fused, per exec; \
+         median of {JOURNAL_ROUNDS} alternating rounds):"
+    );
+    println!(
+        "{:<7} {:<8} {:<10} {:<8} {:>9} {:>7} {:>12}",
+        "used", "density", "layout", "variant", "touched", "iters", "ns/exec"
+    );
+    let mut grid: Vec<JournalSample> = Vec::new();
+    let mut gate_cells: Vec<JournalSample> = Vec::new();
+    for &used in used_sizes {
+        let size = MapSize::new(used).expect("swept used prefixes are valid map sizes");
+        let mut map = BigMap::new(size).expect("valid map size");
+        // Key k gets slot k, so the layouts' slot lists are also key lists.
+        for key in 0..used as u32 {
+            map.record(key);
+        }
+        let mut virgin = VirginState::new(size);
+        for &density in densities {
+            for layout in ["clustered", "uniform"] {
+                let (_, _, keys) = prepare_density_region(used, density, layout == "clustered");
+                grid.extend(journal_cell(
+                    &mut map,
+                    &mut virgin,
+                    &keys,
+                    density,
+                    layout,
+                    cell_ns,
+                ));
+            }
+        }
+        // The gate cells hold the footprint, so their density falls as the
+        // prefix grows.
+        let keys = footprint_keys(used);
+        let density = keys.len() as f64 / used as f64;
+        gate_cells.extend(journal_cell(
+            &mut map,
+            &mut virgin,
+            &keys,
+            density,
+            "clustered",
+            cell_ns,
+        ));
+    }
+
+    let gate = journal_pays_from(&gate_cells);
+    JournalSweep {
+        grid,
+        gate_cells,
+        gate,
+    }
+}
+
+/// Times whole execs of `keys` on `map` (its whole allocation is the used
+/// prefix) under each of [`JOURNAL_VARIANTS`], in [`JOURNAL_ROUNDS`]
+/// alternating rounds, and prints one row per variant: the timed execs and
+/// the median round's ns per exec.
+fn journal_cell(
+    map: &mut BigMap,
+    virgin: &mut VirginState,
+    keys: &[u32],
+    density: f64,
+    layout: &'static str,
+    cell_ns: f64,
+) -> Vec<JournalSample> {
+    let mut iters = [0u64; JOURNAL_VARIANTS.len()];
+    let mut rounds: Vec<Vec<f64>> = vec![Vec::new(); JOURNAL_VARIANTS.len()];
+    for round in 0..JOURNAL_ROUNDS {
+        for (v, &(_, mode)) in JOURNAL_VARIANTS.iter().enumerate() {
+            map.set_sparse_override(Some(mode));
+            // A warm-up exec trains the virgin map and lets the next
+            // reset settle the journaling decision; the first round also
+            // times one exec to size the loop.
+            journal_exec(map, virgin, keys);
+            if round == 0 {
+                let t = Instant::now();
+                journal_exec(map, virgin, keys);
+                let one = t.elapsed().as_nanos().max(1) as f64;
+                iters[v] = (cell_ns / JOURNAL_ROUNDS as f64 / one).clamp(2.0, 4096.0) as u64;
+            }
+            let t = Instant::now();
+            for _ in 0..iters[v] {
+                journal_exec(map, virgin, keys);
+            }
+            rounds[v].push(t.elapsed().as_nanos() as f64 / iters[v] as f64);
+        }
+    }
+    let used = map.used_len();
+    JOURNAL_VARIANTS
+        .iter()
+        .zip(iters)
+        .zip(rounds)
+        .map(|((&(variant, _), n), mut r)| {
+            r.sort_by(f64::total_cmp);
+            let sample = JournalSample {
+                used,
+                density,
+                layout,
+                variant,
+                touched: keys.len(),
+                iters: n * JOURNAL_ROUNDS as u64,
+                ns_per_exec: r[r.len() / 2],
+            };
+            println!(
+                "{:<7} {:<8} {:<10} {:<8} {:>9} {:>7} {:>12.0}",
+                size_label(used),
+                format!("{:.2}%", density * 100.0),
+                layout,
+                variant,
+                sample.touched,
+                sample.iters,
+                sample.ns_per_exec
+            );
+            sample
+        })
+        .collect()
+}
+
+/// One journal-sweep exec, recorded through the exec's own `record` path
+/// as the executor's trace sink does.
+fn journal_exec(map: &mut BigMap, virgin: &mut VirginState, keys: &[u32]) {
+    map.reset();
+    match map.recorder() {
+        Recorder::Plain(mut r) => replay(keys, |k| r.record(k)),
+        Recorder::Journaled(mut r) => replay(keys, |k| r.record(k)),
+    }
+    std::hint::black_box(map.classify_and_compare(virgin));
+}
+
+/// One journal-sweep exec's records: every touched key once, then every
+/// second one again ([`HITS_PER_SLOT`]).
+#[inline]
+fn replay(keys: &[u32], mut record: impl FnMut(u32)) {
+    for &k in keys {
+        record(k);
+    }
+    for &k in keys.iter().step_by(2) {
+        record(k);
+    }
+}
+
+/// The gate cells' keys: [`GATE_FOOTPRINT`] slots of a `used`-slot prefix
+/// as distinct 64-slot runs in random order, like the clustered layout.
+fn footprint_keys(used: usize) -> Vec<u32> {
+    const RUN: usize = 64;
+    let mut rng = SmallRng::seed_from_u64(0x6A7E ^ used as u64);
+    let mut blocks: Vec<u32> = (0..(used / RUN) as u32).collect();
+    let mut keys = Vec::with_capacity(GATE_FOOTPRINT);
+    for i in 0..GATE_FOOTPRINT / RUN {
+        let j = rng.gen_range(i..blocks.len());
+        blocks.swap(i, j);
+        let base = blocks[i] as usize * RUN;
+        keys.extend((base..base + RUN).map(|s| s as u32));
+    }
+    keys
+}
+
+/// The smallest swept used prefix from which journaling (`on`) pays over
+/// recording plain (`off`, see [`PAYS_AT_MOST`]) there and at every larger
+/// swept prefix; `None` when it does not pay at the largest.
+fn journal_pays_from(cells: &[JournalSample]) -> Option<usize> {
+    let ns = |used: usize, variant: &str| {
+        cells
+            .iter()
+            .find(|s| s.used == used && s.variant == variant)
+            .map(|s| s.ns_per_exec)
+    };
+    let mut sizes: Vec<usize> = cells.iter().map(|s| s.used).collect();
+    sizes.dedup();
+    let mut from = None;
+    for &used in sizes.iter().rev() {
+        match (ns(used, "on"), ns(used, "off")) {
+            (Some(on), Some(off)) if on <= PAYS_AT_MOST * off => from = Some(used),
+            _ => break,
+        }
+    }
+    from
 }
 
 /// The giant-map arm: fused map ops at 64 MiB → 1 GiB under each
@@ -916,6 +1219,7 @@ fn render_json(
     crossover: Option<f64>,
     speedup_2pct: f64,
     adaptive_overhead: f64,
+    journal: Option<&JournalSweep>,
     giant: &GiantArm,
 ) -> String {
     let mut out = String::with_capacity(16 * 1024);
@@ -971,6 +1275,20 @@ fn render_json(
         out,
         "  \"adaptive_overhead_at_50pct\": {adaptive_overhead:.4},"
     );
+    let (grid, gate_cells, gate): (&[JournalSample], &[JournalSample], _) = match journal {
+        Some(sweep) => (&sweep.grid, &sweep.gate_cells, sweep.gate),
+        None => (&[], &[], None),
+    };
+    let _ = writeln!(out, "  \"journal_hits_per_slot\": {HITS_PER_SLOT},");
+    push_journal_rows(&mut out, "journal_results", grid);
+    let _ = writeln!(out, "  \"journal_gate_footprint\": {GATE_FOOTPRINT},");
+    push_journal_rows(&mut out, "journal_gate_results", gate_cells);
+    let _ = writeln!(
+        out,
+        "  \"journal_gate_used\": {},",
+        gate.map_or("null".to_string(), |u| u.to_string())
+    );
+    let _ = writeln!(out, "  \"journal_min_used\": {JOURNAL_MIN_USED},");
     let _ = writeln!(out, "  \"giant_touched\": {},", giant.touched);
     out.push_str("  \"giant_results\": [\n");
     for (i, s) in giant.samples.iter().enumerate() {
@@ -1037,4 +1355,19 @@ fn render_json(
     out.push_str(&entries);
     out.push_str("}\n}\n");
     out
+}
+
+/// One JSON array of journal-sweep cells, keyed `key`.
+fn push_journal_rows(out: &mut String, key: &str, rows: &[JournalSample]) {
+    let _ = writeln!(out, "  \"{key}\": [");
+    for (i, s) in rows.iter().enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"used\": {}, \"density\": {}, \"layout\": \"{}\", \"variant\": \"{}\", \
+             \"touched\": {}, \"iters\": {}, \"ns_per_exec\": {:.1}}}",
+            s.used, s.density, s.layout, s.variant, s.touched, s.iters, s.ns_per_exec
+        );
+        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ],\n");
 }

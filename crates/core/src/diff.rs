@@ -285,8 +285,9 @@ pub fn compare_slots(cur: &[u8], virgin: &mut [u8], slots: &[u32]) -> NewCoverag
 /// Equivalent to [`classify_and_compare_region`] under the journal
 /// guarantee (see [`compare_slots`]), with the additional requirement that
 /// `slots` is **unique** — classification is not idempotent, so a
-/// duplicated slot would be bucketed twice. The touch journal's epoch dedup
-/// guarantees uniqueness.
+/// duplicated slot would be bucketed twice. The touch journal guarantees
+/// uniqueness: `BigMap` journals a slot only while its coverage byte is
+/// still zero.
 ///
 /// The classified byte is only stored when it changed, keeping already-
 /// classified lines clean in the steady state (same store elision as the

@@ -1,6 +1,5 @@
 //! Per-exec touch journal: the list of condensed slots first-touched by
-//! the current execution, deduplicated by an epoch-stamped side array and
-//! stored as maximal runs of consecutive slots.
+//! the current execution, stored as maximal runs of consecutive slots.
 //!
 //! Every per-exec map operation — reset, classify, compare, the merged
 //! classify+compare — is bounded by BigMap's condensation to the used
@@ -12,15 +11,13 @@
 //!
 //! Three design points matter for the hot path:
 //!
-//! * **Epoch stamps instead of clearing.** Deduplication uses a per-slot
-//!   `u16` epoch array compared against the journal's current epoch; a slot
-//!   is journaled only when its stamp is stale. Advancing to the next exec
-//!   is a single epoch increment — clearing a per-slot "seen" bitmap (or
-//!   the stamps themselves) every exec would itself be an `O(used)` pass
-//!   and reintroduce exactly the cost the journal exists to remove. On
-//!   `u16` wraparound (once every 65 535 execs) the stamps are refilled
-//!   densely; amortized over the wrap period that is well under a byte per
-//!   exec.
+//! * **The caller dedups, on the coverage byte.** [`TouchJournal::touch`]
+//!   appends unconditionally; `BigMap`'s journaled `record` calls it only
+//!   when the slot's coverage byte is still zero. Every reset restores an
+//!   all-zero prefix and a saturating increment never returns a byte to
+//!   zero, so "byte is zero" is exactly "first touch this exec" — the
+//!   journal needs no per-slot side array, and advancing to the next exec
+//!   is clearing the run vector.
 //! * **Run-length encoding.** Condensation assigns slots in discovery
 //!   order, so the edges of one basic-block chain land in consecutive
 //!   condensed slots and are touched back-to-back on every later exec.
@@ -36,8 +33,6 @@
 //!   exec. (Extending an existing run never overflows — it allocates
 //!   nothing.) The bound also guarantees `push` never reallocates after
 //!   construction.
-
-use crate::alloc::MapBuffer;
 
 /// Default bound on the number of touch runs tracked per exec.
 ///
@@ -92,7 +87,7 @@ impl SlotRun {
 ///
 /// Test and benchmark helper: the journal itself coalesces during
 /// [`TouchJournal::touch`], this reproduces the same encoding from a flat
-/// list.
+/// list of distinct slots.
 pub fn runs_from_slots(slots: &[u32]) -> Vec<SlotRun> {
     let mut runs: Vec<SlotRun> = Vec::new();
     for &s in slots {
@@ -104,21 +99,17 @@ pub fn runs_from_slots(slots: &[u32]) -> Vec<SlotRun> {
     runs
 }
 
-/// Epoch-stamped journal of the condensed slots first-touched this exec.
+/// Journal of the condensed slots first-touched this exec.
 ///
-/// `touch` is called from the map-update hot path and does no journal scan:
-/// dedup is one load + compare against the per-slot epoch stamp, and run
-/// maintenance is one compare against the last run's end.
+/// `touch` is called from the journaled map-update path only on a slot's
+/// first touch of the exec and does no journal scan: run maintenance is
+/// one compare against the last run's end.
 #[derive(Debug)]
 pub struct TouchJournal {
     /// Maximal runs of distinct slots touched this exec, first-touch order.
     runs: Vec<SlotRun>,
     /// Total distinct slots journaled this exec (sum of run lengths).
     touched: usize,
-    /// Per-slot epoch stamp; `epochs[s] == epoch` iff `s` is journaled.
-    epochs: MapBuffer<u16>,
-    /// Current exec's epoch. Never 0 — 0 is the "never stamped" state.
-    epoch: u16,
     /// Bound on `runs.len()`.
     capacity: usize,
     /// Set when a touch was dropped because the journal was full.
@@ -128,77 +119,52 @@ pub struct TouchJournal {
 impl TouchJournal {
     /// Creates a journal for a map of `map_len` condensed slots with the
     /// size-scaled capacity ([`capacity_for`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map_len` is zero (the epoch buffer cannot be empty).
     pub fn new(map_len: usize) -> Self {
-        Self::with_capacity(map_len, capacity_for(map_len))
+        Self::with_capacity(capacity_for(map_len))
     }
 
     /// Creates a journal with an explicit run-vector bound.
     ///
     /// A capacity of 0 makes every exec overflow immediately — useful for
     /// forcing the dense fallback in tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map_len` is zero.
-    pub fn with_capacity(map_len: usize, capacity: usize) -> Self {
+    pub fn with_capacity(capacity: usize) -> Self {
         TouchJournal {
             runs: Vec::with_capacity(capacity),
             touched: 0,
-            epochs: MapBuffer::zeroed(map_len),
-            epoch: 1,
             capacity,
             overflowed: false,
         }
     }
 
-    /// Records that condensed slot `slot` was touched this exec.
+    /// Records the first touch of condensed slot `slot` this exec.
     ///
-    /// First touch of a slot extends the current run when consecutive,
-    /// otherwise starts a new run (or sets the overflow flag if the run
-    /// vector is full); repeat touches are a single load + compare.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is outside the map this journal was built for.
+    /// Extends the current run when consecutive, otherwise starts a new
+    /// run (or sets the overflow flag if the run vector is full). The
+    /// caller guarantees `slot` was not journaled since the last
+    /// [`advance`](Self::advance): a repeated slot would be counted, and
+    /// later bucketed, twice.
     #[inline]
     pub fn touch(&mut self, slot: u32) {
-        let stamp = &mut self.epochs[slot as usize];
-        if *stamp != self.epoch {
-            *stamp = self.epoch;
-            if let Some(r) = self.runs.last_mut() {
-                if r.end() == slot {
-                    r.len += 1;
-                    self.touched += 1;
-                    return;
-                }
-            }
-            if self.runs.len() < self.capacity {
-                self.runs.push(SlotRun { base: slot, len: 1 });
+        if let Some(r) = self.runs.last_mut() {
+            if r.end() == slot {
+                r.len += 1;
                 self.touched += 1;
-            } else {
-                self.overflowed = true;
+                return;
             }
+        }
+        if self.runs.len() < self.capacity {
+            self.runs.push(SlotRun { base: slot, len: 1 });
+            self.touched += 1;
+        } else {
+            self.overflowed = true;
         }
     }
 
-    /// Starts the next exec: forgets this exec's touches in O(1).
-    ///
-    /// The epoch increment invalidates every stamp at once. On `u16`
-    /// wraparound the stamp array is refilled with zeroes so stale stamps
-    /// from 65 535 execs ago cannot collide with the restarted epoch.
+    /// Starts the next exec: forgets this exec's touches.
     pub fn advance(&mut self) {
         self.runs.clear();
         self.touched = 0;
         self.overflowed = false;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.epochs.as_mut_slice().fill(0);
-            self.epoch = 1;
-        }
     }
 
     /// The maximal runs of distinct slots touched this exec, in
@@ -248,14 +214,23 @@ mod tests {
         SlotRun { base, len }
     }
 
+    /// Replays `slots` the way `BigMap`'s journaled `record` does: a slot
+    /// is journaled only while its coverage byte in `counts` is still zero.
+    fn record(j: &mut TouchJournal, counts: &mut [u8], slots: &[u32]) {
+        for &s in slots {
+            let b = &mut counts[s as usize];
+            if *b == 0 {
+                j.touch(s);
+            }
+            *b = b.saturating_add(1);
+        }
+    }
+
     #[test]
     fn first_touch_journals_repeat_touch_dedups() {
         let mut j = TouchJournal::new(64);
-        j.touch(5);
-        j.touch(9);
-        j.touch(5);
-        j.touch(5);
-        j.touch(0);
+        let mut counts = [0u8; 64];
+        record(&mut j, &mut counts, &[5, 9, 5, 5, 0]);
         assert_eq!(j.runs(), &[run(5, 1), run(9, 1), run(0, 1)]);
         assert_eq!(j.iter_slots().collect::<Vec<_>>(), vec![5, 9, 0]);
         assert_eq!(j.len(), 3);
@@ -292,21 +267,21 @@ mod tests {
 
     #[test]
     fn overflow_sets_flag_and_keeps_bound() {
-        let mut j = TouchJournal::with_capacity(64, 2);
-        j.touch(0);
-        j.touch(5);
+        let mut j = TouchJournal::with_capacity(2);
+        let mut counts = [0u8; 64];
+        record(&mut j, &mut counts, &[0, 5]);
         assert!(j.is_complete());
-        j.touch(9); // third non-adjacent run start: dropped
+        record(&mut j, &mut counts, &[9]); // third non-adjacent run start: dropped
         assert!(j.overflowed());
         assert!(!j.is_complete());
         assert_eq!(j.runs().len(), 2, "journal never grows past its capacity");
         // Extending an existing run allocates nothing and is still allowed
         // (the journal is incomplete either way).
-        j.touch(6);
+        record(&mut j, &mut counts, &[6]);
         assert_eq!(j.runs(), &[run(0, 1), run(5, 2)]);
         assert_eq!(j.len(), 3);
         // Re-touching an already-journaled slot does not re-trip anything.
-        j.touch(0);
+        record(&mut j, &mut counts, &[0]);
         assert_eq!(j.len(), 3);
         // The next exec starts clean.
         j.advance();
@@ -316,26 +291,10 @@ mod tests {
 
     #[test]
     fn zero_capacity_always_overflows() {
-        let mut j = TouchJournal::with_capacity(16, 0);
+        let mut j = TouchJournal::with_capacity(0);
         j.touch(0);
         assert!(j.overflowed());
         assert!(j.is_empty());
-    }
-
-    #[test]
-    fn epoch_wraparound_refills_stamps() {
-        let mut j = TouchJournal::new(16);
-        // Walk the epoch all the way around. Touch slot 7 in the first
-        // exec only; after 65 535 advances the epoch counter has wrapped
-        // through its full range and the stamps have been refilled.
-        j.touch(7);
-        for _ in 0..u16::MAX {
-            j.advance();
-        }
-        // If wraparound failed to refill, slot 7's ancient stamp could
-        // equal the restarted epoch and suppress journaling.
-        j.touch(7);
-        assert_eq!(j.runs(), &[run(7, 1)]);
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   ([`simd`]) and huge-page-backed allocation ([`alloc`]),
 //! * [`kernels`] — AVX2 vector kernels for classify, compare and the
 //!   merged pass, picked once by CPU detection into a dispatch table,
-//! * [`journal`] / [`sparse`] — the per-exec touched-slot journal and the
-//!   adaptive sparse/dense dispatcher that shrink the per-exec map ops
-//!   from `O(used_key)` to `O(touched)` at low densities,
+//! * [`journal`] / [`sparse`] — the per-exec touched-slot journal, kept
+//!   once the used prefix is large enough to repay it, and the adaptive
+//!   sparse/dense dispatcher that shrink the per-exec map ops from
+//!   `O(used_key)` to `O(touched)` at low densities,
 //! * [`hash`] — CRC32 with the paper's hash-up-to-last-non-zero rule,
 //! * [`timing`] — per-operation runtime accounting used to regenerate the
 //!   paper's Figure 3,
@@ -100,7 +101,7 @@ pub use sparse::{OpPath, SparseMode};
 pub use timing::{OpKind, OpStats};
 pub use trace::TraceMode;
 pub use traits::{CoverageMap, MapScheme, NewCoverage};
-pub use two_level::BigMap;
+pub use two_level::{BigMap, JournaledRecorder, PlainRecorder, Recorder};
 pub use virgin::VirginState;
 pub use wire::{SyncBatch, WireError};
 

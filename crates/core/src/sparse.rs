@@ -7,8 +7,13 @@
 //! sparse pipeline (classify/compare/fused/reset over journaled slots only)
 //! costs `O(touched)` instead of `O(used_key)`.
 //!
-//! The decision is made once per exec from the journal's density
-//! (`touched / used`) against a measured crossover ([`SparseMode::Auto`]).
+//! Two decisions are made per exec. At reset, [`journals`] decides whether
+//! the exec keeps a journal at all: below [`JOURNAL_MIN_USED`] journaling
+//! every first touch costs more than the dense pass it could save, so
+//! [`SparseMode::Auto`] records with the paper's plain Listing 2.
+//! After the exec, a journaled map picks the path from the journal's
+//! density (`touched / used`) against a measured crossover
+//! ([`select_path`]).
 //! A map instance can force either path with
 //! [`crate::traits::CoverageMap::set_sparse_override`] (a campaign sets it
 //! from `CampaignConfig::sparse`), so one process can run both paths side
@@ -23,11 +28,13 @@ use crate::traits::NewCoverage;
 /// Dispatch policy for the sparse pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SparseMode {
-    /// Use the journal-driven sparse path whenever the journal is complete.
+    /// Journal every exec and use the journal-driven sparse path whenever
+    /// the journal is complete.
     On,
-    /// Always use the dense kernel-table path.
+    /// Never journal; always use the dense kernel-table path.
     Off,
-    /// Pick per exec by journal density against the measured crossover.
+    /// Journal once the used prefix reaches [`JOURNAL_MIN_USED`], then pick
+    /// per exec by journal density against the measured crossover.
     #[default]
     Auto,
 }
@@ -40,6 +47,37 @@ pub enum OpPath {
     Dense,
     /// Journal-driven walk over this exec's touched slots.
     Sparse,
+}
+
+/// Used-prefix size (bytes) from which [`SparseMode::Auto`] journals an
+/// exec's first touches.
+///
+/// Journaling costs every `record` of the exec a zero test of the coverage
+/// byte and, on a slot's first touch, run bookkeeping behind a branch the
+/// CPU cannot predict. It pays back only when the sparse walk then
+/// replaces a dense reset and fused pass that cost more: for execs that
+/// touch a small share of a large prefix. The gate sees only the prefix,
+/// so it is set for the largest per-exec footprint measured on the
+/// benchmark programs (instcombine's 3-gram execs first-touch about 1,540
+/// slots; sqlite3's 590, zlib's 70): `bench_mapops` times whole execs of
+/// that footprint — record, reset, fused classify+compare — journal on vs
+/// off at used prefixes from 4 KiB up, and fails when the smallest prefix
+/// from which journaling saves at least a tenth of the plain exec is not
+/// this constant. At 64 KiB such an exec breaks even (0.96–1.14× plain
+/// across runs); from 256 KiB journaling it costs under half of plain. The
+/// measured programs' own prefixes (0.2–7 KB) sit far below, where they
+/// record with the plain Listing 2 and run the map ops dense.
+pub const JOURNAL_MIN_USED: usize = 256 << 10;
+
+/// Whether an exec journals its first touches: decided at `reset` from
+/// the mode and the used prefix `used` (bytes), and fixed for the exec.
+#[inline]
+pub fn journals(mode: SparseMode, used: usize) -> bool {
+    match mode {
+        SparseMode::On => true,
+        SparseMode::Off => false,
+        SparseMode::Auto => used >= JOURNAL_MIN_USED,
+    }
 }
 
 /// Run-count crossover for [`SparseMode::Auto`], as a divisor: the sparse
@@ -293,7 +331,7 @@ pub fn compare_runs(
 
 /// Journal-driven merged classify + compare over runs (see
 /// [`crate::diff::classify_and_compare_slots`] for the slot-level
-/// contract; the journal's epoch dedup supplies the uniqueness
+/// contract; the journal's first-touch-only appends supply the uniqueness
 /// classification needs).
 ///
 /// # Panics

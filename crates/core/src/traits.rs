@@ -154,7 +154,9 @@ pub trait CoverageMap: Any + Send {
     /// Campaigns set it from `CampaignConfig::sparse`, so one process can
     /// run sparse and dense pipelines side by side (equivalence tests,
     /// benchmark arms). Maps without a sparse pipeline (the flat scheme)
-    /// ignore the override — the default implementation is a no-op.
+    /// ignore the override — the default implementation is a no-op. The
+    /// new policy applies from the current exec on, including whether it
+    /// keeps a touch journal.
     fn set_sparse_override(&mut self, _mode: Option<SparseMode>) {}
 
     /// Which path the most recent classify/compare/merged op dispatched
@@ -165,15 +167,15 @@ pub trait CoverageMap: Any + Send {
 
     /// Number of distinct condensed slots first-touched since the last
     /// reset, when the map keeps a complete touch journal. `None` when the
-    /// map has no journal (flat scheme) or the journal overflowed this
-    /// exec.
+    /// map has no journal (flat scheme), this exec does not journal (see
+    /// [`crate::sparse::journals`]) or the journal overflowed this exec.
     fn touched_len(&self) -> Option<usize> {
         None
     }
 
     /// Whether the touch journal overflowed its capacity this exec,
     /// forcing the dense fallback. Always `false` for maps without a
-    /// journal.
+    /// journal and for execs that do not journal.
     fn journal_overflowed(&self) -> bool {
         false
     }

@@ -11,6 +11,11 @@
 //! On the first touch of a key the update path assigns the next free slot
 //! and bumps `used_key` (Listing 2 of the paper); every later touch is one
 //! extra well-cached index load plus the same coverage increment AFL does.
+//! An exec that keeps a touch journal for the sparse pipeline records
+//! through a separate variant; [`BigMap::recorder`] hands out the exec's
+//! variant as its own type, so a caller that records a whole trace (the
+//! executor's trace sink) runs exactly Listing 2 per event when the exec
+//! does not journal.
 //! Because the index bitmap is **never reset**, a key keeps its slot for the
 //! whole campaign, so the global virgin maps can be condensed the same way
 //! and every per-test-case operation runs over `[0 .. used_key)` instead of
@@ -65,9 +70,13 @@ pub struct BigMap {
     used_key: u32,
     size: MapSize,
     mask: u32,
-    /// Condensed slots first-touched this exec, epoch-deduped; drives the
-    /// sparse pipeline when complete.
+    /// Condensed slots first-touched this exec; drives the sparse pipeline
+    /// when complete. Empty whenever `journaling` is off.
     journal: TouchJournal,
+    /// Whether this exec's `record`s go through the journaled variant.
+    /// Fixed at `reset` (and by `set_sparse_override`) from the dispatch
+    /// policy and the used prefix ([`sparse::journals`]).
+    journaling: bool,
     /// The dispatch policy in force for this instance.
     sparse_mode: SparseMode,
     /// Path the most recent classify/compare/merged op dispatched to.
@@ -109,7 +118,8 @@ impl BigMap {
             used_key: 0,
             size,
             mask: size.mask(),
-            journal: TouchJournal::with_capacity(size.bytes(), journal_capacity),
+            journal: TouchJournal::with_capacity(journal_capacity),
+            journaling: sparse::journals(SparseMode::Auto, 0),
             sparse_mode: SparseMode::Auto,
             last_path: OpPath::Dense,
         })
@@ -140,9 +150,65 @@ impl BigMap {
         self.coverage.as_slice()
     }
 
-    /// The touch journal of the current exec (tests, benchmarks).
+    /// The touch journal of the current exec (tests, benchmarks); empty
+    /// when the exec does not journal.
     pub fn journal(&self) -> &TouchJournal {
         &self.journal
+    }
+
+    /// Listing 2's index lookup: the condensed slot of `key`, assigning
+    /// the next free one on first touch. The sentinel check is almost
+    /// always not-taken (new-edge discovery is rare), which is why the
+    /// indirection is nearly free in practice (§IV-D).
+    #[inline(always)]
+    fn slot_for(&mut self, key: u32) -> u32 {
+        let e = self.fold(key);
+        let mut k = self.index[e];
+        if k == UNASSIGNED {
+            k = self.used_key;
+            self.index[e] = k;
+            self.used_key += 1;
+        }
+        k
+    }
+
+    /// The current exec's `record` path, decided once at `reset` (or by
+    /// `set_sparse_override`): for callers that record a whole exec's
+    /// trace and want the journaling choice out of the per-event loop.
+    /// Holding the recorder borrows the map, so the choice cannot change
+    /// while it is in use.
+    pub fn recorder(&mut self) -> Recorder<'_> {
+        if self.journaling {
+            Recorder::Journaled(JournaledRecorder(self))
+        } else {
+            Recorder::Plain(PlainRecorder(self))
+        }
+    }
+
+    /// `record` for an exec that keeps no journal: Listing 2 — query the
+    /// index bitmap, assign the next free slot on first touch, bump the
+    /// condensed hit count — and nothing else.
+    #[inline]
+    fn record_plain(&mut self, key: u32) {
+        let k = self.slot_for(key);
+        let v = &mut self.coverage[k as usize];
+        *v = v.saturating_add(1);
+    }
+
+    /// `record` for an exec that keeps a touch journal: Listing 2 plus a
+    /// journal append on the slot's first touch this exec.
+    ///
+    /// The coverage byte is the dedup: every reset leaves the used prefix
+    /// all zero and a saturating increment never returns a byte to zero,
+    /// so a zero byte means "not yet touched this exec".
+    #[inline]
+    fn record_journaled(&mut self, key: u32) {
+        let k = self.slot_for(key);
+        let v = &mut self.coverage[k as usize];
+        if *v == 0 {
+            self.journal.touch(k);
+        }
+        *v = v.saturating_add(1);
     }
 
     #[inline]
@@ -159,9 +225,12 @@ impl BigMap {
     /// journal does not change between classify, compare and the merged
     /// pass (and `reset` consumes the same journal at the start of the
     /// next exec), so recomputing the pure policy gives the same answer
-    /// each time.
+    /// each time. An exec without a journal is always dense.
     #[inline]
     fn dispatch_path(&self) -> OpPath {
+        if !self.journaling {
+            return OpPath::Dense;
+        }
         sparse::select_path(
             self.sparse_mode,
             self.journal.is_complete(),
@@ -183,20 +252,13 @@ impl CoverageMap for BigMap {
 
     #[inline]
     fn record(&mut self, key: u32) {
-        // Listing 2: query the index bitmap; assign the next free slot on
-        // first touch; bump the condensed hit count. The sentinel check is
-        // almost always not-taken (new-edge discovery is rare), which is
-        // why the indirection is nearly free in practice (§IV-D).
-        let e = self.fold(key);
-        let mut k = self.index[e];
-        if k == UNASSIGNED {
-            k = self.used_key;
-            self.index[e] = k;
-            self.used_key += 1;
+        // Per-event dispatch for callers holding the trait; the executor
+        // takes `recorder()` once per exec instead.
+        if self.journaling {
+            self.record_journaled(key);
+        } else {
+            self.record_plain(key);
         }
-        self.journal.touch(k);
-        let v = &mut self.coverage[k as usize];
-        *v = v.saturating_add(1);
     }
 
     fn reset(&mut self) {
@@ -208,13 +270,15 @@ impl CoverageMap for BigMap {
         // clear exactly those slots instead of memsetting the prefix. The
         // journal then advances: the next exec starts with an empty journal
         // over an all-zero prefix, which re-establishes the completeness
-        // invariant inductively.
+        // invariant (and the coverage-byte dedup) inductively. Whether the
+        // next exec journals at all is decided here, once.
         let used = self.used();
         match self.dispatch_path() {
             OpPath::Sparse => sparse::reset_runs(&mut self.coverage[..used], self.journal.runs()),
             OpPath::Dense => self.coverage[..used].fill(0),
         }
         self.journal.advance();
+        self.journaling = sparse::journals(self.sparse_mode, used);
     }
 
     fn classify(&mut self) {
@@ -308,6 +372,20 @@ impl CoverageMap for BigMap {
 
     fn set_sparse_override(&mut self, mode: Option<SparseMode>) {
         self.sparse_mode = mode.unwrap_or_default();
+        let used = self.used();
+        let journaling = sparse::journals(self.sparse_mode, used);
+        if journaling != self.journaling {
+            // Switching on mid-exec: the records since the last reset went
+            // unjournaled, so seed the journal with their slots (the
+            // prefix's nonzero bytes) to keep it complete. Right after a
+            // reset the prefix is all zero and this adds nothing.
+            self.journal.advance();
+            if journaling {
+                let journal = &mut self.journal;
+                for_each_nonzero_byte(&self.coverage[..used], |slot, _| journal.touch(slot as u32));
+            }
+            self.journaling = journaling;
+        }
     }
 
     fn last_op_path(&self) -> OpPath {
@@ -315,11 +393,7 @@ impl CoverageMap for BigMap {
     }
 
     fn touched_len(&self) -> Option<usize> {
-        if self.journal.is_complete() {
-            Some(self.journal.len())
-        } else {
-            None
-        }
+        (self.journaling && self.journal.is_complete()).then(|| self.journal.len())
     }
 
     fn journal_overflowed(&self) -> bool {
@@ -328,6 +402,44 @@ impl CoverageMap for BigMap {
 
     fn alloc_info(&self) -> Option<(crate::alloc::AllocBackend, bool)> {
         Some((self.coverage.backend(), self.coverage.fell_back()))
+    }
+}
+
+/// One exec's `record` path on a [`BigMap`], from [`BigMap::recorder`].
+///
+/// Matching on it once per exec and recording through the variant's own
+/// type gives each path its own monomorphized caller: the plain one
+/// carries no journal code at all.
+#[derive(Debug)]
+pub enum Recorder<'a> {
+    /// The exec keeps no journal.
+    Plain(PlainRecorder<'a>),
+    /// The exec journals first touches for the sparse pipeline.
+    Journaled(JournaledRecorder<'a>),
+}
+
+/// Records into a [`BigMap`] whose current exec keeps no journal.
+#[derive(Debug)]
+pub struct PlainRecorder<'a>(&'a mut BigMap);
+
+impl PlainRecorder<'_> {
+    /// [`CoverageMap::record`] for this exec: Listing 2 alone.
+    #[inline]
+    pub fn record(&mut self, key: u32) {
+        self.0.record_plain(key);
+    }
+}
+
+/// Records into a [`BigMap`] whose current exec journals first touches.
+#[derive(Debug)]
+pub struct JournaledRecorder<'a>(&'a mut BigMap);
+
+impl JournaledRecorder<'_> {
+    /// [`CoverageMap::record`] for this exec: Listing 2 plus the journal
+    /// append on a slot's first touch.
+    #[inline]
+    pub fn record(&mut self, key: u32) {
+        self.0.record_journaled(key);
     }
 }
 
@@ -492,6 +604,7 @@ mod tests {
     fn journal_lists_first_touched_slots_and_resets() {
         use crate::journal::SlotRun;
         let mut map = small();
+        map.set_sparse_override(Some(SparseMode::On));
         map.record(7);
         map.record(9);
         map.record(7);
@@ -504,6 +617,62 @@ mod tests {
         assert!(map.journal().is_empty());
         map.record(9); // existing slot 1, first touch of this exec
         assert_eq!(map.journal().runs(), &[SlotRun { base: 1, len: 1 }]);
+    }
+
+    #[test]
+    fn journaled_record_dedups_on_the_coverage_byte() {
+        // A slot's byte saturates at 255 and never returns to zero within
+        // an exec, so 300 touches journal it once; after reset the next
+        // exec journals it again.
+        let mut map = small();
+        map.set_sparse_override(Some(SparseMode::On));
+        for _ in 0..300 {
+            map.record(7);
+        }
+        assert_eq!(map.value_of_key(7), 255);
+        assert_eq!(map.journal().iter_slots().collect::<Vec<_>>(), vec![0]);
+        map.reset();
+        map.record(7);
+        assert_eq!(map.journal().iter_slots().collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn plain_execs_keep_no_journal() {
+        // Off never journals, and Auto does not below the used-prefix gate.
+        for mode in [SparseMode::Off, SparseMode::Auto] {
+            let mut map = small();
+            map.set_sparse_override(Some(mode));
+            for key in 0..64 {
+                map.record(key);
+            }
+            assert!(map.journal().is_empty(), "{mode:?}");
+            assert_eq!(map.touched_len(), None, "{mode:?}");
+            assert!(!map.journal_overflowed(), "{mode:?}");
+            map.classify();
+            assert_eq!(map.last_op_path(), OpPath::Dense, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn journaling_switched_on_mid_exec_seeds_the_unjournaled_touches() {
+        // Records made before the override went unjournaled; the journal
+        // must still list them, or the sparse walk would miss coverage.
+        let mut map = small();
+        map.set_sparse_override(Some(SparseMode::Off));
+        map.record(1);
+        map.record(2);
+        map.set_sparse_override(Some(SparseMode::On));
+        map.record(2);
+        map.record(3);
+        assert_eq!(
+            map.journal().iter_slots().collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        assert_eq!(map.touched_len(), Some(3));
+        // Switching off drops the journal for the rest of the exec.
+        map.set_sparse_override(Some(SparseMode::Off));
+        assert_eq!(map.touched_len(), None);
+        assert!(map.journal().is_empty());
     }
 
     #[test]

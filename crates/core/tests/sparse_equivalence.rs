@@ -4,7 +4,10 @@
 //! kernel the host can run — and a `BigMap` forced onto the sparse path
 //! must produce bit-identical verdicts, hashes, coverage bytes and virgin
 //! state to one forced onto the dense path over arbitrary exec streams,
-//! including journals small enough to overflow mid-exec.
+//! including journals small enough to overflow mid-exec. The same holds
+//! for maps whose journaling switches on and off between execs: an `Auto`
+//! map whose used prefix crosses `sparse::JOURNAL_MIN_USED`, and a map
+//! whose override flips between `reset` and the first `record`.
 //!
 //! The function-level properties loop over every kernel in `available()`;
 //! the map-level properties go through the table the CPU selected
@@ -15,8 +18,10 @@ use bigmap_core::classify::classify_slice;
 use bigmap_core::diff::classify_and_compare_region;
 use bigmap_core::journal::TouchJournal;
 use bigmap_core::kernels::{available, table_for};
-use bigmap_core::sparse::{classify_and_compare_runs, classify_runs, compare_runs, reset_runs};
-use bigmap_core::{BigMap, CoverageMap, MapSize, SparseMode, VirginState};
+use bigmap_core::sparse::{
+    classify_and_compare_runs, classify_runs, compare_runs, reset_runs, JOURNAL_MIN_USED,
+};
+use bigmap_core::{BigMap, CoverageMap, MapSize, OpPath, SparseMode, VirginState};
 use proptest::prelude::*;
 
 /// Region length for the function-level properties. Bursts up to
@@ -29,18 +34,55 @@ const BURST_MAX: u32 = 48;
 /// Replays touch bursts through a real journal. Each raw `u32` encodes a
 /// burst — base slot in the low bits, length 1..[`BURST_MAX`] in the high
 /// bits (the vendored proptest shim has no tuple strategies) — touching
-/// consecutive slots clipped to the region, with duplicates and overlaps
-/// deduplicated by the epoch stamps exactly as in production.
+/// consecutive slots clipped to the region. Duplicates and overlaps are
+/// deduplicated here, as `BigMap`'s journaled `record` does on the
+/// coverage byte: a slot is journaled on its first touch only.
 fn journal_from_bursts(bursts: &[u32]) -> TouchJournal {
     let mut j = TouchJournal::new(REGION);
+    let mut seen = vec![false; REGION];
     for &raw in bursts {
         let base = raw % REGION as u32;
         let len = 1 + (raw >> 16) % (BURST_MAX - 1);
         for s in base..(base + len).min(REGION as u32) {
-            j.touch(s);
+            if !std::mem::replace(&mut seen[s as usize], true) {
+                j.touch(s);
+            }
         }
     }
     j
+}
+
+/// Runs one exec's pipeline on `map` and on a forced-`Off` `reference`
+/// (the caller has reset both and recorded the same keys) and asserts
+/// they agree on the verdict, the hash, the active region and the virgin
+/// bytes. `split` picks classify + compare over the merged pass.
+fn assert_exec_matches_reference(
+    map: &mut BigMap,
+    virgin: &mut VirginState,
+    reference: &mut BigMap,
+    ref_virgin: &mut VirginState,
+    split: bool,
+    what: &str,
+) {
+    assert_eq!(map.hash(), reference.hash(), "{what}: raw hash");
+    let (got, want) = if split {
+        map.classify();
+        reference.classify();
+        (map.compare(virgin), reference.compare(ref_virgin))
+    } else {
+        (
+            map.classify_and_compare(virgin),
+            reference.classify_and_compare(ref_virgin),
+        )
+    };
+    assert_eq!(got, want, "{what}: verdict");
+    assert_eq!(map.hash(), reference.hash(), "{what}: classified hash");
+    assert_eq!(
+        map.active_region(),
+        reference.active_region(),
+        "{what}: active region"
+    );
+    assert_eq!(virgin.as_slice(), ref_virgin.as_slice(), "{what}: virgin");
 }
 
 /// Virgin contents mixing fully-virgin, partially-cleared and arbitrary
@@ -284,5 +326,115 @@ fn overflow_boundary_is_observationally_invisible() {
             &ref_region[..],
             "capacity {capacity}: region"
         );
+    }
+}
+
+/// An `Auto` map journals only once its used prefix has reached
+/// `JOURNAL_MIN_USED` at a reset. Grow the prefix across the gate in the
+/// middle of the stream: every exec must match a forced-`Off` map, the
+/// execs before the crossing must keep no journal, and the ones after it
+/// must journal and take the sparse walk when their density allows.
+#[test]
+fn auto_map_crossing_the_journal_gate_matches_forced_off() {
+    const SIZE: MapSize = MapSize::M2;
+    // Seven blocks of a quarter gate each: the prefix crosses the gate at
+    // the fifth reset.
+    const NEW_PER_EXEC: u32 = (JOURNAL_MIN_USED / 4) as u32;
+    let mut map = BigMap::new(SIZE).unwrap();
+    let mut reference = BigMap::new(SIZE).unwrap();
+    reference.set_sparse_override(Some(SparseMode::Off));
+    let mut virgin = VirginState::new(SIZE);
+    let mut ref_virgin = VirginState::new(SIZE);
+
+    let (mut plain, mut journaled, mut sparse) = (0, 0, 0);
+    let mut fresh = 0u32;
+    for exec in 0..12u32 {
+        // The first seven execs each discover a block of new keys
+        // (consecutive slots: one run) and revisit every 64th old key
+        // (singleton runs); the rest only revisit every 211th old key,
+        // sparse enough for the run walk.
+        let used_at_reset = map.used_len();
+        let mut keys: Vec<u32> = (0..fresh)
+            .step_by(if exec < 7 { 64 } else { 211 })
+            .collect();
+        if exec < 7 {
+            keys.extend(fresh..fresh + NEW_PER_EXEC);
+            fresh += NEW_PER_EXEC;
+        }
+        keys.extend(keys.clone().iter().step_by(3)); // repeat hits
+        for &k in &keys {
+            map.record(k);
+            reference.record(k);
+        }
+        let what = format!("exec {exec} (used {used_at_reset} at reset)");
+        if used_at_reset >= JOURNAL_MIN_USED {
+            journaled += 1;
+            assert_eq!(map.touched_len(), Some(map.count_nonzero()), "{what}");
+        } else {
+            plain += 1;
+            assert_eq!(map.touched_len(), None, "{what}: journaled below the gate");
+            assert!(!map.journal_overflowed(), "{what}");
+        }
+        assert_exec_matches_reference(
+            &mut map,
+            &mut virgin,
+            &mut reference,
+            &mut ref_virgin,
+            exec % 2 == 1,
+            &what,
+        );
+        sparse += usize::from(map.last_op_path() == OpPath::Sparse);
+        map.reset();
+        reference.reset();
+        assert!(map.active_region().iter().all(|&b| b == 0), "{what}: reset");
+    }
+    assert!(plain > 0 && journaled > 0, "stream never crossed the gate");
+    assert!(sparse > 0, "no journaled exec took the sparse walk");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A map whose override flips between `reset` and the first `record`
+    /// journals exactly the execs whose mode says so, and is
+    /// observationally identical to a forced-`Off` map throughout.
+    #[test]
+    fn override_flipped_before_first_record_matches_forced_off(
+        execs in prop::collection::vec(
+            prop::collection::vec(any::<u32>(), 0..160), 1..10),
+        modes in prop::collection::vec(0u8..3, 10..11),
+    ) {
+        let mut map = BigMap::new(MapSize::K64).unwrap();
+        let mut reference = BigMap::new(MapSize::K64).unwrap();
+        reference.set_sparse_override(Some(SparseMode::Off));
+        let mut virgin = VirginState::new(MapSize::K64);
+        let mut ref_virgin = VirginState::new(MapSize::K64);
+
+        for (i, keys) in execs.iter().enumerate() {
+            let mode = [SparseMode::Off, SparseMode::On, SparseMode::Auto][modes[i] as usize];
+            map.set_sparse_override(Some(mode));
+            for &key in keys {
+                map.record(key);
+                reference.record(key);
+            }
+            // A 64 KiB map's prefix stays below the gate, so only `On`
+            // journals here.
+            if mode == SparseMode::On {
+                prop_assert_eq!(map.touched_len(), Some(map.count_nonzero()), "exec {}", i);
+            } else {
+                prop_assert_eq!(map.touched_len(), None, "exec {}: {:?} journaled", i, mode);
+                prop_assert!(!map.journal_overflowed(), "exec {}", i);
+            }
+            let what = format!("exec {i} ({mode:?})");
+            assert_exec_matches_reference(
+                &mut map, &mut virgin, &mut reference, &mut ref_virgin, i % 2 == 1, &what,
+            );
+            let want_path = if mode == SparseMode::On { OpPath::Sparse } else { OpPath::Dense };
+            prop_assert_eq!(map.last_op_path(), want_path, "exec {}", i);
+            map.reset();
+            reference.reset();
+            prop_assert_eq!(map.active_region(), reference.active_region(),
+                "exec {}: post-reset region", i);
+        }
     }
 }

@@ -11,7 +11,7 @@
 use std::any::Any;
 use std::time::{Duration, Instant};
 
-use bigmap_core::{BigMap, CoverageMap, FlatBitmap, InterpMode};
+use bigmap_core::{BigMap, CoverageMap, FlatBitmap, InterpMode, Recorder};
 use bigmap_coverage::{CoverageMetric, EdgeHitCount, Instrumentation, NGram, TraceEvent};
 use bigmap_target::{
     BoundedRun, ExecOutcome, ExecRecording, Interpreter, NoveltyOracle, NullSink, SnapshotOutcome,
@@ -21,37 +21,37 @@ use bigmap_target::{
 /// Adapter: structural interpreter events → instrumented IDs → metric keys
 /// → map updates.
 ///
-/// Generic over the metric and the map so that, for the concrete types
-/// [`Engine::trace`] resolves, the engine's exec loop and tape replay
-/// inline the whole chain from block ID to hit count. Every other
-/// (metric, map) pair runs the same code with `M = dyn CoverageMetric`
-/// and `C = dyn CoverageMap`.
-struct MappingSink<'a, M: ?Sized, C: ?Sized> {
+/// Generic over the metric and the map's `record` so that, for the
+/// concrete types [`Engine::trace`] resolves, the engine's exec loop and
+/// tape replay inline the whole chain from block ID to hit count. Every
+/// other (metric, map) pair runs the same code with
+/// `M = dyn CoverageMetric` and a `record` through `dyn CoverageMap`.
+struct MappingSink<'a, M: ?Sized, R> {
     instrumentation: &'a Instrumentation,
     metric: &'a mut M,
-    map: &'a mut C,
+    record: R,
     /// Map `record` calls this execution (telemetry; local non-atomic
     /// counting keeps the per-event cost at one increment).
     updates: u64,
 }
 
-impl<M: CoverageMetric + ?Sized, C: CoverageMap + ?Sized> MappingSink<'_, M, C> {
+impl<M: CoverageMetric + ?Sized, R: FnMut(u32)> MappingSink<'_, M, R> {
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
         let MappingSink {
             metric,
-            map,
+            record,
             updates,
             ..
         } = self;
         metric.on_event(event, &mut |key| {
             *updates += 1;
-            map.record(key)
+            record(key)
         });
     }
 }
 
-impl<M: CoverageMetric + ?Sized, C: CoverageMap + ?Sized> TraceSink for MappingSink<'_, M, C> {
+impl<M: CoverageMetric + ?Sized, R: FnMut(u32)> TraceSink for MappingSink<'_, M, R> {
     #[inline]
     fn on_block(&mut self, global_block: usize) {
         let id = self.instrumentation.block_id(global_block);
@@ -127,9 +127,10 @@ pub struct Execution {
     /// budget (the case a calibrated budget is responsible for).
     pub planted_hang: bool,
     /// Distinct condensed map slots this execution touched, when the map
-    /// keeps a complete touch journal (`None` for the flat scheme or when
-    /// the journal overflowed). The numerator of the per-exec density the
-    /// sparse/dense dispatcher decides on.
+    /// kept a complete touch journal for it (`None` for the flat scheme,
+    /// for an exec that did not journal, or when the journal overflowed).
+    /// The numerator of the per-exec density the sparse/dense dispatcher
+    /// decides on.
     pub touched_slots: Option<usize>,
     /// Which engine path satisfied this execution.
     pub engine: EnginePath,
@@ -382,9 +383,10 @@ impl Engine<'_> {
     /// The concrete metric and map are found here, once per execution, by
     /// type (never by [`CoverageMetric::kind`], which a user metric may
     /// share with a shipped one). `EdgeHitCount` and `NGram`, each paired
-    /// with a shipped map, get their own [`MappingSink`] instantiation;
-    /// any other pair, `ContextSensitive` and `BlockCoverage` included,
-    /// runs through the trait objects.
+    /// with a shipped map, get their own [`MappingSink`] instantiation —
+    /// on `BigMap`, one per `record` path the exec uses
+    /// ([`BigMap::recorder`]); any other pair, `ContextSensitive` and
+    /// `BlockCoverage` included, runs through the trait objects.
     fn trace(
         self,
         input: &[u8],
@@ -398,7 +400,7 @@ impl Engine<'_> {
         if let Some(metric) = any.downcast_mut::<NGram>() {
             return self.trace_map(input, metric, map);
         }
-        self.traced(input, metric, map)
+        self.traced(input, metric, move |key| map.record(key))
     }
 
     /// [`Engine::trace`]'s second step, for a concrete metric `M`.
@@ -410,25 +412,31 @@ impl Engine<'_> {
     ) -> (BoundedRun, EnginePath, u64) {
         let any = map as &mut dyn Any;
         if let Some(map) = any.downcast_mut::<BigMap>() {
-            return self.traced(input, metric, map);
+            return match map.recorder() {
+                Recorder::Plain(mut r) => self.traced(input, metric, move |key| r.record(key)),
+                Recorder::Journaled(mut r) => self.traced(input, metric, move |key| r.record(key)),
+            };
         }
         if let Some(map) = any.downcast_mut::<FlatBitmap>() {
-            return self.traced(input, metric, map);
+            return self.traced(input, metric, move |key| map.record(key));
         }
-        self.traced(input, metric as &mut dyn CoverageMetric, map)
+        self.traced(input, metric as &mut dyn CoverageMetric, move |key| {
+            map.record(key)
+        })
     }
 
-    /// The one traced code path, monomorphized per (metric, map) pair.
-    fn traced<M: CoverageMetric + ?Sized, C: CoverageMap + ?Sized>(
+    /// The one traced code path, monomorphized per (metric, `record`)
+    /// pair.
+    fn traced<M: CoverageMetric + ?Sized, R: FnMut(u32)>(
         self,
         input: &[u8],
         metric: &mut M,
-        map: &mut C,
+        record: R,
     ) -> (BoundedRun, EnginePath, u64) {
         let mut sink = MappingSink {
             instrumentation: self.instrumentation,
             metric,
-            map,
+            record,
             updates: 0,
         };
         let (run, path) = self.run(input, &mut sink);
@@ -460,7 +468,7 @@ pub struct FastExecution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigmap_core::{BigMap, FlatBitmap, MapSize};
+    use bigmap_core::{BigMap, FlatBitmap, MapSize, SparseMode};
     use bigmap_coverage::{ContextSensitive, EdgeHitCount, NGram};
     use bigmap_target::{GeneratorConfig, ProgramBuilder};
 
@@ -532,9 +540,14 @@ mod tests {
         let interp = Interpreter::new(&program);
         let mut executor = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
 
+        // A 64 KiB map's used prefix is below the `Auto` journaling gate,
+        // so the journal has to be forced on.
         let mut big = BigMap::new(MapSize::K64).unwrap();
+        big.set_sparse_override(Some(SparseMode::On));
         let execution = executor.run(b"journal", &mut big);
-        let touched = execution.touched_slots.expect("BigMap keeps a journal");
+        let touched = execution
+            .touched_slots
+            .expect("a journaled BigMap reports touches");
         // Every distinct nonzero slot of this exec was journaled.
         assert_eq!(touched, big.count_nonzero());
         assert!(touched > 0);

@@ -7,7 +7,8 @@
 //! returns, and leave identical map bytes.
 
 use bigmap::core::{
-    BigMap, CoverageMap, FlatBitmap, InterpMode, MapScheme, MapSize, NewCoverage, VirginState,
+    BigMap, CoverageMap, FlatBitmap, InterpMode, MapScheme, MapSize, NewCoverage, SparseMode,
+    VirginState,
 };
 use bigmap::coverage::{
     BlockCoverage, ContextSensitive, CoverageMetric, EdgeHitCount, Instrumentation, MetricKind,
@@ -97,9 +98,16 @@ const METRICS: [(&str, MetricFactory); 6] = [
     ("impostor", || Box::new(BlockImpostor)),
 ];
 
-const MAPS: [(&str, MapFactory); 3] = [
+const MAPS: [(&str, MapFactory); 4] = [
     ("flat", || Box::new(FlatBitmap::new(MapSize::K64).unwrap())),
+    // `Auto` below the journal gate: every exec records plain.
     ("bigmap", || Box::new(BigMap::new(MapSize::K64).unwrap())),
+    // Journal forced on: every exec records through the journaled path.
+    ("bigmap-journaled", || {
+        let mut map = BigMap::new(MapSize::K64).unwrap();
+        map.set_sparse_override(Some(SparseMode::On));
+        Box::new(map)
+    }),
     ("delegating", || {
         Box::new(Delegating(BigMap::new(MapSize::K64).unwrap()))
     }),
@@ -311,6 +319,11 @@ fn static_dispatch_matches_the_trait_object_reference() {
                         got.touched_slots,
                         ref_map.touched_len(),
                         "{context}: touched"
+                    );
+                    assert_eq!(
+                        got.touched_slots.is_some(),
+                        map_name == "bigmap-journaled",
+                        "{context}: journaled record path not taken"
                     );
                     assert_eq!(got.engine, want_path, "{context}: engine");
                     assert_eq!(map.used_len(), ref_map.used_len(), "{context}: used_len");

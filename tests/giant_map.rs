@@ -113,7 +113,7 @@ fn giant_journal_overflow_policy_holds_at_giant_sizes() {
     // bound, and (via select_path's completeness gate) forces the dense
     // path — an incomplete journal may never drive a sparse walk.
     let map_len = MapSize::M256.bytes();
-    let mut journal = TouchJournal::with_capacity(map_len, 4);
+    let mut journal = TouchJournal::with_capacity(4);
     for slot in [0u32, 1_000_000, 2_000_000, 3_000_000] {
         journal.touch(slot * 2); // every touch starts a fresh run
     }

@@ -17,10 +17,12 @@
 //!    supports produces identical verdict sequences and identical virgin
 //!    state — the per-exec decision is kernel-invariant on real data, not
 //!    just on the random regions the property suite generates.
+//! 4. Resuming from a checkpoint taken at any sync boundary, on either map
+//!    scheme, finishes on the uninterrupted run's trajectory.
 
 use bigmap::core::alloc::{with_huge_policy, HugePolicy};
 use bigmap::core::kernels::{available, table_for};
-use bigmap::fuzzer::CampaignOutput;
+use bigmap::fuzzer::{CampaignOutput, TimelinePoint};
 use bigmap::prelude::*;
 
 fn run_once(seed: u64, sparse: Option<SparseMode>) -> CampaignStats {
@@ -248,6 +250,83 @@ fn campaign_trajectory_is_invariant_across_the_policy_product() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn resume_from_every_sync_boundary_matches_the_uninterrupted_run() {
+    // Capture a checkpoint at every sync boundary of one uninterrupted
+    // run, then restore each into a fresh campaign and finish the budget:
+    // every resumed run must end where the uninterrupted one did.
+    const SYNC_EVERY: u64 = 500;
+    let spec = BenchmarkSpec::by_name("libpng").unwrap();
+    let program = spec.build(0.05);
+    let seeds = spec.build_seeds(&program, 8);
+    let interpreter = Interpreter::new(&program);
+    // The deterministic stages run in long batches, havoc in short ones:
+    // one campaign of each.
+    for (scheme, map_size, deterministic) in [
+        (MapScheme::TwoLevel, MapSize::K64, true),
+        (MapScheme::Flat, MapSize::new(4 << 10).unwrap(), false),
+    ] {
+        let instrumentation =
+            Instrumentation::assign(program.block_count(), program.call_sites, map_size, 9);
+        let config = CampaignConfig {
+            scheme,
+            map_size,
+            budget: Budget::Execs(5_000),
+            seed: 71,
+            deterministic,
+            ..Default::default()
+        };
+        let mut checkpoints: Vec<Checkpoint> = Vec::new();
+        let mut campaign = Campaign::new(config.clone(), &interpreter, &instrumentation);
+        campaign.add_seeds(seeds.clone());
+        let reference =
+            campaign.run_with_hook_detailed(SYNC_EVERY, |c| checkpoints.push(c.checkpoint()));
+        assert!(
+            checkpoints.len() >= 6,
+            "{scheme:?}: only {} sync boundaries",
+            checkpoints.len()
+        );
+
+        for checkpoint in &checkpoints {
+            let at = format!("{scheme:?} resumed at exec {}", checkpoint.execs);
+            let mut resumed = Campaign::new(config.clone(), &interpreter, &instrumentation);
+            resumed.restore(checkpoint);
+            let out = resumed.run_with_hook_detailed(SYNC_EVERY, |_| {});
+            assert_eq!(out.stats.execs, reference.stats.execs, "{at}: execs");
+            assert_eq!(out.corpus, reference.corpus, "{at}: corpus");
+            assert_eq!(
+                out.crash_inputs, reference.crash_inputs,
+                "{at}: crash inputs"
+            );
+            assert_eq!(out.hang_inputs, reference.hang_inputs, "{at}: hang inputs");
+            assert_eq!(
+                out.stats.queue_len, reference.stats.queue_len,
+                "{at}: queue"
+            );
+            // A restored timeline starts at the checkpoint; from there on it
+            // must be the uninterrupted run's.
+            let (first, rest) = out.stats.timeline.points().split_first().unwrap();
+            assert_eq!(
+                *first,
+                TimelinePoint {
+                    execs: checkpoint.execs,
+                    coverage: checkpoint.discovered_running,
+                },
+                "{at}: first timeline point"
+            );
+            let tail: Vec<TimelinePoint> = reference
+                .stats
+                .timeline
+                .points()
+                .iter()
+                .copied()
+                .filter(|p| p.execs > checkpoint.execs)
+                .collect();
+            assert_eq!(rest, &tail[..], "{at}: timeline");
         }
     }
 }
