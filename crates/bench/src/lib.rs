@@ -419,27 +419,6 @@ impl PreparedBenchmark {
         campaign.run()
     }
 
-    /// Runs one campaign arm with a live telemetry handle attached; the
-    /// final snapshot lands in [`CampaignStats::telemetry`].
-    pub fn run_campaign_telemetry(
-        &self,
-        scheme: MapScheme,
-        metric: MetricKind,
-        budget: Budget,
-        seed: u64,
-        telemetry: Arc<Telemetry>,
-    ) -> CampaignStats {
-        let interpreter = Interpreter::new(&self.program);
-        let mut campaign = Campaign::new(
-            self.arm_config(scheme, metric, budget, seed, true),
-            &interpreter,
-            &self.instrumentation,
-        );
-        campaign.set_telemetry(telemetry);
-        campaign.add_seeds(self.seeds.clone());
-        campaign.run()
-    }
-
     /// Runs a campaign arm and returns the final corpus alongside the stats
     /// (coverage replay experiments). `telemetry` optionally attaches a
     /// live telemetry handle to the arm.
@@ -477,28 +456,11 @@ impl PreparedBenchmark {
     }
 
     /// Average of `runs` campaign arms' throughput (the paper aggregates
-    /// three runs per configuration, §V-B).
-    pub fn mean_throughput(&self, scheme: MapScheme, budget: Budget, runs: usize) -> f64 {
-        self.mean_throughput_telemetry(scheme, budget, runs, None)
-    }
-
-    /// [`mean_throughput`](PreparedBenchmark::mean_throughput) with live
-    /// telemetry: each run gets a fresh instance index in `aggregator`
-    /// (when given) and records its final snapshot there, which forwards
-    /// it to the aggregator's sink — the harness that measures the
-    /// telemetry layer's own overhead (Figure 6 with `--telemetry`).
-    pub fn mean_throughput_telemetry(
-        &self,
-        scheme: MapScheme,
-        budget: Budget,
-        runs: usize,
-        aggregator: Option<&FleetAggregator>,
-    ) -> f64 {
-        self.mean_throughput_checkpointed(scheme, budget, runs, aggregator, None, "")
-    }
-
-    /// [`mean_throughput_telemetry`](PreparedBenchmark::mean_throughput_telemetry)
-    /// with optional checkpointing: each run checkpoints under (and in
+    /// three runs per configuration, §V-B). With an `aggregator`, each run
+    /// gets a fresh instance index in it and records its final telemetry
+    /// snapshot there, which forwards it to the aggregator's sink — how
+    /// Figure 6's `--telemetry` measures the telemetry layer's own
+    /// overhead. With `checkpoint`, each run checkpoints under (and in
     /// resume mode restores from) `<dir>/<arm_key>-r<run>`.
     pub fn mean_throughput_checkpointed(
         &self,
@@ -636,7 +598,14 @@ mod tests {
     fn mean_throughput_positive() {
         let spec = BenchmarkSpec::by_name("zlib").unwrap();
         let prepared = PreparedBenchmark::build(&spec, MapSize::K64, Effort::Quick);
-        let t = prepared.mean_throughput(MapScheme::Flat, Budget::Execs(300), 2);
+        let t = prepared.mean_throughput_checkpointed(
+            MapScheme::Flat,
+            Budget::Execs(300),
+            2,
+            None,
+            None,
+            "",
+        );
         assert!(t > 0.0);
     }
 

@@ -65,33 +65,6 @@ pub static BUCKET_LUT: [u8; 256] = {
     lut
 };
 
-/// Classifies exactly the listed condensed slots of `counts` in place.
-///
-/// This is the journal-driven counterpart of [`classify_slice`]: cost is
-/// `O(slots.len())` instead of `O(counts.len())`. For dense-equivalent
-/// behaviour the slot list must be **unique** (classification is not
-/// idempotent — see the module docs) and must cover every nonzero byte of
-/// `counts`; unlisted zero bytes are fine because `bucket_of(0) == 0`. The
-/// BigMap touch journal guarantees both by construction.
-///
-/// # Panics
-///
-/// Panics if any slot index is out of bounds for `counts`.
-pub fn classify_slots(counts: &mut [u8], slots: &[u32]) {
-    let len = counts.len();
-    assert!(
-        slots.iter().all(|&s| (s as usize) < len),
-        "slot index out of bounds"
-    );
-    for &s in slots {
-        // SAFETY: every slot was bounds-checked above.
-        unsafe {
-            let b = counts.get_unchecked_mut(s as usize);
-            *b = BUCKET_LUT[*b as usize];
-        }
-    }
-}
-
 fn lut16() -> &'static [u16; 65536] {
     static LUT: OnceLock<Box<[u16; 65536]>> = OnceLock::new();
     LUT.get_or_init(|| {
@@ -229,40 +202,7 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "slot index out of bounds")]
-    fn classify_slots_rejects_out_of_bounds() {
-        let mut buf = [1u8; 8];
-        classify_slots(&mut buf, &[8]);
-    }
-
     proptest! {
-        #[test]
-        fn classify_slots_equals_slice_on_covering_unique_slots(
-            data in prop::collection::vec(any::<u8>(), 1..512),
-            extra in prop::collection::vec(any::<usize>(), 0..32),
-        ) {
-            // Slots = every nonzero position (the journal guarantee) plus
-            // some arbitrary zero positions, deduped.
-            let mut slots: Vec<u32> = data
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b != 0)
-                .map(|(i, _)| i as u32)
-                .collect();
-            for idx in &extra {
-                let i = idx % data.len();
-                if data[i] == 0 && !slots.contains(&(i as u32)) {
-                    slots.push(i as u32);
-                }
-            }
-            let mut dense = data.clone();
-            classify_slice(&mut dense);
-            let mut sparse = data;
-            classify_slots(&mut sparse, &slots);
-            prop_assert_eq!(sparse, dense);
-        }
-
         #[test]
         fn word_equals_bytewise(bytes in prop::array::uniform8(any::<u8>())) {
             let word = u64::from_le_bytes(bytes);

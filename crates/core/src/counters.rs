@@ -1,15 +1,14 @@
-//! Lock-free event counters and wall-time accumulators for runtime
-//! telemetry.
+//! Lock-free event counters for runtime telemetry.
 //!
 //! The fuzzer layer threads a per-instance statistics registry through the
-//! campaign loop (see `bigmap-fuzzer::telemetry`); the primitives live here
+//! campaign loop (see `bigmap-fuzzer::telemetry`); the primitive lives here
 //! because the same hooks are useful to anything that owns a coverage map.
-//! Both types are single writers' worth of cost — one relaxed atomic add —
-//! so they can sit directly on the per-test-case path without perturbing
-//! the Figure 3 / Figure 6 measurements they exist to observe.
+//! A counter costs one relaxed atomic add, so it can sit directly on the
+//! per-test-case path without perturbing the Figure 3 / Figure 6
+//! measurements it exists to observe. Counters hold event counts and, per
+//! [`Layer`](crate::Layer), accumulated nanoseconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A lock-free monotone event counter.
 ///
@@ -55,52 +54,6 @@ impl EventCounter {
     }
 }
 
-/// A lock-free wall-time accumulator (nanoseconds).
-///
-/// The atomic sibling of one [`OpStats`](crate::OpStats) slot: stages add
-/// their elapsed [`Duration`]s, observers read a consistent total at any
-/// time without stopping the writer.
-///
-/// # Examples
-///
-/// ```rust
-/// use bigmap_core::StageNanos;
-/// use std::time::Duration;
-///
-/// let clock = StageNanos::new();
-/// clock.add(Duration::from_millis(2));
-/// clock.add(Duration::from_millis(3));
-/// assert_eq!(clock.total(), Duration::from_millis(5));
-/// ```
-#[derive(Debug, Default)]
-pub struct StageNanos(AtomicU64);
-
-impl StageNanos {
-    /// Creates an accumulator at zero.
-    pub const fn new() -> Self {
-        StageNanos(AtomicU64::new(0))
-    }
-
-    /// Adds an elapsed duration. Saturates at `u64::MAX` nanoseconds
-    /// (~584 years) rather than wrapping.
-    #[inline]
-    pub fn add(&self, elapsed: Duration) {
-        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.0.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Accumulated nanoseconds.
-    #[inline]
-    pub fn nanos(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Accumulated time as a [`Duration`].
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.nanos())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,11 +70,12 @@ mod tests {
 
     #[test]
     fn stage_nanos_accumulates() {
-        let s = StageNanos::new();
-        s.add(Duration::from_nanos(40));
-        s.add(Duration::from_nanos(2));
-        assert_eq!(s.nanos(), 42);
-        assert_eq!(s.total(), Duration::from_nanos(42));
+        // A layer's clock is a counter of nanoseconds: sums past u32 range
+        // (4.3 s) must not wrap.
+        let s = EventCounter::new();
+        s.add(3_000_000_000);
+        s.add(3_000_000_042);
+        assert_eq!(s.get(), 6_000_000_042);
     }
 
     #[test]

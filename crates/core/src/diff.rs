@@ -5,36 +5,8 @@
 //! over the active region, eight map slots at a time, with a fast skip for
 //! all-zero words.
 
-use crate::classify::{bucket_of, classify_word, BUCKET_LUT};
+use crate::classify::{bucket_of, classify_word};
 use crate::traits::NewCoverage;
-
-/// Lookahead distance for the journal-walk prefetches: far enough to cover
-/// load latency on a cold line, near enough to stay inside the L2 miss
-/// queue.
-const PREFETCH_AHEAD: usize = 16;
-
-/// Software-prefetches the `cur`/`virgin` bytes a few journal entries
-/// ahead. The journal walks are random single-byte accesses over large
-/// regions — latency-bound, not bandwidth-bound — so overlapping the misses
-/// is where the sparse path's constant factor comes from.
-#[inline(always)]
-fn prefetch_slot(cur: &[u8], virgin: &[u8], slots: &[u32], i: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(&s) = slots.get(i + PREFETCH_AHEAD) {
-        // SAFETY: every journal slot is bounds-checked by the caller before
-        // the walk starts, so the pointer arithmetic stays in bounds;
-        // `_mm_prefetch` itself is a hint with no memory-safety contract.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(cur.as_ptr().add(s as usize).cast(), _MM_HINT_T0);
-            _mm_prefetch(virgin.as_ptr().add(s as usize).cast(), _MM_HINT_T0);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (cur, virgin, slots, i);
-    }
-}
 
 #[inline]
 pub(crate) fn diff_byte(cur: u8, virgin: &mut u8, verdict: &mut NewCoverage) {
@@ -243,83 +215,6 @@ pub fn classify_and_compare_region(cur: &mut [u8], virgin: &mut [u8]) -> NewCove
     verdict
 }
 
-/// Journal-driven sparse compare: diffs only the listed condensed slots of
-/// an already-classified region against `virgin`.
-///
-/// Byte-for-byte equivalent to [`compare_region`] — same verdict, same
-/// virgin bytes — whenever `slots` covers every nonzero byte of `cur`,
-/// which the BigMap touch journal guarantees by construction (untouched
-/// slots are zero after reset, and a zero `cur` byte can neither raise a
-/// verdict nor clear a virgin bit). This includes the
-/// `hash_to_last_nonzero` new-coverage semantics for the crash and hang
-/// virgin maps: those maps diff the same classified region through this
-/// same entry point, so a first crash/hang still reports `NewEdge` against
-/// its own all-0xFF virgin state.
-///
-/// # Panics
-///
-/// Panics if the regions have different lengths or any slot index is out
-/// of bounds.
-pub fn compare_slots(cur: &[u8], virgin: &mut [u8], slots: &[u32]) -> NewCoverage {
-    assert_eq!(cur.len(), virgin.len(), "region length mismatch");
-    let len = cur.len();
-    assert!(
-        slots.iter().all(|&s| (s as usize) < len),
-        "slot index out of bounds"
-    );
-    let mut verdict = NewCoverage::None;
-    for (i, &s) in slots.iter().enumerate() {
-        prefetch_slot(cur, virgin, slots, i);
-        // SAFETY: every slot was bounds-checked above.
-        unsafe {
-            let c = *cur.get_unchecked(s as usize);
-            diff_byte(c, virgin.get_unchecked_mut(s as usize), &mut verdict);
-        }
-    }
-    verdict
-}
-
-/// Journal-driven sparse merged classify + compare: buckets and diffs only
-/// the listed condensed slots.
-///
-/// Equivalent to [`classify_and_compare_region`] under the journal
-/// guarantee (see [`compare_slots`]), with the additional requirement that
-/// `slots` is **unique** — classification is not idempotent, so a
-/// duplicated slot would be bucketed twice. The touch journal guarantees
-/// uniqueness: `BigMap` journals a slot only while its coverage byte is
-/// still zero.
-///
-/// The classified byte is only stored when it changed, keeping already-
-/// classified lines clean in the steady state (same store elision as the
-/// dense kernels).
-///
-/// # Panics
-///
-/// Panics if the regions have different lengths or any slot index is out
-/// of bounds.
-pub fn classify_and_compare_slots(cur: &mut [u8], virgin: &mut [u8], slots: &[u32]) -> NewCoverage {
-    assert_eq!(cur.len(), virgin.len(), "region length mismatch");
-    let len = cur.len();
-    assert!(
-        slots.iter().all(|&s| (s as usize) < len),
-        "slot index out of bounds"
-    );
-    let mut verdict = NewCoverage::None;
-    for (i, &s) in slots.iter().enumerate() {
-        prefetch_slot(cur, virgin, slots, i);
-        // SAFETY: every slot was bounds-checked above.
-        unsafe {
-            let p = cur.get_unchecked_mut(s as usize);
-            let b = BUCKET_LUT[*p as usize];
-            if b != *p {
-                *p = b;
-            }
-            diff_byte(b, virgin.get_unchecked_mut(s as usize), &mut verdict);
-        }
-    }
-    verdict
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,50 +298,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
         compare_region(&[0; 4], &mut [0xFF; 8]);
-    }
-
-    #[test]
-    fn sparse_compare_matches_dense_on_covering_slots() {
-        let mut cur = vec![0u8; 64];
-        cur[3] = 1;
-        cur[40] = 2;
-        cur[63] = 128;
-        let slots = [3u32, 40, 63, 10]; // 10 is an untouched (zero) slot
-        let mut dense_virgin = vec![0xFFu8; 64];
-        let mut sparse_virgin = vec![0xFFu8; 64];
-        let dense = compare_region(&cur, &mut dense_virgin);
-        let sparse = compare_slots(&cur, &mut sparse_virgin, &slots);
-        assert_eq!(sparse, dense);
-        assert_eq!(sparse_virgin, dense_virgin);
-        // Replay: both report None once the virgin bits are cleared.
-        assert_eq!(
-            compare_slots(&cur, &mut sparse_virgin, &slots),
-            NewCoverage::None
-        );
-    }
-
-    #[test]
-    fn sparse_fused_matches_dense_on_covering_slots() {
-        let mut raw = vec![0u8; 64];
-        raw[0] = 5;
-        raw[17] = 200;
-        raw[33] = 1;
-        let slots = [17u32, 0, 33];
-        let mut dense_cur = raw.clone();
-        let mut dense_virgin = vec![0xFFu8; 64];
-        let dense = classify_and_compare_region(&mut dense_cur, &mut dense_virgin);
-        let mut sparse_cur = raw;
-        let mut sparse_virgin = vec![0xFFu8; 64];
-        let sparse = classify_and_compare_slots(&mut sparse_cur, &mut sparse_virgin, &slots);
-        assert_eq!(sparse, dense);
-        assert_eq!(sparse_cur, dense_cur);
-        assert_eq!(sparse_virgin, dense_virgin);
-    }
-
-    #[test]
-    #[should_panic(expected = "slot index out of bounds")]
-    fn sparse_compare_rejects_out_of_bounds_slot() {
-        compare_slots(&[0; 8], &mut [0xFF; 8], &[8]);
     }
 
     #[test]

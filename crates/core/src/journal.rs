@@ -31,8 +31,9 @@
 //!   starts more runs than that sets `overflowed` instead of growing the
 //!   vector, and the dispatcher falls back to the dense kernels for that
 //!   exec. (Extending an existing run never overflows — it allocates
-//!   nothing.) The bound also guarantees `push` never reallocates after
-//!   construction.
+//!   nothing.) The run vector is allocated to its bound once, when the
+//!   map first journals ([`TouchJournal::reserve`]), so `touch` never
+//!   reallocates and a map that never journals holds no run storage.
 
 /// Default bound on the number of touch runs tracked per exec.
 ///
@@ -123,13 +124,14 @@ impl TouchJournal {
         Self::with_capacity(capacity_for(map_len))
     }
 
-    /// Creates a journal with an explicit run-vector bound.
+    /// Creates a journal with an explicit run-vector bound. Nothing is
+    /// allocated until [`reserve`](Self::reserve).
     ///
     /// A capacity of 0 makes every exec overflow immediately — useful for
     /// forcing the dense fallback in tests.
     pub fn with_capacity(capacity: usize) -> Self {
         TouchJournal {
-            runs: Vec::with_capacity(capacity),
+            runs: Vec::new(),
             touched: 0,
             capacity,
             overflowed: false,
@@ -158,6 +160,22 @@ impl TouchJournal {
         } else {
             self.overflowed = true;
         }
+    }
+
+    /// Allocates the run vector up to its bound, once; later calls are a
+    /// compare. A map calls it for each exec it journals, so `touch` never
+    /// reallocates.
+    #[inline]
+    pub fn reserve(&mut self) {
+        if self.runs.capacity() < self.capacity {
+            self.runs.reserve_exact(self.capacity);
+        }
+    }
+
+    /// Runs the allocated run vector holds room for: 0 until the first
+    /// [`reserve`](Self::reserve), at least the bound after it.
+    pub fn reserved(&self) -> usize {
+        self.runs.capacity()
     }
 
     /// Starts the next exec: forgets this exec's touches.

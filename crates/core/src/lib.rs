@@ -31,10 +31,10 @@
 //!   sparse/dense dispatcher that shrink the per-exec map ops from
 //!   `O(used_key)` to `O(touched)` at low densities,
 //! * [`hash`] — CRC32 with the paper's hash-up-to-last-non-zero rule,
-//! * [`timing`] — per-operation runtime accounting used to regenerate the
-//!   paper's Figure 3,
-//! * [`counters`] — lock-free event counters and wall-time accumulators,
-//!   the substrate of the fuzzer's live telemetry layer,
+//! * [`timing`] — the campaign loop's [`Layer`]s and their per-layer
+//!   runtime accounting, used to regenerate the paper's Figure 3,
+//! * [`counters`] — lock-free event counters, the substrate of the
+//!   fuzzer's live telemetry layer,
 //! * [`env`] — the documented registry of every `BIGMAP_*` environment
 //!   knob with typed parse-and-validate accessors,
 //! * [`wire`] — the versioned, checksummed binary framing the process
@@ -89,7 +89,7 @@ pub mod virgin;
 pub mod wire;
 
 pub use alloc::{AllocBackend, HugePolicy};
-pub use counters::{EventCounter, StageNanos};
+pub use counters::EventCounter;
 pub use env::Knob;
 pub use flat::FlatBitmap;
 pub use hash::Crc32;
@@ -98,7 +98,7 @@ pub use journal::{SlotRun, TouchJournal};
 pub use kernels::{KernelKind, KernelTable};
 pub use map_size::{MapSize, MapSizeError};
 pub use sparse::{OpPath, SparseMode};
-pub use timing::{OpKind, OpStats};
+pub use timing::{Layer, OpStats};
 pub use trace::TraceMode;
 pub use traits::{CoverageMap, MapScheme, NewCoverage};
 pub use two_level::{BigMap, JournaledRecorder, PlainRecorder, Recorder};

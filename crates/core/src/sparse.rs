@@ -175,29 +175,6 @@ pub fn select_path(
     }
 }
 
-/// Journal-driven reset: zeroes exactly the listed condensed slots.
-///
-/// Equivalent to `counts.fill(0)` over the used prefix whenever `slots`
-/// covers every nonzero byte — the journal guarantee — at `O(touched)`
-/// cost.
-///
-/// # Panics
-///
-/// Panics if any slot index is out of bounds.
-pub fn reset_slots(counts: &mut [u8], slots: &[u32]) {
-    let len = counts.len();
-    assert!(
-        slots.iter().all(|&s| (s as usize) < len),
-        "slot index out of bounds"
-    );
-    for &s in slots {
-        // SAFETY: every slot was bounds-checked above.
-        unsafe {
-            *counts.get_unchecked_mut(s as usize) = 0;
-        }
-    }
-}
-
 // ---------------------------------------------------------------- run ops
 //
 // The journal stores maximal runs of consecutive slots
@@ -209,7 +186,9 @@ pub fn reset_slots(counts: &mut [u8], slots: &[u32]) {
 // dense pass holds under the journal guarantee (runs cover every nonzero
 // byte, slots are unique) because each sub-slice call is byte-identical to
 // the scalar oracle on that sub-slice and `NewCoverage` verdicts merge by
-// `max`.
+// `max`. Unlisted slots may be anything the dense pass leaves unchanged:
+// zero bytes, which classify to zero and can neither raise a verdict nor
+// clear a virgin bit.
 
 /// Minimum run length worth a vector-kernel sub-slice call instead of the
 /// scalar per-slot loop: one AVX2 block. Below this the kernel's call and
@@ -254,7 +233,9 @@ fn validate_runs(len: usize, runs: &[SlotRun]) {
 /// Journal-driven reset over runs: zeroes exactly the journaled slots.
 ///
 /// Long runs become `fill(0)` sub-slice memsets; equivalent to clearing the
-/// whole used prefix under the journal guarantee.
+/// whole used prefix when the runs cover every nonzero byte — the journal
+/// guarantee, since every byte the exec wrote was journaled on its first
+/// touch.
 ///
 /// # Panics
 ///
@@ -266,8 +247,14 @@ pub fn reset_runs(counts: &mut [u8], runs: &[SlotRun]) {
     }
 }
 
-/// Journal-driven classify over runs (see [`crate::classify::classify_slots`]
-/// for the slot-level contract: unique slots covering every nonzero byte).
+/// Journal-driven classify over runs: buckets exactly the journaled slots.
+///
+/// Equivalent to [`crate::classify::classify_slice`] over the whole region
+/// when the runs' slots are **unique** (classification is not idempotent,
+/// so a slot listed twice would be bucketed twice) and cover every nonzero
+/// byte (`bucket_of(0) == 0`, so unlisted zero bytes need no pass). The
+/// touch journal guarantees both: `BigMap` journals a slot only while its
+/// coverage byte is still zero.
 ///
 /// # Panics
 ///
@@ -292,9 +279,15 @@ pub fn classify_runs(counts: &mut [u8], runs: &[SlotRun], table: &KernelTable) {
     }
 }
 
-/// Journal-driven compare over runs (see [`crate::diff::compare_slots`] for
-/// the slot-level contract, including the `hash_to_last_nonzero`
-/// crash/hang-virgin semantics).
+/// Journal-driven compare over runs: diffs exactly the journaled slots of
+/// an already-classified region against `virgin`.
+///
+/// Byte-for-byte equivalent to [`crate::diff::compare_region`] — same
+/// verdict, same virgin bytes — when the runs cover every nonzero byte of
+/// `cur`. That includes the crash and hang virgin maps (AFL's
+/// `hash_to_last_nonzero` new-coverage semantics): they diff the same
+/// classified region through this same entry point, so a first crash or
+/// hang still reports `NewEdge` against its own all-`0xFF` virgin state.
 ///
 /// # Panics
 ///
@@ -329,10 +322,13 @@ pub fn compare_runs(
     verdict
 }
 
-/// Journal-driven merged classify + compare over runs (see
-/// [`crate::diff::classify_and_compare_slots`] for the slot-level
-/// contract; the journal's first-touch-only appends supply the uniqueness
-/// classification needs).
+/// Journal-driven merged classify + compare over runs.
+///
+/// Equivalent to [`crate::diff::classify_and_compare_region`] under both
+/// halves of the contract above: covering runs (as for [`compare_runs`])
+/// of unique slots (as for [`classify_runs`]). A classified byte is stored
+/// only when it changed, keeping already-classified lines clean in the
+/// steady state (the dense kernels' store elision).
 ///
 /// # Panics
 ///
@@ -464,22 +460,6 @@ mod tests {
             select_path(SparseMode::Auto, true, at, at, used),
             OpPath::Dense
         );
-    }
-
-    #[test]
-    fn reset_slots_clears_exactly_the_listed_slots() {
-        let mut buf = [7u8; 16];
-        reset_slots(&mut buf, &[0, 3, 15]);
-        for (i, &b) in buf.iter().enumerate() {
-            let expect = if [0, 3, 15].contains(&i) { 0 } else { 7 };
-            assert_eq!(b, expect, "slot {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "slot index out of bounds")]
-    fn reset_slots_rejects_out_of_bounds() {
-        reset_slots(&mut [0u8; 4], &[4]);
     }
 
     #[test]

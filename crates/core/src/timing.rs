@@ -1,91 +1,117 @@
-//! Per-operation runtime accounting (regenerates Figure 3).
+//! Per-layer runtime accounting (regenerates Figure 3).
 //!
 //! The paper's Figure 3 decomposes a campaign's wall-clock time into target
-//! execution plus the five map operations. The fuzzer wraps each stage in a
-//! timer and accumulates into an [`OpStats`]; the Figure 3 harness prints the
-//! same stacked rows as the paper.
+//! execution plus the map operations. The fuzzer keeps one running
+//! timestamp through its loop and closes each timed step — a [`Layer`] —
+//! with a single clock read, adding the elapsed nanoseconds to an
+//! [`OpStats`] (and to the live telemetry, when attached). The layers tile
+//! the loop, so they sum to its wall time; the Figure 3 harness folds them
+//! into the paper's stacked columns.
 
 use std::fmt;
 use std::time::Duration;
 
-/// The stages of the per-test-case pipeline that the paper accounts for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Running the (instrumented) target — includes the bitmap *update*
-    /// cost, exactly as in the paper, where the update happens inside the
-    /// instrumented target's execution.
-    Execution,
-    /// Bitmap reset before each test case.
-    Reset,
-    /// Bitmap classify (bucketing) after each test case.
-    Classify,
-    /// Bitmap compare against the virgin map(s).
-    Compare,
-    /// Bitmap hash (interesting test cases only).
-    Hash,
-    /// Everything else: scheduling, mutation, queue maintenance, sync.
-    Other,
+/// Declares [`Layer`] from one table of `Variant => "label"` rows, so the
+/// order, the label and the telemetry key cannot drift apart. The
+/// declaration order is the accumulator slot and the serialization order.
+macro_rules! layers {
+    ($($(#[$doc:meta])* $variant:ident => $label:literal,)*) => {
+        /// The timed steps of the campaign loop, named after the
+        /// end-to-end benchmark's span labels.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Layer {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Layer {
+            /// Number of layers.
+            pub const COUNT: usize = [$(stringify!($variant)),*].len();
+
+            /// Every layer, in loop order.
+            pub const ALL: [Layer; Layer::COUNT] = [$(Layer::$variant),*];
+
+            /// The span label (`"map.reset"`, `"executor"`, …).
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(Layer::$variant => $label,)*
+                }
+            }
+
+            /// The telemetry JSON key of this layer's nanoseconds:
+            /// `<label>_nanos`.
+            pub fn key(self) -> &'static str {
+                match self {
+                    $(Layer::$variant => concat!($label, "_nanos"),)*
+                }
+            }
+        }
+    };
 }
 
-impl OpKind {
-    /// All kinds, in the order Figure 3 stacks them.
-    pub const ALL: [OpKind; 6] = [
-        OpKind::Execution,
-        OpKind::Classify,
-        OpKind::Compare,
-        OpKind::Reset,
-        OpKind::Hash,
-        OpKind::Other,
-    ];
+layers! {
+    /// Choosing the next queue entry and copying its input.
+    QueueSchedule => "queue.schedule",
+    /// Recording the scheduled parent's snapshot for the compiled engine.
+    SnapshotPrime => "snapshot.prime",
+    /// Generating a parent's deterministic-stage children.
+    MutateDet => "mutate.det",
+    /// Generating one havoc/splice child.
+    MutateHavoc => "mutate.havoc",
+    /// Coverage-map reset before each traced test case.
+    MapReset => "map.reset",
+    /// Running the target, bitmap updates included (as in the paper, where
+    /// the update happens inside the instrumented execution), plus the
+    /// untraced fast pass under selective tracing.
+    Executor => "executor",
+    /// The standalone classify pass (split pipeline only).
+    MapClassify => "map.classify",
+    /// Virgin-map compare; the merged classify+compare pass counts here.
+    MapCompare => "map.compare",
+    /// Bitmap hash (admitted test cases only).
+    MapHash => "map.hash",
+    /// Queue admission: trim, slot scan and queue add.
+    QueueAdmit => "queue.admit",
+    /// Crash triage (Crashwalk bucketing).
+    Crashwalk => "crashwalk",
+    /// The sync hook between mutation batches (corpus exchange,
+    /// checkpoints), injected faults included.
+    Sync => "sync",
+}
 
-    /// Figure-3-compatible label.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpKind::Execution => "Execution",
-            OpKind::Reset => "Map Reset",
-            OpKind::Classify => "Map Classify",
-            OpKind::Compare => "Map Compare",
-            OpKind::Hash => "Map Hash",
-            OpKind::Other => "Others",
-        }
-    }
-
-    fn slot(self) -> usize {
-        match self {
-            OpKind::Execution => 0,
-            OpKind::Reset => 1,
-            OpKind::Classify => 2,
-            OpKind::Compare => 3,
-            OpKind::Hash => 4,
-            OpKind::Other => 5,
-        }
+impl Layer {
+    /// The map operations Figure 3 breaks out (reset, classify, compare,
+    /// hash): the quantity BigMap attacks.
+    pub fn is_map_op(self) -> bool {
+        matches!(
+            self,
+            Layer::MapReset | Layer::MapClassify | Layer::MapCompare | Layer::MapHash
+        )
     }
 }
 
-impl fmt::Display for OpKind {
+impl fmt::Display for Layer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
 }
 
-/// Accumulated time per pipeline stage.
+/// Accumulated nanoseconds per layer.
 ///
 /// # Examples
 ///
 /// ```rust
-/// use bigmap_core::{OpKind, OpStats};
+/// use bigmap_core::{Layer, OpStats};
 /// use std::time::Duration;
 ///
 /// let mut stats = OpStats::new();
-/// stats.add(OpKind::Execution, Duration::from_millis(30));
-/// stats.add(OpKind::Reset, Duration::from_millis(10));
+/// stats.add(Layer::Executor, 30_000_000);
+/// stats.add(Layer::MapReset, 10_000_000);
 /// assert_eq!(stats.total(), Duration::from_millis(40));
-/// assert_eq!(stats.fraction(OpKind::Reset), 0.25);
+/// assert_eq!(stats.map_ops_total(), Duration::from_millis(10));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpStats {
-    nanos: [u128; 6],
-    counts: [u64; 6],
+    nanos: [u64; Layer::COUNT],
 }
 
 impl OpStats {
@@ -94,87 +120,49 @@ impl OpStats {
         OpStats::default()
     }
 
-    /// Adds `elapsed` to the accumulator for `kind` and counts one
-    /// invocation of the stage.
+    /// Adds `nanos` to `layer`'s accumulator.
     #[inline]
-    pub fn add(&mut self, kind: OpKind, elapsed: Duration) {
-        self.nanos[kind.slot()] += elapsed.as_nanos();
-        self.counts[kind.slot()] += 1;
+    pub fn add(&mut self, layer: Layer, nanos: u64) {
+        self.nanos[layer as usize] += nanos;
     }
 
-    /// Number of times `kind` was recorded (telemetry: per-stage pass
-    /// counts alongside the per-stage time).
-    pub fn count(&self, kind: OpKind) -> u64 {
-        self.counts[kind.slot()]
+    /// Total time recorded for `layer`.
+    pub fn get(&self, layer: Layer) -> Duration {
+        Duration::from_nanos(self.nanos[layer as usize])
     }
 
-    /// Total time recorded for `kind`.
-    pub fn get(&self, kind: OpKind) -> Duration {
-        nanos_to_duration(self.nanos[kind.slot()])
-    }
-
-    /// Sum over all stages.
+    /// Sum over all layers.
     pub fn total(&self) -> Duration {
-        nanos_to_duration(self.nanos.iter().sum())
-    }
-
-    /// Fraction of total time spent in `kind` (0.0 if nothing recorded).
-    pub fn fraction(&self, kind: OpKind) -> f64 {
-        let total: u128 = self.nanos.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.nanos[kind.slot()] as f64 / total as f64
-        }
-    }
-
-    /// Folds another accumulator into this one (parallel instances).
-    pub fn merge(&mut self, other: &OpStats) {
-        for i in 0..self.nanos.len() {
-            self.nanos[i] += other.nanos[i];
-            self.counts[i] += other.counts[i];
-        }
+        Duration::from_nanos(self.nanos.iter().sum())
     }
 
     /// Scales every accumulator by `factor` — used to extrapolate a measured
     /// run to the paper's "time per one million test cases" normalization.
-    /// Invocation counts are extrapolated with the same factor.
     pub fn scaled(&self, factor: f64) -> OpStats {
-        let mut out = OpStats::new();
-        for (i, &n) in self.nanos.iter().enumerate() {
-            out.nanos[i] = (n as f64 * factor) as u128;
-            out.counts[i] = (self.counts[i] as f64 * factor) as u64;
+        OpStats {
+            nanos: self.nanos.map(|n| (n as f64 * factor) as u64),
         }
-        out
     }
 
-    /// Sum of the map-operation stages only (everything except execution
-    /// and "others") — the quantity BigMap attacks.
+    /// Sum of the map-operation layers only ([`Layer::is_map_op`]).
     pub fn map_ops_total(&self) -> Duration {
-        let sum = self.nanos[OpKind::Reset.slot()]
-            + self.nanos[OpKind::Classify.slot()]
-            + self.nanos[OpKind::Compare.slot()]
-            + self.nanos[OpKind::Hash.slot()];
-        nanos_to_duration(sum)
+        Duration::from_nanos(
+            Layer::ALL
+                .iter()
+                .filter(|layer| layer.is_map_op())
+                .map(|&layer| self.nanos[layer as usize])
+                .sum(),
+        )
     }
-}
-
-fn nanos_to_duration(nanos: u128) -> Duration {
-    Duration::new(
-        (nanos / 1_000_000_000) as u64,
-        (nanos % 1_000_000_000) as u32,
-    )
 }
 
 impl fmt::Display for OpStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for kind in OpKind::ALL {
-            if !first {
+        for (i, layer) in Layer::ALL.into_iter().enumerate() {
+            if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{}: {:?}", kind.label(), self.get(kind))?;
-            first = false;
+            write!(f, "{layer}: {:?}", self.get(layer))?;
         }
         Ok(())
     }
@@ -186,74 +174,42 @@ mod tests {
 
     #[test]
     fn accumulates_and_totals() {
-        let mut s = OpStats::new();
-        s.add(OpKind::Execution, Duration::from_millis(5));
-        s.add(OpKind::Execution, Duration::from_millis(5));
-        s.add(OpKind::Hash, Duration::from_millis(10));
-        assert_eq!(s.get(OpKind::Execution), Duration::from_millis(10));
-        assert_eq!(s.total(), Duration::from_millis(20));
-        assert_eq!(s.fraction(OpKind::Hash), 0.5);
-    }
-
-    #[test]
-    fn empty_stats_fraction_is_zero() {
-        assert_eq!(OpStats::new().fraction(OpKind::Reset), 0.0);
         assert_eq!(OpStats::new().total(), Duration::ZERO);
-    }
-
-    #[test]
-    fn counts_track_invocations() {
         let mut s = OpStats::new();
-        s.add(OpKind::Reset, Duration::from_nanos(1));
-        s.add(OpKind::Reset, Duration::from_nanos(1));
-        s.add(OpKind::Compare, Duration::from_nanos(1));
-        assert_eq!(s.count(OpKind::Reset), 2);
-        assert_eq!(s.count(OpKind::Compare), 1);
-        assert_eq!(s.count(OpKind::Hash), 0);
-        let mut other = OpStats::new();
-        other.add(OpKind::Reset, Duration::from_nanos(1));
-        s.merge(&other);
-        assert_eq!(s.count(OpKind::Reset), 3);
-        assert_eq!(s.scaled(2.0).count(OpKind::Reset), 6);
-    }
-
-    #[test]
-    fn merge_adds_componentwise() {
-        let mut a = OpStats::new();
-        a.add(OpKind::Reset, Duration::from_secs(1));
-        let mut b = OpStats::new();
-        b.add(OpKind::Reset, Duration::from_secs(2));
-        b.add(OpKind::Other, Duration::from_secs(3));
-        a.merge(&b);
-        assert_eq!(a.get(OpKind::Reset), Duration::from_secs(3));
-        assert_eq!(a.get(OpKind::Other), Duration::from_secs(3));
+        s.add(Layer::Executor, 5_000_000);
+        s.add(Layer::Executor, 5_000_000);
+        s.add(Layer::MapHash, 10_000_000);
+        assert_eq!(s.get(Layer::Executor), Duration::from_millis(10));
+        assert_eq!(s.get(Layer::MapReset), Duration::ZERO);
+        assert_eq!(s.total(), Duration::from_millis(20));
     }
 
     #[test]
     fn scaled_extrapolates() {
         let mut s = OpStats::new();
-        s.add(OpKind::Classify, Duration::from_millis(100));
+        s.add(Layer::MapClassify, 100_000_000);
         let doubled = s.scaled(2.0);
-        assert_eq!(doubled.get(OpKind::Classify), Duration::from_millis(200));
+        assert_eq!(doubled.get(Layer::MapClassify), Duration::from_millis(200));
     }
 
     #[test]
     fn map_ops_total_excludes_execution_and_other() {
         let mut s = OpStats::new();
-        s.add(OpKind::Execution, Duration::from_secs(100));
-        s.add(OpKind::Other, Duration::from_secs(100));
-        s.add(OpKind::Reset, Duration::from_secs(1));
-        s.add(OpKind::Classify, Duration::from_secs(2));
-        s.add(OpKind::Compare, Duration::from_secs(3));
-        s.add(OpKind::Hash, Duration::from_secs(4));
-        assert_eq!(s.map_ops_total(), Duration::from_secs(10));
+        for layer in Layer::ALL {
+            s.add(layer, if layer.is_map_op() { 1 } else { 100 });
+        }
+        assert_eq!(s.map_ops_total(), Duration::from_nanos(4));
+        assert_eq!(
+            s.total(),
+            Duration::from_nanos(4 + 100 * (Layer::COUNT as u64 - 4))
+        );
     }
 
     #[test]
     fn display_mentions_every_stage() {
         let text = OpStats::new().to_string();
-        for kind in OpKind::ALL {
-            assert!(text.contains(kind.label()), "missing {kind}");
+        for layer in Layer::ALL {
+            assert!(text.contains(layer.label()), "missing {layer}");
         }
     }
 
@@ -261,7 +217,7 @@ mod tests {
     fn duration_conversion_handles_large_values() {
         let mut s = OpStats::new();
         for _ in 0..1000 {
-            s.add(OpKind::Execution, Duration::from_secs(10_000));
+            s.add(Layer::Executor, 10_000 * 1_000_000_000);
         }
         assert_eq!(s.total(), Duration::from_secs(10_000_000));
     }

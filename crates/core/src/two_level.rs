@@ -24,7 +24,7 @@
 use crate::alloc::MapBuffer;
 use crate::diff::for_each_nonzero_byte;
 use crate::hash::hash_to_last_nonzero;
-use crate::journal::{TouchJournal, DEFAULT_JOURNAL_CAPACITY};
+use crate::journal::{self, TouchJournal};
 use crate::kernels;
 use crate::map_size::{MapSize, MapSizeError};
 use crate::sparse::{self, OpPath, SparseMode};
@@ -95,15 +95,17 @@ impl BigMap {
     /// Infallible for validated [`MapSize`] values; the `Result` mirrors the
     /// construction-from-bytes path used by callers that parse sizes.
     pub fn new(size: MapSize) -> Result<Self, MapSizeError> {
-        Self::with_journal_capacity(size, DEFAULT_JOURNAL_CAPACITY)
+        Self::with_journal_capacity(size, journal::capacity_for(size.bytes()))
     }
 
     /// Creates a two-level bitmap with an explicit touch-journal bound.
     ///
     /// Mostly for tests and benchmarks: a tiny capacity forces journal
-    /// overflow (and thus the dense fallback) cheaply; the default
-    /// ([`DEFAULT_JOURNAL_CAPACITY`]) is far above realistic per-exec touch
-    /// counts.
+    /// overflow (and thus the dense fallback) cheaply. [`BigMap::new`]
+    /// uses the size-scaled bound ([`journal::capacity_for`]: the default
+    /// [`journal::DEFAULT_JOURNAL_CAPACITY`] up to 16 MiB maps), far above
+    /// realistic per-exec touch counts. The run vector is allocated only
+    /// when the map first journals.
     ///
     /// # Errors
     ///
@@ -279,6 +281,9 @@ impl CoverageMap for BigMap {
         }
         self.journal.advance();
         self.journaling = sparse::journals(self.sparse_mode, used);
+        if self.journaling {
+            self.journal.reserve();
+        }
     }
 
     fn classify(&mut self) {
@@ -382,6 +387,7 @@ impl CoverageMap for BigMap {
             self.journal.advance();
             if journaling {
                 let journal = &mut self.journal;
+                journal.reserve();
                 for_each_nonzero_byte(&self.coverage[..used], |slot, _| journal.touch(slot as u32));
             }
             self.journaling = journaling;

@@ -2,11 +2,12 @@
 //!
 //! Select a seed → mutate it many times → execute each child → classify and
 //! compare coverage → admit interesting children to the pool, report
-//! crashes and hangs. Every stage is timed into an
-//! [`OpStats`](bigmap_core::OpStats), which is what the Figure 3 harness
-//! prints, and the whole loop is parametric over the map scheme
-//! ([`MapScheme`]), the map size and the coverage metric — the three axes
-//! of the paper's evaluation.
+//! crashes and hangs. The loop keeps one running timestamp and closes
+//! each step — a [`Layer`] — with one clock read, into an [`OpStats`]
+//! (what the Figure 3 harness prints) and the attached telemetry alike,
+//! so the layers tile the loop's wall time. The whole loop is parametric
+//! over the map scheme ([`MapScheme`]), the map size and the coverage
+//! metric — the three axes of the paper's evaluation.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use bigmap_core::{
-    build_map, CoverageMap, InterpMode, MapScheme, MapSize, NewCoverage, OpKind, OpPath, OpStats,
+    build_map, CoverageMap, InterpMode, Layer, MapScheme, MapSize, NewCoverage, OpPath, OpStats,
     SparseMode, TraceMode, VirginState,
 };
 use bigmap_coverage::{
@@ -31,7 +32,7 @@ use crate::executor::{EnginePath, Executor};
 use crate::faults::{FaultSite, InstanceFaults};
 use crate::mutate::Mutator;
 use crate::queue::Queue;
-use crate::telemetry::{Stage, Telemetry, TelemetryEvent, TelemetrySnapshot};
+use crate::telemetry::{Telemetry, TelemetryEvent, TelemetrySnapshot};
 use crate::timeline::CoverageTimeline;
 use crate::trim::trim_input;
 
@@ -356,7 +357,9 @@ pub struct CampaignStats {
     pub used_len: usize,
     /// Final queue size.
     pub queue_len: usize,
-    /// Per-stage runtime accounting (Figure 3).
+    /// Per-layer runtime accounting of the fuzzing loop (Figure 3). The
+    /// layers sum to the loop's wall time; seed dry runs and checkpoint
+    /// restore replays sit outside both.
     pub ops: OpStats,
     /// Crashwalk bucket hashes of the unique crashes (used for fleet-wide
     /// dedup across parallel instances).
@@ -415,9 +418,6 @@ pub struct Campaign<'p> {
     /// harnesses attach one; `None` costs a single predicted branch per
     /// pipeline stage).
     telemetry: Option<Arc<Telemetry>>,
-    /// Which mutation stage the loop is currently generating children
-    /// for — scheduling/mutation overhead is attributed to it.
-    mutation_stage: Stage,
     /// Optional deterministic fault-injection handle (degradation tests
     /// attach one; `None` costs a single predicted branch per injection
     /// point, same discipline as `telemetry`).
@@ -434,6 +434,9 @@ pub struct Campaign<'p> {
     /// Set while the fuzzing loop runs, so mid-run checkpoints can
     /// compute cumulative wall time.
     loop_started: Option<Instant>,
+    /// End of the last closed layer span (the loop's start before the
+    /// first); `None` outside the fuzzing loop, where nothing is timed.
+    span_start: Option<Instant>,
     /// True while [`Campaign::restore`] replays checkpointed inputs:
     /// suppresses trimming, re-admission side effects, telemetry counts
     /// and seed-step sampling (the replay is reconstruction, not work).
@@ -528,12 +531,12 @@ impl<'p> Campaign<'p> {
             timeline: CoverageTimeline::new(),
             discovered_running: 0,
             telemetry: None,
-            mutation_stage: Stage::Havoc,
             faults: None,
             hang_inputs: Vec::new(),
             seed_steps: Vec::new(),
             prior_wall: Duration::ZERO,
             loop_started: None,
+            span_start: None,
             restoring: false,
             trace_mode,
             oracle,
@@ -628,6 +631,9 @@ impl<'p> Campaign<'p> {
     /// Imports an externally discovered input (parallel corpus sync): it is
     /// admitted only if it still shows new coverage locally.
     pub fn import(&mut self, input: &[u8]) {
+        // Inside the sync hook: the hook's work so far is sync time, the
+        // import's execution is timed like any other test case's.
+        self.span(Layer::Sync);
         self.admit_depth = 0;
         let verdict = self.execute_and_judge(input, false);
         if let Some(tel) = &self.telemetry {
@@ -729,13 +735,12 @@ impl<'p> Campaign<'p> {
         };
 
         // Two-speed fast pass: untraced exec, oracle verdict, maybe skip.
-        let mut fast_time = Duration::ZERO;
         let mut retraced = false;
         let mut fast_engine = None;
         if self.fast_pass_active() {
             let oracle = self.oracle.as_mut().expect("fast pass requires an oracle");
             let fast = self.executor.run_fast(input, oracle);
-            fast_time = fast.exec_time;
+            self.span(Layer::Executor);
             fast_engine = Some(fast.engine);
             // The *effective* outcome decides skippability: an injected
             // crash/hang must flow through the crash/hang pipeline even
@@ -744,7 +749,6 @@ impl<'p> Campaign<'p> {
             let skip = effective_ok && fast.provably_seen && !force_admit && !self.restoring;
             self.note_auto_decision(!skip);
             if skip {
-                self.ops.add(OpKind::Execution, fast.exec_time);
                 self.stats_execs += 1;
                 if self.stats_execs.is_multiple_of(256) {
                     self.timeline
@@ -754,25 +758,18 @@ impl<'p> Campaign<'p> {
                     tel.incr(TelemetryEvent::Exec);
                     tel.incr(TelemetryEvent::FastPathExec);
                     note_engine(tel, fast.engine);
-                    tel.add_stage(Stage::TargetExec, fast.exec_time);
                 }
                 return NewCoverage::None;
             }
             retraced = true;
         }
 
-        // Map reset (timed separately — the paper's "Map Reset" bar).
-        let t = Instant::now();
         self.map.reset();
-        let reset_time = t.elapsed();
-        self.ops.add(OpKind::Reset, reset_time);
-        let mut map_ops_time = reset_time;
+        self.span(Layer::MapReset);
 
-        // Target execution, including bitmap updates (plus the untraced
-        // fast pass that flagged this input, if one ran).
+        // Target execution, including bitmap updates.
         let mut execution = self.executor.run(input, self.map.as_mut());
-        self.ops
-            .add(OpKind::Execution, fast_time + execution.exec_time);
+        self.span(Layer::Executor);
         self.stats_execs += 1;
         if force_admit && !self.restoring {
             // Seed dry run: sample the step count for hang-budget
@@ -794,34 +791,25 @@ impl<'p> Campaign<'p> {
 
         // Classify + compare. Crashes and hangs diff against their own
         // virgin maps, like AFL. With the §IV-E merge (the default) both
-        // steps run in one pass, accounted to Compare; the split pipeline
-        // times them separately, which is how the paper's Figure 3 shows
-        // its bars.
+        // steps run in one pass, accounted to `map.compare`; the split
+        // pipeline times them separately, which is how the paper's
+        // Figure 3 shows its bars.
+        let split_pipeline = !self.config.merged_classify_compare;
+        if split_pipeline {
+            self.map.classify();
+            self.span(Layer::MapClassify);
+        }
         let virgin = match &execution.outcome {
             ExecOutcome::Ok => &mut self.virgin,
             ExecOutcome::Crash { .. } => &mut self.virgin_crash,
             ExecOutcome::Hang => &mut self.virgin_hang,
         };
-        let split_pipeline = !self.config.merged_classify_compare;
-        let verdict = if self.config.merged_classify_compare {
-            let t = Instant::now();
-            let verdict = self.map.classify_and_compare(virgin);
-            let compare_time = t.elapsed();
-            self.ops.add(OpKind::Compare, compare_time);
-            map_ops_time += compare_time;
-            verdict
+        let verdict = if split_pipeline {
+            self.map.compare(virgin)
         } else {
-            let t = Instant::now();
-            self.map.classify();
-            let classify_time = t.elapsed();
-            self.ops.add(OpKind::Classify, classify_time);
-            let t = Instant::now();
-            let verdict = self.map.compare(virgin);
-            let compare_time = t.elapsed();
-            self.ops.add(OpKind::Compare, compare_time);
-            map_ops_time += classify_time + compare_time;
-            verdict
+            self.map.classify_and_compare(virgin)
         };
+        self.span(Layer::MapCompare);
 
         match &execution.outcome {
             ExecOutcome::Ok => {
@@ -848,23 +836,20 @@ impl<'p> Campaign<'p> {
                     // Trimming is skipped during restore: checkpointed
                     // entries were already final, and re-trimming would
                     // change their bytes.
-                    let stored = if self.config.trim_new_entries && !self.restoring {
-                        let t = Instant::now();
+                    let trimmed = if self.config.trim_new_entries && !self.restoring {
                         let result = trim_input(&mut self.executor, self.map.as_mut(), input);
                         self.stats_execs += result.execs;
-                        self.ops.add(OpKind::Other, t.elapsed());
-                        result.input
+                        self.span(Layer::QueueAdmit);
+                        Some(result.input)
                     } else {
-                        input.to_vec()
+                        None
                     };
 
                     // Bitmap hash — interesting test cases only (§II-A2).
-                    let t = Instant::now();
                     let hash = self.map.hash();
-                    let hash_time = t.elapsed();
-                    self.ops.add(OpKind::Hash, hash_time);
-                    map_ops_time += hash_time;
+                    self.span(Layer::MapHash);
 
+                    let stored = trimmed.unwrap_or_else(|| input.to_vec());
                     let mut slots = Vec::new();
                     self.map.for_each_nonzero(&mut |slot, _| slots.push(slot));
                     self.queue.add_with_depth(
@@ -876,6 +861,7 @@ impl<'p> Campaign<'p> {
                         self.admit_depth,
                     );
                     self.fresh_finds.push(stored);
+                    self.span(Layer::QueueAdmit);
                 }
             }
             ExecOutcome::Crash { .. } => {
@@ -886,6 +872,7 @@ impl<'p> Campaign<'p> {
                 if self.crashwalk.observe(&execution.outcome) {
                     self.crash_inputs.push(input.to_vec());
                 }
+                self.span(Layer::Crashwalk);
             }
             ExecOutcome::Hang => {
                 self.hangs += 1;
@@ -947,8 +934,6 @@ impl<'p> Campaign<'p> {
                 }
                 note_engine(tel, execution.engine);
                 tel.add(TelemetryEvent::MapUpdate, execution.map_updates);
-                tel.add_stage(Stage::TargetExec, fast_time + execution.exec_time);
-                tel.add_stage(Stage::MapOps, map_ops_time);
                 if verdict == NewCoverage::NewEdge {
                     tel.incr(TelemetryEvent::NewCoverage);
                 }
@@ -967,12 +952,34 @@ impl<'p> Campaign<'p> {
         verdict
     }
 
+    /// Closes the span running since the previous one as `layer`: one
+    /// clock read, added once to [`CampaignStats::ops`] and to the
+    /// attached telemetry. A no-op outside the fuzzing loop (seed dry
+    /// runs, restore replays), which `wall_time` does not cover either.
+    #[inline]
+    fn span(&mut self, layer: Layer) {
+        let Some(since) = self.span_start else {
+            return;
+        };
+        let now = Instant::now();
+        let nanos = now.duration_since(since).as_nanos() as u64;
+        self.span_start = Some(now);
+        self.ops.add(layer, nanos);
+        if let Some(tel) = &self.telemetry {
+            tel.add_nanos(layer, nanos);
+        }
+    }
+
     fn budget_left(&self, started: Instant) -> bool {
         match self.config.budget {
             Budget::Execs(n) => self.stats_execs < n,
             // Time budgets count from the original campaign start: a
-            // resumed run only gets the remainder, not a fresh clock.
-            Budget::Time(d) => self.prior_wall + started.elapsed() < d,
+            // resumed run only gets the remainder, not a fresh clock. The
+            // loop's clock is the last span's end — no extra clock read.
+            Budget::Time(d) => {
+                let elapsed = self.span_start.map_or(Duration::ZERO, |t| t - started);
+                self.prior_wall + elapsed < d
+            }
         }
     }
 
@@ -1090,6 +1097,7 @@ impl<'p> Campaign<'p> {
     ) {
         assert!(!self.queue.is_empty(), "campaign needs at least one seed");
         self.loop_started = Some(started);
+        self.span_start = Some(started);
         let mut next_sync = hook.as_ref().map(|h| h.every).unwrap_or(u64::MAX);
 
         // Hang-budget calibration (AFL's timeout calibration, in steps):
@@ -1104,9 +1112,6 @@ impl<'p> Campaign<'p> {
 
         let mut deterministic_done = 0usize;
         while self.budget_left(started) {
-            // Seed scheduling ("Others" time; attributed to the havoc
-            // bucket in the live telemetry, as general loop overhead).
-            let t = Instant::now();
             let rng = &mut self.rng;
             let entry_id = self
                 .queue
@@ -1115,6 +1120,7 @@ impl<'p> Campaign<'p> {
             let parent = self.queue.entry(entry_id).input.clone();
             let parent_depth = self.queue.entry(entry_id).depth;
             self.admit_depth = parent_depth + 1;
+            self.span(Layer::QueueSchedule);
             // Arm the snapshot engine on the freshly scheduled parent:
             // every deterministic and havoc child below is a mutation of
             // these bytes, so it can resume from the parent's memoized
@@ -1122,11 +1128,9 @@ impl<'p> Campaign<'p> {
             // priming run streams into a null sink — no map, oracle or
             // counter ever observes it — so it is trajectory-invisible.
             self.executor.prime_snapshot(&parent);
-            let sched_time = t.elapsed();
-            self.ops.add(OpKind::Other, sched_time);
+            self.span(Layer::SnapshotPrime);
             if let Some(tel) = &self.telemetry {
                 tel.incr(TelemetryEvent::QueueCycle);
-                tel.add_stage(Stage::Havoc, sched_time);
             }
 
             // Deterministic stages for newly scheduled seeds (master
@@ -1139,19 +1143,14 @@ impl<'p> Campaign<'p> {
                 && self.queue.entry(entry_id).fuzzed_rounds <= 1
             {
                 deterministic_done = entry_id + 1;
-                self.mutation_stage = Stage::Deterministic;
-                let t = Instant::now();
                 let children = Mutator::deterministic(&parent, 512);
-                if let Some(tel) = &self.telemetry {
-                    tel.add_stage(Stage::Deterministic, t.elapsed());
-                }
+                self.span(Layer::MutateDet);
                 for child in children {
                     if !self.budget_left(started) {
                         break;
                     }
                     self.execute_and_judge(&child, false);
                 }
-                self.mutation_stage = Stage::Havoc;
             }
 
             // AFL's `calculate_score` depth bonus: seeds far down a
@@ -1170,8 +1169,6 @@ impl<'p> Campaign<'p> {
                 if !self.budget_left(started) {
                     break;
                 }
-                // Mutation ("Others" time).
-                let t = Instant::now();
                 let splice_with = if self.queue.len() > 1 && self.rng.gen_bool(0.2) {
                     let other = self.rng.gen_range(0..self.queue.len());
                     Some(self.queue.entry(other).input.clone())
@@ -1179,11 +1176,7 @@ impl<'p> Campaign<'p> {
                     None
                 };
                 let child = self.mutator.havoc(&parent, splice_with.as_deref());
-                let mutate_time = t.elapsed();
-                self.ops.add(OpKind::Other, mutate_time);
-                if let Some(tel) = &self.telemetry {
-                    tel.add_stage(self.mutation_stage, mutate_time);
-                }
+                self.span(Layer::MutateHavoc);
 
                 self.execute_and_judge(&child, false);
             }
@@ -1202,6 +1195,7 @@ impl<'p> Campaign<'p> {
                     (h.f)(self);
                     next_sync = self.stats_execs + h.every;
                 }
+                self.span(Layer::Sync);
             }
         }
     }
@@ -1588,9 +1582,9 @@ mod tests {
         let mut campaign = Campaign::new(quick_config(MapScheme::Flat, 1_000), &interp, &inst);
         campaign.add_seeds(vec![vec![3u8; 24]]);
         let stats = campaign.run();
-        assert!(stats.ops.get(OpKind::Execution) > Duration::ZERO);
-        assert!(stats.ops.get(OpKind::Reset) > Duration::ZERO);
-        assert!(stats.ops.get(OpKind::Compare) > Duration::ZERO);
+        assert!(stats.ops.get(Layer::Executor) > Duration::ZERO);
+        assert!(stats.ops.get(Layer::MapReset) > Duration::ZERO);
+        assert!(stats.ops.get(Layer::MapCompare) > Duration::ZERO);
         assert!(stats.ops.total() > Duration::ZERO);
     }
 
@@ -1646,7 +1640,7 @@ mod tests {
 
     #[test]
     fn telemetry_counters_match_stats() {
-        use crate::telemetry::{Stage, Telemetry, TelemetryEvent};
+        use crate::telemetry::{Telemetry, TelemetryEvent};
 
         let program = GeneratorConfig::default().generate();
         let inst = instrument(&program, MapSize::K64);
@@ -1669,12 +1663,14 @@ mod tests {
         );
         assert!(snap.get(TelemetryEvent::QueueCycle) > 0);
         assert!(snap.get(TelemetryEvent::MapUpdate) > 0);
-        assert!(snap.stage_time(Stage::TargetExec) > Duration::ZERO);
-        assert!(snap.stage_time(Stage::MapOps) > Duration::ZERO);
+        assert!(snap.layer_time(Layer::Executor) > Duration::ZERO);
+        assert!(snap.layer_time(Layer::MapReset) > Duration::ZERO);
         // Deterministic stages ran (default config), so mutation time was
-        // attributed to both mutation buckets.
-        assert!(snap.stage_time(Stage::Deterministic) > Duration::ZERO);
-        assert!(snap.stage_time(Stage::Havoc) > Duration::ZERO);
+        // attributed to both mutation layers.
+        assert!(snap.layer_time(Layer::MutateDet) > Duration::ZERO);
+        assert!(snap.layer_time(Layer::MutateHavoc) > Duration::ZERO);
+        // The merged pipeline has no standalone classify pass.
+        assert_eq!(snap.layer_time(Layer::MapClassify), Duration::ZERO);
         // No sync traffic in a plain single-instance run.
         assert_eq!(snap.get(TelemetryEvent::SyncImport), 0);
         assert_eq!(snap.get(TelemetryEvent::ImportRejection), 0);
@@ -1700,6 +1696,85 @@ mod tests {
         // The default journal capacity is far above anything these
         // simulated targets touch per exec.
         assert_eq!(snap.get(TelemetryEvent::JournalOverflow), 0);
+    }
+
+    #[test]
+    fn one_layer_clock_tiles_the_loop_for_ops_and_telemetry() {
+        use crate::telemetry::Telemetry;
+
+        let program = GeneratorConfig::default().generate();
+        let inst = instrument(&program, MapSize::K64);
+        let interp = Interpreter::new(&program);
+        let config = quick_config(MapScheme::TwoLevel, 3_000);
+        let same_split = |stats: &CampaignStats| {
+            let snap = stats.telemetry.as_ref().expect("telemetry attached");
+            for layer in Layer::ALL {
+                assert_eq!(snap.layer_time(layer), stats.ops.get(layer), "{layer}");
+            }
+        };
+
+        let mut campaign = Campaign::new(config.clone(), &interp, &inst);
+        campaign.set_telemetry(Arc::new(Telemetry::new(0)));
+        campaign.add_seeds(vec![vec![5u8; 24]]);
+        let mut ckpt = None;
+        let stats = campaign.run_with_hook(500, |c| {
+            if ckpt.is_none() && c.execs() >= 1_500 {
+                ckpt = Some(c.checkpoint());
+            }
+        });
+        same_split(&stats);
+        for layer in [
+            Layer::QueueSchedule,
+            Layer::SnapshotPrime,
+            Layer::MutateDet,
+            Layer::MutateHavoc,
+            Layer::MapReset,
+            Layer::Executor,
+            Layer::MapCompare,
+            Layer::MapHash,
+            Layer::QueueAdmit,
+            Layer::Sync,
+        ] {
+            assert!(stats.ops.get(layer) > Duration::ZERO, "{layer} never timed");
+        }
+        // The layers tile the loop: only the tail after the last span
+        // falls outside them.
+        let layers = stats.ops.total();
+        assert!(
+            layers <= stats.wall_time,
+            "{layers:?} > {:?}",
+            stats.wall_time
+        );
+        assert!(
+            layers.as_secs_f64() >= 0.95 * stats.wall_time.as_secs_f64(),
+            "layers {layers:?} cover under 95% of {:?}",
+            stats.wall_time
+        );
+
+        // Restore replays rebuild state; they are no loop work, so no
+        // layer is charged for them.
+        let ckpt = ckpt.expect("hook must fire before the budget runs out");
+        let resume = |execs: u64| {
+            let mut resumed = Campaign::new(
+                CampaignConfig {
+                    budget: Budget::Execs(execs),
+                    ..config.clone()
+                },
+                &interp,
+                &inst,
+            );
+            resumed.set_telemetry(Arc::new(Telemetry::new(1)));
+            resumed.restore(&ckpt);
+            resumed.run()
+        };
+        let replay_only = resume(ckpt.execs);
+        same_split(&replay_only);
+        assert_eq!(replay_only.ops.total(), Duration::ZERO);
+        let short = resume(ckpt.execs + 200);
+        same_split(&short);
+        let loop_wall = short.wall_time - Duration::from_nanos(ckpt.wall_nanos);
+        assert!(short.ops.total() > Duration::ZERO);
+        assert!(short.ops.total() <= loop_wall);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! coverage maps. Implements the paper's Figure 1 workflow end-to-end:
 //! seed scheduling with favored-entry culling, deterministic + havoc +
 //! splice mutation, persistent-mode execution against the synthetic target
-//! substrate, the classify/compare/hash fitness pipeline (timed per stage,
+//! substrate, the classify/compare/hash fitness pipeline (timed per layer,
 //! regenerating Figure 3), Crashwalk-style crash deduplication, bias-free
 //! coverage replay, and master–secondary parallel campaigns with periodic
 //! corpus synchronization (Figures 9 and 10). The [`telemetry`] module
 //! adds a live, lock-free observability layer: per-instance counters and
-//! per-stage wall-time attribution, snapshotted at sync boundaries into a
+//! per-layer wall-time attribution, snapshotted at sync boundaries into a
 //! JSONL sink.
 //!
 //! Parallel campaigns run on one fleet runtime ([`fleet::run_fleet`])
@@ -87,7 +87,7 @@ pub use queue::{Queue, QueueEntry};
 pub use replay::{replay_edge_coverage, ReplayCoverage};
 pub use sync::{CorpusSync, CursorError, ShardedHub};
 pub use telemetry::{
-    parse_jsonl, FleetAggregator, JsonlSink, SharedBuffer, Stage, Telemetry, TelemetryEvent,
+    parse_jsonl, FleetAggregator, JsonlSink, SharedBuffer, Telemetry, TelemetryEvent,
     TelemetrySnapshot,
 };
 pub use timeline::{CoverageTimeline, TimelinePoint};

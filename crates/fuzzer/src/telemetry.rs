@@ -1,4 +1,4 @@
-//! Live fleet telemetry: lock-free per-instance counters, per-stage
+//! Live fleet telemetry: lock-free per-instance counters, per-layer
 //! wall-time attribution, and a JSONL event sink.
 //!
 //! The paper's evaluation is built from two kinds of observation: *where
@@ -9,9 +9,9 @@
 //! fleet runs**, cheaply enough to leave on:
 //!
 //! * [`Telemetry`] — one per campaign instance; relaxed-atomic event
-//!   counters ([`TelemetryEvent`]) plus wall-time accumulators for the
-//!   four coarse stages ([`Stage`]): deterministic mutation, havoc
-//!   mutation, map operations, target execution.
+//!   counters ([`TelemetryEvent`]) plus one nanosecond accumulator per
+//!   campaign-loop [`Layer`], fed by the same span closes as
+//!   `CampaignStats::ops`.
 //! * [`TelemetrySnapshot`] — a point-in-time copy, taken at sync
 //!   boundaries (never on the per-exec path), serializable to/from a
 //!   single JSON line.
@@ -19,7 +19,7 @@
 //! * [`FleetAggregator`] — keeps the latest snapshot per instance, rolls
 //!   them up, and forwards every snapshot to the sink.
 //!
-//! Counters use [`EventCounter`]/[`StageNanos`] from `bigmap-core`: one
+//! Counters are [`EventCounter`]s from `bigmap-core`: one
 //! relaxed `fetch_add` per event, `#[inline]` all the way down, so the
 //! hot path costs a predictable handful of nanoseconds (measured ≤ 2% on
 //! the Figure 6 throughput harness — see EXPERIMENTS.md).
@@ -27,19 +27,20 @@
 //! # Examples
 //!
 //! ```rust
-//! use bigmap_fuzzer::telemetry::{Stage, Telemetry, TelemetryEvent};
-//! use std::time::Duration;
+//! use bigmap_core::Layer;
+//! use bigmap_fuzzer::telemetry::{Telemetry, TelemetryEvent};
 //!
 //! let t = Telemetry::new(0);
 //! t.incr(TelemetryEvent::Exec);
 //! t.add(TelemetryEvent::MapUpdate, 17);
-//! t.add_stage(Stage::TargetExec, Duration::from_micros(50));
+//! t.add_nanos(Layer::Executor, 50_000);
 //!
 //! let snap = t.snapshot();
 //! assert_eq!(snap.get(TelemetryEvent::Exec), 1);
 //! let line = snap.to_json();
 //! let back = bigmap_fuzzer::telemetry::TelemetrySnapshot::from_json(&line).unwrap();
 //! assert_eq!(back.get(TelemetryEvent::MapUpdate), 17);
+//! assert_eq!(back.layer_nanos[Layer::Executor as usize], 50_000);
 //! ```
 
 use std::fmt;
@@ -49,7 +50,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bigmap_core::{EventCounter, StageNanos};
+use bigmap_core::{EventCounter, Layer};
 
 use crate::timeline::TimelinePoint;
 
@@ -196,54 +197,6 @@ impl TelemetryEvent {
     }
 }
 
-/// The coarse wall-time stages of the campaign loop — the live analogue
-/// of the paper's runtime-composition breakdown. The four buckets are
-/// disjoint: mutation/scheduling overhead is attributed to the mutation
-/// stage that incurred it, while map operations and target execution are
-/// carved out separately regardless of the surrounding stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// Deterministic-stage mutation generation and scheduling overhead.
-    Deterministic,
-    /// Havoc/splice mutation generation and scheduling overhead.
-    Havoc,
-    /// Whole-map operations: reset, classify, compare, hash.
-    MapOps,
-    /// Instrumented target execution (includes map updates, as in the
-    /// paper's accounting).
-    TargetExec,
-}
-
-impl Stage {
-    /// Every stage, in serialization order.
-    pub const ALL: [Stage; 4] = [
-        Stage::Deterministic,
-        Stage::Havoc,
-        Stage::MapOps,
-        Stage::TargetExec,
-    ];
-
-    #[inline]
-    fn slot(self) -> usize {
-        match self {
-            Stage::Deterministic => 0,
-            Stage::Havoc => 1,
-            Stage::MapOps => 2,
-            Stage::TargetExec => 3,
-        }
-    }
-
-    /// The JSON field name of this stage's nanosecond accumulator.
-    pub fn key(self) -> &'static str {
-        match self {
-            Stage::Deterministic => "stage_deterministic_nanos",
-            Stage::Havoc => "stage_havoc_nanos",
-            Stage::MapOps => "stage_map_ops_nanos",
-            Stage::TargetExec => "stage_target_exec_nanos",
-        }
-    }
-}
-
 /// Lock-free per-instance statistics registry.
 ///
 /// One writer (the owning campaign thread), any number of concurrent
@@ -255,7 +208,7 @@ pub struct Telemetry {
     instance: usize,
     started: Instant,
     events: [EventCounter; TelemetryEvent::COUNT],
-    stages: [StageNanos; 4],
+    layers: [EventCounter; Layer::COUNT],
 }
 
 impl Telemetry {
@@ -265,7 +218,7 @@ impl Telemetry {
             instance,
             started: Instant::now(),
             events: std::array::from_fn(|_| EventCounter::new()),
-            stages: std::array::from_fn(|_| StageNanos::new()),
+            layers: std::array::from_fn(|_| EventCounter::new()),
         }
     }
 
@@ -286,10 +239,10 @@ impl Telemetry {
         self.events[event.slot()].add(n);
     }
 
-    /// Attributes `elapsed` wall time to `stage`.
+    /// Attributes `nanos` of wall time to `layer`.
     #[inline]
-    pub fn add_stage(&self, stage: Stage, elapsed: Duration) {
-        self.stages[stage.slot()].add(elapsed);
+    pub fn add_nanos(&self, layer: Layer, nanos: u64) {
+        self.layers[layer as usize].add(nanos);
     }
 
     /// Current count of `event`.
@@ -297,9 +250,9 @@ impl Telemetry {
         self.events[event.slot()].get()
     }
 
-    /// Wall time attributed to `stage` so far.
-    pub fn stage_time(&self, stage: Stage) -> Duration {
-        self.stages[stage.slot()].total()
+    /// Wall time attributed to `layer` so far.
+    pub fn layer_time(&self, layer: Layer) -> Duration {
+        Duration::from_nanos(self.layers[layer as usize].get())
     }
 
     /// Takes a point-in-time snapshot (called at sync boundaries, never
@@ -310,7 +263,7 @@ impl Telemetry {
             node: 0,
             wall_nanos: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             events: std::array::from_fn(|i| self.events[i].get()),
-            stage_nanos: std::array::from_fn(|i| self.stages[i].nanos()),
+            layer_nanos: std::array::from_fn(|i| self.layers[i].get()),
         }
     }
 }
@@ -330,8 +283,8 @@ pub struct TelemetrySnapshot {
     pub wall_nanos: u64,
     /// Event counters, indexed in [`TelemetryEvent::ALL`] order.
     pub events: [u64; TelemetryEvent::COUNT],
-    /// Stage accumulators (nanoseconds), indexed in [`Stage::ALL`] order.
-    pub stage_nanos: [u64; 4],
+    /// Layer accumulators (nanoseconds), indexed in [`Layer::ALL`] order.
+    pub layer_nanos: [u64; Layer::COUNT],
 }
 
 // Manual impl: the event array outgrew the derive's 32-element limit.
@@ -342,7 +295,7 @@ impl Default for TelemetrySnapshot {
             node: 0,
             wall_nanos: 0,
             events: [0; TelemetryEvent::COUNT],
-            stage_nanos: [0; 4],
+            layer_nanos: [0; Layer::COUNT],
         }
     }
 }
@@ -353,9 +306,9 @@ impl TelemetrySnapshot {
         self.events[event.slot()]
     }
 
-    /// Wall time attributed to `stage` at snapshot time.
-    pub fn stage_time(&self, stage: Stage) -> Duration {
-        Duration::from_nanos(self.stage_nanos[stage.slot()])
+    /// Wall time attributed to `layer` at snapshot time.
+    pub fn layer_time(&self, layer: Layer) -> Duration {
+        Duration::from_nanos(self.layer_nanos[layer as usize])
     }
 
     /// The snapshot as a coverage-timeline point: executions completed
@@ -369,7 +322,7 @@ impl TelemetrySnapshot {
     }
 
     /// Folds another snapshot into this one, summing every counter and
-    /// stage clock and keeping the max wall time (fleet-wide totals).
+    /// layer clock and keeping the max wall time (fleet-wide totals).
     /// `instance` and `node` keep this snapshot's values — a merged total
     /// is no longer attributable to one source.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
@@ -377,8 +330,8 @@ impl TelemetrySnapshot {
         for i in 0..self.events.len() {
             self.events[i] += other.events[i];
         }
-        for i in 0..self.stage_nanos.len() {
-            self.stage_nanos[i] += other.stage_nanos[i];
+        for i in 0..self.layer_nanos.len() {
+            self.layer_nanos[i] += other.layer_nanos[i];
         }
     }
 
@@ -393,8 +346,8 @@ impl TelemetrySnapshot {
         for event in TelemetryEvent::ALL {
             push_field(&mut out, event.key(), self.get(event));
         }
-        for stage in Stage::ALL {
-            push_field(&mut out, stage.key(), self.stage_nanos[stage.slot()]);
+        for layer in Layer::ALL {
+            push_field(&mut out, layer.key(), self.layer_nanos[layer as usize]);
         }
         out.pop(); // trailing comma
         out.push('}');
@@ -402,7 +355,9 @@ impl TelemetrySnapshot {
     }
 
     /// Parses a snapshot from a JSON line produced by [`to_json`]
-    /// (unknown fields are ignored; missing counter fields default to 0).
+    /// (unknown fields are ignored — among them the four `stage_*_nanos`
+    /// clocks of lines written before the layer split; missing counter
+    /// fields default to 0).
     ///
     /// Returns `None` if `line` is not a JSON object or lacks the
     /// `instance` field.
@@ -424,8 +379,8 @@ impl TelemetrySnapshot {
         for event in TelemetryEvent::ALL {
             snap.events[event.slot()] = json_u64(line, event.key()).unwrap_or(0);
         }
-        for stage in Stage::ALL {
-            snap.stage_nanos[stage.slot()] = json_u64(line, stage.key()).unwrap_or(0);
+        for layer in Layer::ALL {
+            snap.layer_nanos[layer as usize] = json_u64(line, layer.key()).unwrap_or(0);
         }
         Some(snap)
     }
@@ -715,12 +670,12 @@ mod tests {
     #[test]
     fn stage_time_accumulates() {
         let t = Telemetry::new(0);
-        t.add_stage(Stage::MapOps, Duration::from_micros(5));
-        t.add_stage(Stage::MapOps, Duration::from_micros(5));
-        t.add_stage(Stage::Havoc, Duration::from_micros(1));
-        assert_eq!(t.stage_time(Stage::MapOps), Duration::from_micros(10));
-        assert_eq!(t.stage_time(Stage::Havoc), Duration::from_micros(1));
-        assert_eq!(t.stage_time(Stage::Deterministic), Duration::ZERO);
+        t.add_nanos(Layer::MapCompare, 5_000);
+        t.add_nanos(Layer::MapCompare, 5_000);
+        t.add_nanos(Layer::MutateHavoc, 1_000);
+        assert_eq!(t.layer_time(Layer::MapCompare), Duration::from_micros(10));
+        assert_eq!(t.layer_time(Layer::MutateHavoc), Duration::from_micros(1));
+        assert_eq!(t.layer_time(Layer::MutateDet), Duration::ZERO);
     }
 
     #[test]
@@ -729,11 +684,17 @@ mod tests {
         for event in TelemetryEvent::ALL {
             t.add(event, event.slot() as u64 + 1);
         }
-        for stage in Stage::ALL {
-            t.add_stage(stage, Duration::from_nanos(stage.slot() as u64 + 100));
+        // Every layer key carries a distinct value.
+        for layer in Layer::ALL {
+            t.add_nanos(layer, layer as u64 + 100);
         }
         let snap = t.snapshot();
         let line = snap.to_json();
+        for layer in Layer::ALL {
+            let field = format!("\"{}\":{}", layer.key(), layer as u64 + 100);
+            assert!(line.contains(&field), "{field} missing from {line}");
+        }
+        assert!(line.contains("\"executor_nanos\":"));
         let back = TelemetrySnapshot::from_json(&line).expect("roundtrip");
         assert_eq!(back, snap);
     }
@@ -830,8 +791,9 @@ mod tests {
         // A line in the 35-slot format, which carried three since-removed
         // counters (the SSE2 kernel's op count and two thread-placement
         // counters); every counter holds a distinct value, its old slot + 1.
-        // The three unknown keys are ignored; every other counter and
-        // stage clock must survive intact.
+        // The three unknown keys and the four stage clocks (replaced by
+        // the per-layer clocks) are ignored; every counter must survive
+        // intact.
         let parent_line = "{\"instance\":5,\"node\":1,\"wall_nanos\":123,\"map_resets\":1,\
                            \"classify_passes\":2,\"virgin_compares\":3,\"queue_cycles\":4,\
                            \"sync_publishes\":5,\"sync_imports\":6,\"import_rejections\":7,\
@@ -864,12 +826,10 @@ mod tests {
         for event in TelemetryEvent::ALL {
             assert_eq!(snap.get(event), carried[event.key()], "{event:?}");
         }
-        for stage in Stage::ALL {
-            assert_eq!(snap.stage_nanos[stage.slot()], stage.slot() as u64 + 100);
-        }
+        assert_eq!(snap.layer_nanos, [0; Layer::COUNT]);
         // Re-serialized, only the known fields remain.
         let fields = snap.to_json().matches(':').count();
-        assert_eq!(fields, 3 + TelemetryEvent::COUNT + Stage::ALL.len());
+        assert_eq!(fields, 3 + TelemetryEvent::COUNT + Layer::COUNT);
     }
 
     #[test]
@@ -903,11 +863,11 @@ mod tests {
             ..Default::default()
         };
         b.events[TelemetryEvent::Exec.slot()] = 7;
-        b.stage_nanos[Stage::MapOps.slot()] = 11;
+        b.layer_nanos[Layer::MapReset as usize] = 11;
         a.merge(&b);
         assert_eq!(a.get(TelemetryEvent::Exec), 12);
         assert_eq!(a.wall_nanos, 30);
-        assert_eq!(a.stage_nanos[Stage::MapOps.slot()], 11);
+        assert_eq!(a.layer_nanos[Layer::MapReset as usize], 11);
     }
 
     #[test]

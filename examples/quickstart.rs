@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "crashes: {} unique (Crashwalk), {} total",
         stats.unique_crashes, stats.total_crashes
     );
-    println!("per-stage time: {}", stats.ops);
+    println!("per-layer time: {}", stats.ops);
 
     if stats.unique_crashes > 0 {
         println!("\nThe planted BUG! was found — note how little of the 8 MiB");

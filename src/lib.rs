@@ -76,7 +76,7 @@ pub mod prelude {
     pub use bigmap_analytics::{collision_rate, geometric_mean, TextTable};
     pub use bigmap_cache::{CacheHierarchy, TraceWorkload};
     pub use bigmap_core::{
-        BigMap, CoverageMap, FlatBitmap, InterpMode, MapScheme, MapSize, NewCoverage, OpKind,
+        BigMap, CoverageMap, FlatBitmap, InterpMode, Layer, MapScheme, MapSize, NewCoverage,
         OpPath, OpStats, SparseMode, TraceMode, VirginState,
     };
     pub use bigmap_coverage::{
@@ -87,7 +87,7 @@ pub mod prelude {
         CampaignConfigBuilder, CampaignStats, Checkpoint, CheckpointManager, CorpusSync, CrashWalk,
         CursorError, Executor, FaultPlan, FaultSite, FleetAggregator, FleetConfig, FleetStats,
         HangBudget, Instance, InstanceFaults, InstanceHealth, InstanceOptions, JsonlSink, Mutator,
-        ShardedHub, Stage, Telemetry, TelemetryEvent, TelemetrySnapshot, Transport, WorkerRole,
+        ShardedHub, Telemetry, TelemetryEvent, TelemetrySnapshot, Transport, WorkerRole,
     };
     pub use bigmap_target::{
         apply_laf_intel, generate_seeds, BenchmarkSpec, CompiledProgram, ExecConfig, ExecOutcome,

@@ -8,8 +8,10 @@
 //!    set in-process with `with_huge_policy`) with sparse dispatch on
 //!    auto walk bit-identical coverage trajectories (the
 //!    `tests/kernel_trajectory.rs` pattern, one regime up).
-//! 2. The journal's capacity scales with the map and its PR-5 overflow
-//!    policy (flag, bound, dense fallback) holds at giant sizes.
+//! 2. The journal's capacity scales with the map (a `BigMap` gets the
+//!    scaled bound, and allocates its run vector only once it journals)
+//!    and its PR-5 overflow policy (flag, bound, dense fallback) holds at
+//!    giant sizes.
 //! 3. Maps report which backend served them, and every policy yields a
 //!    correctly aligned, zeroed buffer — telemetry sees fallbacks, the
 //!    campaign never does.
@@ -104,6 +106,46 @@ fn giant_journal_capacity_scales_with_map_size() {
 
     let journal = TouchJournal::new(MapSize::M256.bytes());
     assert_eq!(journal.capacity(), 1 << 20);
+    // The map itself carries the scaled bound, not the paper-size default.
+    let map = BigMap::new(GIANT).unwrap();
+    assert_eq!(map.journal().capacity(), 1 << 20);
+}
+
+#[test]
+fn journal_run_storage_waits_for_the_first_journaled_exec() {
+    // A 64 KiB map's used prefix can never reach the auto journaling
+    // gate, so an auto campaign's map never journals and must hold no run
+    // storage; a forced-sparse map reserves its whole bound.
+    let spec = BenchmarkSpec::by_name("zlib").unwrap();
+    let program = spec.build(0.05);
+    let seeds = spec.build_seeds(&program, 4);
+    let instrumentation =
+        Instrumentation::assign(program.block_count(), program.call_sites, MapSize::K64, 9);
+    let interpreter = Interpreter::new(&program);
+    let campaign = |sparse: Option<SparseMode>| {
+        let mut executor = Executor::new(
+            &interpreter,
+            &instrumentation,
+            bigmap::fuzzer::build_metric(MetricKind::Edge),
+        );
+        let mut mutator = Mutator::new(5);
+        let mut virgin = VirginState::new(MapSize::K64);
+        let mut map = BigMap::new(MapSize::K64).unwrap();
+        map.set_sparse_override(sparse);
+        for i in 0..600 {
+            let child = mutator.havoc(&seeds[i % seeds.len()], None);
+            map.reset();
+            executor.run(&child, &mut map);
+            map.classify_and_compare(&mut virgin);
+        }
+        assert!(map.used_key() > 0);
+        map.journal().reserved()
+    };
+    assert_eq!(campaign(None), 0);
+    assert_eq!(
+        campaign(Some(SparseMode::On)),
+        capacity_for(MapSize::K64.bytes())
+    );
 }
 
 #[test]
