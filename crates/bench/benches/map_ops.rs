@@ -13,7 +13,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use bigmap_core::flat::ResetKind;
+use bigmap_core::alloc::MapBuffer;
+use bigmap_core::simd::stream_zero;
 use bigmap_core::{BigMap, CoverageMap, Crc32, FlatBitmap, MapSize, VirginState};
 
 /// Active keys resembling a mid-size benchmark (~10k discovered edges).
@@ -126,18 +127,12 @@ fn bench_classify_compare_merged_vs_split(c: &mut Criterion) {
 }
 
 fn bench_reset_nontemporal(c: &mut Criterion) {
-    // DESIGN.md ablation 3: cache-polluting vs streaming reset.
+    // DESIGN.md ablation 3: cache-polluting vs streaming reset of a whole
+    // flat map's buffer.
     let mut group = c.benchmark_group("reset_8M");
-    for (label, kind) in [
-        ("standard", ResetKind::Standard),
-        ("nontemporal", ResetKind::NonTemporal),
-    ] {
-        group.bench_function(label, |b| {
-            let mut map = FlatBitmap::with_reset_kind(MapSize::M8, kind).unwrap();
-            map.record(1);
-            b.iter(|| map.reset());
-        });
-    }
+    let mut buf: MapBuffer<u8> = MapBuffer::zeroed(MapSize::M8.bytes());
+    group.bench_function("standard", |b| b.iter(|| buf.fill(0)));
+    group.bench_function("nontemporal", |b| b.iter(|| stream_zero(&mut buf)));
     // BigMap's reset for contrast: used-prefix only.
     group.bench_function("bigmap_prefix", |b| {
         let mut map = BigMap::new(MapSize::M8).unwrap();

@@ -15,7 +15,7 @@
 //! and under the shipped `Auto` gate, used prefixes 4 KiB → 64 MiB) whose
 //! fixed-footprint gate cells locate the used prefix behind
 //! `JOURNAL_MIN_USED` (the run fails when they disagree), plus a giant-map
-//! arm (64 MiB → 1 GiB × {dense, sparse, adaptive} × {thp, explicit, off}
+//! arm (64 MiB → 1 GiB × {dense, sparse, adaptive} × {explicit, off}
 //! huge-page policies) with a uniform-layout crossover re-measurement
 //! behind `GIANT_RUN_CROSSOVER_DIVISOR` and a locality cross-check against
 //! the `bigmap-cache` simulator.
@@ -107,11 +107,11 @@ struct JournalSample {
 /// One measured cell of the giant-map arm.
 struct GiantSample {
     size: usize,
-    /// Requested huge-page policy (`thp`, `explicit`, `off`).
+    /// Requested huge-page policy (`explicit`, `off`).
     policy: &'static str,
     /// Backend that actually served the timed buffers.
     served: &'static str,
-    /// Whether an explicit request degraded to the THP path.
+    /// Whether an explicit request degraded to plain pages.
     fell_back: bool,
     /// `dense`, `sparse`, or `adaptive`.
     variant: &'static str,
@@ -131,9 +131,9 @@ struct CacheCheck {
     predicted_ratio: f64,
     /// Fraction of flat-scan fetched bytes holding no active data.
     flat_dead: f64,
-    /// Measured dense fused ns/op (THP arm).
+    /// Measured dense fused ns/op (`off` arm).
     measured_dense_ns: f64,
-    /// Measured sparse fused ns/op (THP arm).
+    /// Measured sparse fused ns/op (`off` arm).
     measured_sparse_ns: f64,
     /// `measured_dense_ns / measured_sparse_ns`.
     measured_ratio: f64,
@@ -727,11 +727,7 @@ fn run_giant_arm(effort: Effort, dense_table: &bigmap_core::KernelTable) -> Gian
     };
     // ~2% of 64 MiB, in whole 64-slot clusters.
     let giant_touched = (64 * MIB / 50) / 64 * 64;
-    let policies: [(&'static str, HugePolicy); 3] = [
-        ("thp", HugePolicy::Thp),
-        ("explicit", HugePolicy::Explicit),
-        ("off", HugePolicy::Off),
-    ];
+    let policies = [HugePolicy::Explicit, HugePolicy::Off];
 
     println!("\ngiant arm (fused, constant {giant_touched}-slot active set):");
     println!(
@@ -743,7 +739,7 @@ fn run_giant_arm(effort: Effort, dense_table: &bigmap_core::KernelTable) -> Gian
         let density = giant_touched as f64 / size as f64;
         let (cur, virgin, slots) = prepare_density_region(size, density, true);
         let runs = runs_from_slots(&slots);
-        for (pname, policy) in policies {
+        for policy in policies {
             for variant in ["dense", "sparse", "adaptive"] {
                 let eff_bytes = match variant {
                     "dense" => size,
@@ -756,7 +752,7 @@ fn run_giant_arm(effort: Effort, dense_table: &bigmap_core::KernelTable) -> Gian
                 let iters = (giant_target / eff_bytes).clamp(3, 4096) as u64;
                 // The timed buffers are allocated under the policy being
                 // measured; the prepared source pair stays on the ambient
-                // (thp) policy and only feeds the copies.
+                // policy and only feeds the copies.
                 let sample = with_huge_policy(policy, || {
                     let mut cur_buf = clone_map(&cur);
                     let mut virgin_buf = clone_map(&virgin);
@@ -773,7 +769,7 @@ fn run_giant_arm(effort: Effort, dense_table: &bigmap_core::KernelTable) -> Gian
                     let elapsed = t.elapsed();
                     GiantSample {
                         size,
-                        policy: pname,
+                        policy: policy.label(),
                         served,
                         fell_back,
                         variant,
@@ -801,10 +797,8 @@ fn run_giant_arm(effort: Effort, dense_table: &bigmap_core::KernelTable) -> Gian
     }
 
     // Acceptance: adaptive per-exec cost at the giant sizes vs 64 MiB,
-    // per allocation policy — on hosts where THP never actually collapses
-    // (AnonHugePages stays 0) the thp arm is plain pages in disguise, so
-    // the explicit arm is the honest huge-page data point.
-    for policy in ["thp", "explicit", "off"] {
+    // per allocation policy.
+    for policy in ["explicit", "off"] {
         if let Some(base) = find_giant_ns(&giant_samples, 64 * MIB, policy, "adaptive") {
             for &size in giant_sizes.iter().filter(|&&s| s > 64 * MIB) {
                 if let Some(g) = find_giant_ns(&giant_samples, size, policy, "adaptive") {
@@ -909,8 +903,9 @@ fn run_giant_arm(effort: Effort, dense_table: &bigmap_core::KernelTable) -> Gian
 
     // Cache-simulator cross-check: the locality model predicts the scan
     // cost ratio between the flat structure (whole-map walk) and BigMap's
-    // condensed prefix; the measured dense/sparse fused ratio on the THP
-    // arm is the silicon-side number it must agree with on direction.
+    // condensed prefix; the measured dense/sparse fused ratio on the
+    // plain-page (`off`) arm is the silicon-side number it must agree with
+    // on direction.
     println!("\ncache-simulator locality cross-check (scan accesses/exec):");
     println!(
         "{:<9} {:>14} {:>14} {:>10} {:>10} {:>10} {:>7}",
@@ -942,9 +937,9 @@ fn run_giant_arm(effort: Effort, dense_table: &bigmap_core::KernelTable) -> Gian
             .find(|r| r.op == TracedOp::Others)
             .map_or(0.0, |r| r.dead_byte_fraction);
         let predicted_ratio = flat_scan_apc / bigmap_scan_apc.max(1.0);
-        let measured_dense_ns = find_giant_ns(&giant_samples, size, "thp", "dense").unwrap_or(0.0);
+        let measured_dense_ns = find_giant_ns(&giant_samples, size, "off", "dense").unwrap_or(0.0);
         let measured_sparse_ns =
-            find_giant_ns(&giant_samples, size, "thp", "sparse").unwrap_or(0.0);
+            find_giant_ns(&giant_samples, size, "off", "sparse").unwrap_or(0.0);
         let measured_ratio = if measured_sparse_ns > 0.0 {
             measured_dense_ns / measured_sparse_ns
         } else {

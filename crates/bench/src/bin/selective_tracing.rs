@@ -73,7 +73,6 @@ fn run_mode(
                 dictionary: Vec::new(),
                 trim_new_entries: false,
                 seed: 0x5EED + r as u64,
-                exec: Default::default(),
                 hang_budget: None,
                 sparse: None,
                 trace: Some(mode),

@@ -288,7 +288,6 @@ impl PreparedBenchmark {
             dictionary: Vec::new(),
             trim_new_entries: false,
             seed,
-            exec: Default::default(),
             hang_budget: None,
             sparse: None,
             trace: None,

@@ -3,19 +3,17 @@
 //!
 //! Large coverage maps occupy many DTLB slots; the paper's final §IV-E
 //! optimization backs the index and coverage bitmaps with huge pages to cut
-//! page-walk overhead. This module implements three backends behind one
+//! page-walk overhead. This module implements two backends behind one
 //! policy knob (`BIGMAP_HUGE`):
 //!
 //! * **`explicit`** — `mmap(MAP_HUGETLB)` against the hugetlbfs pool,
 //!   trying 1 GiB pages first for gigantic buffers and 2 MiB pages
 //!   otherwise. Reservation can fail at any moment (empty pool, fragmented
-//!   host, unsupported kernel), so the allocator falls back to the THP path
+//!   host, unsupported kernel), so the allocator falls back to plain pages
 //!   and records the fallback — never an error.
-//! * **`thp`** (default) — `alloc_zeroed` aligned to the huge-page size
-//!   plus a best-effort `madvise(MADV_HUGEPAGE)`, the PR-1 behaviour.
-//! * **`off`** — plain pages, with `madvise(MADV_NOHUGEPAGE)` so even a
-//!   `transparent_hugepage=always` host does not promote the range. The
-//!   control arm for benchmarking.
+//! * **`off`** (default) — plain pages, with `madvise(MADV_NOHUGEPAGE)` so
+//!   even a `transparent_hugepage=always` host does not promote the range
+//!   and the reported `plain` backend is what served it.
 //!
 //! Which backend actually served each buffer, and whether an explicit
 //! request fell back, is recorded per buffer ([`MapBuffer::backend`],
@@ -43,12 +41,11 @@ pub const GIGANTIC_PAGE_BYTES: usize = 1024 * 1024 * 1024;
 /// How map memory is requested from the kernel (`BIGMAP_HUGE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HugePolicy {
-    /// Reserve hugetlbfs pages via `mmap(MAP_HUGETLB)`; fall back to THP.
+    /// Reserve hugetlbfs pages via `mmap(MAP_HUGETLB)`; fall back to
+    /// plain pages.
     Explicit,
-    /// Transparent huge pages via `madvise(MADV_HUGEPAGE)` (the default).
+    /// Plain pages, opted out of THP promotion (the default).
     #[default]
-    Thp,
-    /// Plain pages; actively opt out of THP promotion.
     Off,
 }
 
@@ -57,7 +54,6 @@ impl HugePolicy {
     pub fn label(self) -> &'static str {
         match self {
             HugePolicy::Explicit => "explicit",
-            HugePolicy::Thp => "thp",
             HugePolicy::Off => "off",
         }
     }
@@ -70,17 +66,17 @@ impl fmt::Display for HugePolicy {
 }
 
 /// The pure parse policy behind `BIGMAP_HUGE` (`None` = unset). Unknown
-/// values warn on stderr and read as the default.
+/// values — among them `thp`, the deleted transparent-huge-page rung —
+/// warn on stderr and read as the default.
 pub fn parse_huge(raw: Option<&str>) -> HugePolicy {
     let Some(raw) = raw else {
         return HugePolicy::default();
     };
     match raw.trim() {
         "explicit" => HugePolicy::Explicit,
-        "thp" => HugePolicy::Thp,
         "off" => HugePolicy::Off,
         _ => {
-            eprintln!("BIGMAP_HUGE={raw}: unknown policy (expected explicit|thp|off), using thp");
+            eprintln!("BIGMAP_HUGE={raw}: unknown policy (expected explicit|off), using off");
             HugePolicy::default()
         }
     }
@@ -94,10 +90,8 @@ pub enum AllocBackend {
     ExplicitGigantic,
     /// `mmap(MAP_HUGETLB)` 2 MiB hugetlb pages.
     ExplicitHuge,
-    /// Heap allocation advised into transparent huge pages.
-    Thp,
-    /// Heap allocation on plain pages (small buffer, `off` policy, or a
-    /// host without huge-page support).
+    /// Heap allocation on plain pages (the `off` policy, a sub-huge-page
+    /// buffer, or an explicit request the host refused).
     Plain,
 }
 
@@ -107,7 +101,6 @@ impl AllocBackend {
         match self {
             AllocBackend::ExplicitGigantic => "explicit_1g",
             AllocBackend::ExplicitHuge => "explicit_2m",
-            AllocBackend::Thp => "thp",
             AllocBackend::Plain => "plain",
         }
     }
@@ -224,8 +217,8 @@ impl<T: MapElement> MapBuffer<T> {
     ///
     /// Every policy yields a correctly aligned, fully zeroed buffer; only
     /// the backing pages differ. When `policy` asks for explicit huge pages
-    /// and the host cannot serve them, the buffer silently degrades to the
-    /// THP path and [`MapBuffer::fell_back`] reports it.
+    /// and the host cannot serve them, the buffer silently degrades to
+    /// plain pages and [`MapBuffer::fell_back`] reports it.
     ///
     /// # Panics
     ///
@@ -243,30 +236,18 @@ impl<T: MapElement> MapBuffer<T> {
             fell_back = true;
         }
 
-        // Heap path: THP advice for `thp` (and the explicit fallback),
-        // active THP opt-out for `off`.
+        // Heap path on plain pages, for `off` and the explicit fallback.
         // SAFETY: layout has non-zero size (len > 0, size_of::<T>() >= 1).
         let raw = unsafe { alloc_zeroed(layout) };
         if raw.is_null() {
             handle_alloc_error(layout);
         }
-        let backend = match policy {
-            HugePolicy::Off => {
-                advise_no_huge_pages(raw, bytes);
-                AllocBackend::Plain
-            }
-            _ if bytes >= HUGE_PAGE_BYTES => {
-                advise_huge_pages(raw, bytes);
-                AllocBackend::Thp
-            }
-            // Sub-huge-page buffers: nothing to promote.
-            _ => AllocBackend::Plain,
-        };
+        advise_no_huge_pages(raw, bytes);
         MapBuffer {
             ptr: raw.cast::<T>(),
             len,
             mapped: 0,
-            backend,
+            backend: AllocBackend::Plain,
             fell_back,
             _marker: PhantomData,
         }
@@ -336,7 +317,7 @@ impl<T: MapElement> MapBuffer<T> {
         self.backend
     }
 
-    /// Whether an explicit-huge-page request degraded to the THP path.
+    /// Whether an explicit-huge-page request degraded to plain pages.
     #[inline]
     pub fn fell_back(&self) -> bool {
         self.fell_back
@@ -443,30 +424,16 @@ impl<T: MapElement> Clone for MapBuffer<T> {
 
 // ------------------------------------------------------------------ advice
 
-/// Best-effort request to back `[ptr, ptr+len)` with transparent huge pages.
-///
-/// A failed or unsupported call is silently ignored: huge pages are an
-/// optimization (§IV-E), never a correctness requirement.
-#[cfg(target_os = "linux")]
-fn advise_huge_pages(ptr: *mut u8, len: usize) {
-    if len >= HUGE_PAGE_BYTES {
-        // SAFETY: the range [ptr, ptr+len) is a live allocation we own;
-        // MADV_HUGEPAGE does not alter memory contents.
-        unsafe {
-            libc::madvise(ptr.cast(), len, libc::MADV_HUGEPAGE);
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn advise_huge_pages(_ptr: *mut u8, _len: usize) {}
-
-/// Best-effort opt-out of THP promotion for the `off` policy's control
-/// buffers, so a `transparent_hugepage=always` host measures plain pages.
+/// Best-effort opt-out of THP promotion for heap buffers of at least one
+/// huge page, so a `transparent_hugepage=always` host still serves the
+/// plain pages the buffer reports. A failed or unsupported call is
+/// ignored: page backing is an optimization (§IV-E), never a correctness
+/// requirement.
 #[cfg(target_os = "linux")]
 fn advise_no_huge_pages(ptr: *mut u8, len: usize) {
     if len >= HUGE_PAGE_BYTES {
-        // SAFETY: as `advise_huge_pages`; MADV_NOHUGEPAGE is advice only.
+        // SAFETY: the range [ptr, ptr+len) is a live allocation we own;
+        // MADV_NOHUGEPAGE is advice only and does not alter its contents.
         unsafe {
             libc::madvise(ptr.cast(), len, libc::MADV_NOHUGEPAGE);
         }
@@ -535,7 +502,7 @@ mod tests {
     fn every_policy_yields_aligned_zeroed_memory() {
         // The fallback contract: no matter what the host supports, every
         // policy produces a correctly aligned, fully zeroed buffer.
-        for policy in [HugePolicy::Explicit, HugePolicy::Thp, HugePolicy::Off] {
+        for policy in [HugePolicy::Explicit, HugePolicy::Off] {
             let mut buf: MapBuffer<u8> = MapBuffer::zeroed_with(4 << 20, policy);
             assert_eq!(
                 buf.as_ptr() as usize % HUGE_PAGE_BYTES,
@@ -555,12 +522,9 @@ mod tests {
             AllocBackend::ExplicitHuge | AllocBackend::ExplicitGigantic => {
                 assert!(!buf.fell_back());
             }
-            AllocBackend::Thp => {
-                // No hugetlb pool on this host: the buffer itself must
-                // record the fallback.
-                assert!(buf.fell_back());
-            }
-            AllocBackend::Plain => panic!("explicit request degraded past THP"),
+            // No hugetlb pool on this host: the buffer itself must record
+            // the fallback.
+            AllocBackend::Plain => assert!(buf.fell_back()),
         }
         assert!(buf.iter().all(|&b| b == 0));
     }
@@ -583,16 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn thp_policy_attributes_each_buffer_by_size() {
-        // Below one huge page there is nothing to promote: plain pages.
-        let small: MapBuffer<u8> = MapBuffer::zeroed_with(4096, HugePolicy::Thp);
-        assert_eq!(small.backend(), AllocBackend::Plain);
-        let large: MapBuffer<u8> = MapBuffer::zeroed_with(4 << 20, HugePolicy::Thp);
-        assert_eq!(large.backend(), AllocBackend::Thp);
-        assert!(!small.fell_back() && !large.fell_back());
-    }
-
-    #[test]
     fn with_huge_policy_scopes_and_restores() {
         let outer = huge_policy();
         with_huge_policy(HugePolicy::Off, || {
@@ -607,11 +561,13 @@ mod tests {
 
     #[test]
     fn parse_huge_policy_values() {
-        assert_eq!(parse_huge(None), HugePolicy::Thp);
+        assert_eq!(parse_huge(None), HugePolicy::Off);
         assert_eq!(parse_huge(Some("explicit")), HugePolicy::Explicit);
-        assert_eq!(parse_huge(Some(" thp ")), HugePolicy::Thp);
-        assert_eq!(parse_huge(Some("off")), HugePolicy::Off);
-        assert_eq!(parse_huge(Some("gigantic")), HugePolicy::Thp);
+        assert_eq!(parse_huge(Some(" off ")), HugePolicy::Off);
+        assert_eq!(parse_huge(Some("gigantic")), HugePolicy::Off);
+        // The deleted transparent-huge-page value reads as off (its
+        // warning is checked end to end in tests/docs_sync.rs).
+        assert_eq!(parse_huge(Some("thp")), HugePolicy::Off);
     }
 
     #[test]

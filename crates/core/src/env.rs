@@ -67,13 +67,13 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "BIGMAP_HUGE",
-        values: "`explicit` \\| `thp` \\| `off`",
-        default: "`thp`",
+        values: "`explicit` \\| `off`",
+        default: "`off`",
         description: "Map-buffer page backend: `explicit` reserves hugetlbfs pages via \
                       `mmap(MAP_HUGETLB)` (1 GiB pages where the size allows, else 2 MiB) and \
-                      falls back to `thp` with a telemetry-visible record when the pool is \
-                      empty; `thp` advises transparent huge pages; `off` opts out of THP — the \
-                      benchmark control arm.",
+                      falls back to `off` with a telemetry-visible record when the pool is \
+                      empty; `off` allocates plain pages and opts them out of transparent \
+                      huge pages.",
     },
     Knob {
         name: "BIGMAP_FABRIC_WORKER",
@@ -146,7 +146,7 @@ pub fn interp_request() -> InterpMode {
 
 /// `BIGMAP_HUGE`: the requested map-buffer page backend.
 ///
-/// Unknown values warn on stderr and read as [`HugePolicy::Thp`]; the
+/// Unknown values warn on stderr and read as [`HugePolicy::Off`]; the
 /// parse policy itself lives in [`crate::alloc::parse_huge`].
 pub fn huge_request() -> HugePolicy {
     crate::alloc::parse_huge(raw("BIGMAP_HUGE").as_deref())
@@ -233,7 +233,7 @@ mod tests {
             assert_eq!(interp_request(), InterpMode::Auto);
         }
         if std::env::var_os("BIGMAP_HUGE").is_none() {
-            assert_eq!(huge_request(), HugePolicy::Thp);
+            assert_eq!(huge_request(), HugePolicy::Off);
         }
     }
 

@@ -11,27 +11,9 @@ use crate::diff::for_each_nonzero_byte;
 use crate::hash::Crc32;
 use crate::kernels;
 use crate::map_size::{MapSize, MapSizeError};
-use crate::simd::{nontemporal_zero, stream_zero};
+use crate::simd::nontemporal_zero;
 use crate::traits::{CoverageMap, MapScheme, NewCoverage};
 use crate::virgin::VirginState;
-
-/// Reset strategy for the flat map (§IV-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResetKind {
-    /// Plain `memset(0)` — pulls the whole map through the cache.
-    Standard,
-    /// Non-temporal streaming stores — bypasses the cache.
-    NonTemporal,
-    /// Standard memset for maps that fit the per-core caches (where the
-    /// cached reset is both faster and harmless), non-temporal streaming
-    /// for larger maps (where a cached reset would evict everything else —
-    /// the §IV-E pollution argument only applies to maps that don't fit).
-    /// This is the default and matches the spirit of the paper's setup
-    /// ("optimizations mentioned in Section IV-E applied to both AFL and
-    /// BigMap").
-    #[default]
-    Adaptive,
-}
 
 /// AFL's flat, one-level coverage bitmap.
 ///
@@ -59,12 +41,10 @@ pub struct FlatBitmap {
     coverage: MapBuffer<u8>,
     size: MapSize,
     mask: u32,
-    reset_kind: ResetKind,
 }
 
 impl FlatBitmap {
-    /// Creates a zeroed flat bitmap of `size` bytes with the default
-    /// (adaptive) reset strategy.
+    /// Creates a zeroed flat bitmap of `size` bytes.
     ///
     /// # Errors
     ///
@@ -75,25 +55,7 @@ impl FlatBitmap {
             coverage: MapBuffer::zeroed(size.bytes()),
             size,
             mask: size.mask(),
-            reset_kind: ResetKind::default(),
         })
-    }
-
-    /// Creates a flat bitmap with an explicit reset strategy (used by the
-    /// §IV-E ablation benches).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FlatBitmap::new`].
-    pub fn with_reset_kind(size: MapSize, reset_kind: ResetKind) -> Result<Self, MapSizeError> {
-        let mut map = Self::new(size)?;
-        map.reset_kind = reset_kind;
-        Ok(map)
-    }
-
-    /// The reset strategy in use.
-    pub fn reset_kind(&self) -> ResetKind {
-        self.reset_kind
     }
 
     /// Read-only view of the raw map bytes.
@@ -128,14 +90,10 @@ impl CoverageMap for FlatBitmap {
     }
 
     fn reset(&mut self) {
-        match self.reset_kind {
-            ResetKind::Standard => self.coverage.as_mut_slice().fill(0),
-            // Forced streaming, regardless of size — the ablation arm.
-            ResetKind::NonTemporal => stream_zero(self.coverage.as_mut_slice()),
-            // Threshold-aware: plain memset below the cutoff, streaming
-            // above it (see `simd::NT_THRESHOLD`).
-            ResetKind::Adaptive => nontemporal_zero(self.coverage.as_mut_slice()),
-        }
+        // §IV-E: plain memset for maps that fit the per-core caches,
+        // streaming stores above `simd::NT_THRESHOLD`, where a cached
+        // reset would evict everything else.
+        nontemporal_zero(self.coverage.as_mut_slice());
     }
 
     fn classify(&mut self) {
@@ -208,17 +166,13 @@ mod tests {
 
     #[test]
     fn reset_clears_whole_map() {
-        for kind in [
-            ResetKind::Standard,
-            ResetKind::NonTemporal,
-            ResetKind::Adaptive,
-        ] {
-            let mut map = FlatBitmap::with_reset_kind(MapSize::K64, kind).unwrap();
+        // Both sides of the streaming cutoff.
+        for size in [MapSize::K64, MapSize::M2] {
+            let mut map = FlatBitmap::new(size).unwrap();
             map.record(1);
             map.record(60_000);
             map.reset();
             assert_eq!(map.count_nonzero(), 0);
-            assert_eq!(map.reset_kind(), kind);
         }
     }
 

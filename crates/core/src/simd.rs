@@ -52,8 +52,8 @@ pub fn nontemporal_zero(buf: &mut [u8]) {
 /// the platform supports them), bypassing the cache regardless of size.
 ///
 /// This is the raw §IV-E mechanism; prefer [`nontemporal_zero`] unless you
-/// are deliberately forcing the strategy (the `ResetKind::NonTemporal`
-/// ablation arm and the `bench_mapops` reset sweep do).
+/// are deliberately forcing the strategy (the `reset_8M` criterion group
+/// and the `bench_mapops` reset sweep do).
 pub fn stream_zero(buf: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
     {

@@ -181,9 +181,9 @@ pub trait CoverageMap: Any + Send {
     }
 
     /// The allocation backend that served this map's coverage buffer plus
-    /// whether an explicit-huge-page request fell back to THP, when the
-    /// scheme exposes it. `None` for map types that do not track their
-    /// allocation (the default).
+    /// whether an explicit-huge-page request fell back to plain pages,
+    /// when the scheme exposes it. `None` for map types that do not track
+    /// their allocation (the default).
     ///
     /// This is how the fuzzer's telemetry layer attributes each instance's
     /// map memory to a page backend (`BIGMAP_HUGE`).

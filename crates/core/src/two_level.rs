@@ -146,12 +146,6 @@ impl BigMap {
         self.index.as_slice()
     }
 
-    /// Read-only view of the full coverage allocation (not just the used
-    /// prefix).
-    pub fn coverage_slice(&self) -> &[u8] {
-        self.coverage.as_slice()
-    }
-
     /// The touch journal of the current exec (tests, benchmarks); empty
     /// when the exec does not journal.
     pub fn journal(&self) -> &TouchJournal {

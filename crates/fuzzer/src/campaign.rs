@@ -23,7 +23,7 @@ use bigmap_coverage::{
     BlockCoverage, ContextSensitive, CoverageMetric, EdgeHitCount, Instrumentation, MetricKind,
     NGram,
 };
-use bigmap_target::{ExecConfig, ExecOutcome, Interpreter, NoveltyOracle};
+use bigmap_target::{ExecOutcome, Interpreter, NoveltyOracle};
 
 use crate::calibrate::HangBudget;
 use crate::checkpoint::{Checkpoint, CheckpointQueueEntry};
@@ -123,13 +123,11 @@ pub struct CampaignConfig {
     pub trim_new_entries: bool,
     /// Campaign RNG seed.
     pub seed: u64,
-    /// Interpreter limits / work scaling.
-    pub exec: ExecConfig,
     /// AFL-style hang-budget calibration policy. When set, the campaign
     /// derives a step budget from the observed seed step counts at the
     /// start of the fuzzing loop and runs every mutant under it; `None`
-    /// keeps the configured `exec.max_steps` (the paper's fixed-budget
-    /// setup).
+    /// keeps the interpreter's `ExecConfig::max_steps` (the paper's
+    /// fixed-budget setup).
     pub hang_budget: Option<HangBudget>,
     /// The sparse/dense map-op dispatch policy (`bigmap_core::sparse`).
     /// `None` means [`SparseMode::Auto`]: pick per exec by journal
@@ -163,7 +161,6 @@ impl Default for CampaignConfig {
             dictionary: Vec::new(),
             trim_new_entries: false,
             seed: 0,
-            exec: ExecConfig::default(),
             hang_budget: None,
             sparse: None,
             trace: None,
@@ -287,13 +284,6 @@ impl CampaignConfigBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Interpreter limits / work scaling.
-    #[must_use]
-    pub fn exec(mut self, exec: ExecConfig) -> Self {
-        self.config.exec = exec;
         self
     }
 
@@ -572,7 +562,6 @@ impl<'p> Campaign<'p> {
             telemetry.incr(match backend {
                 bigmap_core::AllocBackend::ExplicitGigantic
                 | bigmap_core::AllocBackend::ExplicitHuge => TelemetryEvent::AllocExplicitHuge,
-                bigmap_core::AllocBackend::Thp => TelemetryEvent::AllocThp,
                 bigmap_core::AllocBackend::Plain => TelemetryEvent::AllocPlain,
             });
             if fell_back {
@@ -1259,6 +1248,10 @@ impl<'p> Campaign<'p> {
             "restore requires a freshly constructed campaign"
         );
         self.restoring = true;
+        // The queue replays under the default step budget, as the seeds'
+        // dry runs did: a seed longer than the calibrated budget must be
+        // re-admitted, not hang. Every later entry finished within that
+        // budget, so it runs the same under either.
         for (id, entry) in checkpoint.queue.iter().enumerate() {
             self.admit_depth = entry.depth;
             self.execute_and_judge(&entry.input, true);
@@ -1268,7 +1261,10 @@ impl<'p> Campaign<'p> {
         // Warm the crash/hang virgin maps so post-resume novelty verdicts
         // match the checkpointed campaign's. Admission is suppressed (see
         // execute_and_judge), so fault-injected crash inputs that run
-        // clean cannot mint queue entries here.
+        // clean cannot mint queue entries here. They replay under the
+        // checkpointed budget: an input it cut off must hang again, not
+        // run to completion into the Ok virgin map.
+        self.executor.set_step_budget(checkpoint.hang_budget);
         self.admit_depth = 0;
         for input in checkpoint
             .crashes
@@ -1296,7 +1292,6 @@ impl<'p> Campaign<'p> {
         self.discovered_running = checkpoint.discovered_running;
         self.rng = SmallRng::from_state(checkpoint.rng);
         self.mutator.set_rng_state(checkpoint.mutator_rng);
-        self.executor.set_step_budget(checkpoint.hang_budget);
         self.crashwalk = CrashWalk::restore(
             &checkpoint
                 .crashes
@@ -1319,42 +1314,6 @@ impl<'p> Campaign<'p> {
         }
         self.timeline = timeline;
         self.restoring = false;
-    }
-
-    /// Resumes from the newest intact checkpoint generation persisted in
-    /// `dir` (an output directory a
-    /// [`crate::checkpoint::CheckpointManager`] wrote into). Returns
-    /// whether a checkpoint was found; `false` means the campaign is
-    /// untouched and the caller should seed it normally. Each corrupt
-    /// newer generation skipped on the way to an intact one is counted
-    /// as a `CheckpointFallback` telemetry event.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; if generations exist but none is intact,
-    /// the error is [`std::io::ErrorKind::InvalidData`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if seeds were already added (see [`Campaign::restore`]).
-    pub fn resume_from(&mut self, dir: &crate::output_dir::OutputDir) -> std::io::Result<bool> {
-        let faults = self.faults.clone();
-        match crate::checkpoint::CheckpointManager::load_with_report(dir.root(), faults.as_deref())?
-        {
-            Some((checkpoint, report)) => {
-                if !report.skipped.is_empty() {
-                    if let Some(tel) = &self.telemetry {
-                        tel.add(
-                            TelemetryEvent::CheckpointFallback,
-                            report.skipped.len() as u64,
-                        );
-                    }
-                }
-                self.restore(&checkpoint);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 
     fn finish(self, started: Instant) -> CampaignStats {

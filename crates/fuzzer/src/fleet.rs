@@ -223,7 +223,7 @@ impl Instance<'_> {
         let mut config = self.config.clone();
         config.seed ^= 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1);
         config.deterministic &= index == 0;
-        let interpreter = Interpreter::with_config(self.program, config.exec);
+        let interpreter = Interpreter::new(self.program);
         let mut campaign = Campaign::new(config, &interpreter, self.instrumentation);
         campaign.set_telemetry(Arc::clone(telemetry));
         if let Some(faults) = faults {

@@ -168,15 +168,13 @@ telemetry_events! {
     /// Campaign instances whose coverage map was served by explicit
     /// hugetlb pages (`BIGMAP_HUGE=explicit`, reservation succeeded).
     AllocExplicitHuge => "alloc_explicit_huge",
-    /// Campaign instances whose coverage map went down the THP-advised
-    /// heap path (the default, or the explicit backend's fallback).
-    AllocThp => "alloc_thp",
-    /// Campaign instances whose coverage map sits on plain pages
-    /// (`BIGMAP_HUGE=off`, or a sub-huge-page map).
+    /// Campaign instances whose coverage map sits on plain pages (the
+    /// default `BIGMAP_HUGE=off`, a sub-huge-page map, or the explicit
+    /// backend's fallback).
     AllocPlain => "alloc_plain",
     /// Campaign instances whose explicit-huge-page request could not be
-    /// served and fell back to THP (empty hugetlb pool, unsupported
-    /// kernel, non-Linux host).
+    /// served and fell back to plain pages (empty hugetlb pool,
+    /// unsupported kernel, non-Linux host).
     AllocFallback => "alloc_fallbacks",
 }
 
@@ -270,7 +268,7 @@ impl Telemetry {
 
 /// A point-in-time copy of one instance's telemetry, serializable as one
 /// JSON line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Fleet instance index.
     pub instance: usize,
@@ -285,19 +283,6 @@ pub struct TelemetrySnapshot {
     pub events: [u64; TelemetryEvent::COUNT],
     /// Layer accumulators (nanoseconds), indexed in [`Layer::ALL`] order.
     pub layer_nanos: [u64; Layer::COUNT],
-}
-
-// Manual impl: the event array outgrew the derive's 32-element limit.
-impl Default for TelemetrySnapshot {
-    fn default() -> Self {
-        TelemetrySnapshot {
-            instance: 0,
-            node: 0,
-            wall_nanos: 0,
-            events: [0; TelemetryEvent::COUNT],
-            layer_nanos: [0; Layer::COUNT],
-        }
-    }
 }
 
 impl TelemetrySnapshot {
@@ -788,11 +773,12 @@ mod tests {
 
     #[test]
     fn thirty_five_slot_snapshot_lines_still_parse() {
-        // A line in the 35-slot format, which carried three since-removed
-        // counters (the SSE2 kernel's op count and two thread-placement
-        // counters); every counter holds a distinct value, its old slot + 1.
-        // The three unknown keys and the four stage clocks (replaced by
-        // the per-layer clocks) are ignored; every counter must survive
+        // A line in the 35-slot format, which carried four since-removed
+        // counters (the SSE2 kernel's op count, the THP page backend's
+        // allocation count and two thread-placement counters); every
+        // counter holds a distinct value, its old slot + 1. The four
+        // unknown keys and the four stage clocks (replaced by the
+        // per-layer clocks) are ignored; every counter must survive
         // intact.
         let parent_line = "{\"instance\":5,\"node\":1,\"wall_nanos\":123,\"map_resets\":1,\
                            \"classify_passes\":2,\"virgin_compares\":3,\"queue_cycles\":4,\

@@ -52,3 +52,22 @@ fn deleted_knobs_warn_as_unrecognized() {
         );
     }
 }
+
+/// A deleted knob value warns too: `BIGMAP_HUGE=thp`, the removed
+/// transparent-huge-page backend, is reported on the first map allocation
+/// (here, a one-exec worker campaign) and the process runs on as `off`.
+#[test]
+fn deleted_huge_policy_value_warns_and_reads_as_off() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_fabric_worker"))
+        .env("BIGMAP_FABRIC_WORKER", "0/1/0")
+        .env("BIGMAP_HUGE", "thp")
+        .args(["--execs", "1", "--map-size", "k64"])
+        .output()
+        .expect("run fabric_worker");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "worker failed:\n{stderr}");
+    assert!(
+        stderr.contains("BIGMAP_HUGE=thp: unknown policy (expected explicit|off), using off"),
+        "BIGMAP_HUGE=thp did not warn:\n{stderr}"
+    );
+}

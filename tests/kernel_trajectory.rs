@@ -18,7 +18,8 @@
 //!    state — the per-exec decision is kernel-invariant on real data, not
 //!    just on the random regions the property suite generates.
 //! 4. Resuming from a checkpoint taken at any sync boundary, on either map
-//!    scheme, finishes on the uninterrupted run's trajectory.
+//!    scheme and under a calibrated hang budget, finishes on the
+//!    uninterrupted run's trajectory.
 
 use bigmap::core::alloc::{with_huge_policy, HugePolicy};
 use bigmap::core::kernels::{available, table_for};
@@ -265,10 +266,22 @@ fn resume_from_every_sync_boundary_matches_the_uninterrupted_run() {
     let seeds = spec.build_seeds(&program, 8);
     let interpreter = Interpreter::new(&program);
     // The deterministic stages run in long batches, havoc in short ones:
-    // one campaign of each.
-    for (scheme, map_size, deterministic) in [
-        (MapScheme::TwoLevel, MapSize::K64, true),
-        (MapScheme::Flat, MapSize::new(4 << 10).unwrap(), false),
+    // one campaign of each. The last two run every mutant under a hang
+    // budget calibrated to the seeds' own step counts, so the checkpoints
+    // carry hang inputs that only that budget cuts off; the tighter one
+    // also sits below the longest seed, which the queue replay must still
+    // re-admit.
+    let calibrated = |multiplier| HangBudget {
+        multiplier,
+        floor: 1,
+        ceiling: 1_000_000,
+    };
+    let flat_4k = MapSize::new(4 << 10).unwrap();
+    for (scheme, map_size, deterministic, hang_budget) in [
+        (MapScheme::TwoLevel, MapSize::K64, true, None),
+        (MapScheme::Flat, flat_4k, false, None),
+        (MapScheme::Flat, flat_4k, false, Some(calibrated(1.0))),
+        (MapScheme::Flat, flat_4k, false, Some(calibrated(0.5))),
     ] {
         let instrumentation =
             Instrumentation::assign(program.block_count(), program.call_sites, map_size, 9);
@@ -278,6 +291,7 @@ fn resume_from_every_sync_boundary_matches_the_uninterrupted_run() {
             budget: Budget::Execs(5_000),
             seed: 71,
             deterministic,
+            hang_budget,
             ..Default::default()
         };
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
@@ -285,14 +299,19 @@ fn resume_from_every_sync_boundary_matches_the_uninterrupted_run() {
         campaign.add_seeds(seeds.clone());
         let reference =
             campaign.run_with_hook_detailed(SYNC_EVERY, |c| checkpoints.push(c.checkpoint()));
+        let case = format!("{scheme:?} (hang budget {hang_budget:?})");
         assert!(
             checkpoints.len() >= 6,
-            "{scheme:?}: only {} sync boundaries",
+            "{case}: only {} sync boundaries",
             checkpoints.len()
+        );
+        assert!(
+            hang_budget.is_none() || !reference.hang_inputs.is_empty(),
+            "{case}: the calibrated budget cut nothing off"
         );
 
         for checkpoint in &checkpoints {
-            let at = format!("{scheme:?} resumed at exec {}", checkpoint.execs);
+            let at = format!("{case} resumed at exec {}", checkpoint.execs);
             let mut resumed = Campaign::new(config.clone(), &interpreter, &instrumentation);
             resumed.restore(checkpoint);
             let out = resumed.run_with_hook_detailed(SYNC_EVERY, |_| {});
