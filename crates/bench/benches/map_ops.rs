@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use bigmap_core::alloc::MapBuffer;
 use bigmap_core::simd::stream_zero;
-use bigmap_core::{BigMap, CoverageMap, Crc32, FlatBitmap, MapSize, VirginState};
+use bigmap_core::{BigMap, CoverageMap, Crc32, FlatBitmap, MapSize, Recorder, VirginState};
 
 /// Active keys resembling a mid-size benchmark (~10k discovered edges).
 fn active_keys(n: usize, map: MapSize) -> Vec<u32> {
@@ -33,9 +33,20 @@ fn exec_events(keys: &[u32], events: usize) -> Vec<u32> {
         .collect()
 }
 
-fn populate(map: &mut dyn CoverageMap, events: &[u32]) {
+/// One execution's events into a flat map through the concrete
+/// `record`, as the executor's statically dispatched sink calls it.
+fn populate_flat(map: &mut FlatBitmap, events: &[u32]) {
     for &k in events {
         map.record(k);
+    }
+}
+
+/// One execution's events into a BigMap the way the executor records
+/// them: [`BigMap::recorder`] once, then its `record` per event.
+fn populate_bigmap(map: &mut BigMap, events: &[u32]) {
+    match map.recorder() {
+        Recorder::Plain(mut r) => events.iter().for_each(|&k| r.record(k)),
+        Recorder::Journaled(mut r) => events.iter().for_each(|&k| r.record(k)),
     }
 }
 
@@ -51,7 +62,7 @@ fn bench_ops_across_sizes(c: &mut Criterion) {
             let mut virgin = VirginState::new(size);
             b.iter(|| {
                 map.reset();
-                populate(&mut map, &events);
+                populate_flat(&mut map, &events);
                 let verdict = map.classify_and_compare(&mut virgin);
                 if verdict.is_interesting() {
                     std::hint::black_box(map.hash());
@@ -66,7 +77,7 @@ fn bench_ops_across_sizes(c: &mut Criterion) {
                 let mut virgin = VirginState::new(size);
                 b.iter(|| {
                     map.reset();
-                    populate(&mut map, &events);
+                    populate_bigmap(&mut map, &events);
                     let verdict = map.classify_and_compare(&mut virgin);
                     if verdict.is_interesting() {
                         std::hint::black_box(map.hash());
@@ -87,14 +98,14 @@ fn bench_update_overhead(c: &mut Criterion) {
 
     group.bench_function("flat", |b| {
         let mut map = FlatBitmap::new(MapSize::K64).unwrap();
-        b.iter(|| populate(&mut map, &events));
+        b.iter(|| populate_flat(&mut map, &events));
     });
     group.bench_function("bigmap", |b| {
         let mut map = BigMap::new(MapSize::K64).unwrap();
         // Pre-discover all keys so the steady-state (sentinel check
         // predicted not-taken) is what gets measured.
-        populate(&mut map, &keys);
-        b.iter(|| populate(&mut map, &events));
+        populate_bigmap(&mut map, &keys);
+        b.iter(|| populate_bigmap(&mut map, &events));
     });
     group.finish();
 }
@@ -109,7 +120,7 @@ fn bench_classify_compare_merged_vs_split(c: &mut Criterion) {
     group.bench_function("split", |b| {
         let mut map = FlatBitmap::new(size).unwrap();
         let mut virgin = VirginState::new(size);
-        populate(&mut map, &events);
+        populate_flat(&mut map, &events);
         b.iter(|| {
             map.classify();
             std::hint::black_box(map.compare(&mut virgin));
@@ -118,7 +129,7 @@ fn bench_classify_compare_merged_vs_split(c: &mut Criterion) {
     group.bench_function("merged", |b| {
         let mut map = FlatBitmap::new(size).unwrap();
         let mut virgin = VirginState::new(size);
-        populate(&mut map, &events);
+        populate_flat(&mut map, &events);
         b.iter(|| {
             std::hint::black_box(map.classify_and_compare(&mut virgin));
         });
@@ -137,7 +148,7 @@ fn bench_reset_nontemporal(c: &mut Criterion) {
     group.bench_function("bigmap_prefix", |b| {
         let mut map = BigMap::new(MapSize::M8).unwrap();
         let keys = active_keys(10_000, MapSize::M8);
-        populate(&mut map, &keys);
+        populate_bigmap(&mut map, &keys);
         b.iter(|| map.reset());
     });
     group.finish();
@@ -153,7 +164,7 @@ fn bench_hash_watermark(c: &mut Criterion) {
     });
     group.bench_function("flat_2pct_density", |b| {
         let mut map = FlatBitmap::new(MapSize::M8).unwrap();
-        populate(
+        populate_flat(
             &mut map,
             &active_keys(MapSize::M8.bytes() / 50, MapSize::M8),
         );
@@ -162,7 +173,7 @@ fn bench_hash_watermark(c: &mut Criterion) {
     group.bench_function("bigmap_watermark", |b| {
         let mut map = BigMap::new(MapSize::M8).unwrap();
         let keys = active_keys(10_000, MapSize::M8);
-        populate(&mut map, &keys);
+        populate_bigmap(&mut map, &keys);
         b.iter(|| std::hint::black_box(map.hash()));
     });
     // Worst case for zero-run skipping: no all-zero block at all. The
@@ -200,13 +211,13 @@ fn bench_index_sentinel_check(c: &mut Criterion) {
 
     group.bench_function("steady_state_hits", |b| {
         let mut map = BigMap::new(MapSize::M2).unwrap();
-        populate(&mut map, &keys); // all discovered
-        b.iter(|| populate(&mut map, &keys));
+        populate_bigmap(&mut map, &keys); // all discovered
+        b.iter(|| populate_bigmap(&mut map, &keys));
     });
     group.bench_function("cold_discovery", |b| {
         b.iter_batched(
             || BigMap::new(MapSize::M2).unwrap(),
-            |mut map| populate(&mut map, &keys),
+            |mut map| populate_bigmap(&mut map, &keys),
             criterion::BatchSize::LargeInput,
         );
     });

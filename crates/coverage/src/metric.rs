@@ -55,6 +55,11 @@ pub trait CoverageMetric: Any + Send {
     fn kind(&self) -> MetricKind;
 
     /// Resets per-execution state. Call once before each target execution.
+    ///
+    /// Must reset *all* of it: the keys an execution emits have to be a
+    /// pure function of that execution's event stream. The fuzzer skips
+    /// tracing an execution whose stream equals one already traced and
+    /// judged, which is sound only under this rule.
     fn begin_execution(&mut self);
 
     /// Processes one trace event, emitting coverage keys through `sink`.

@@ -711,6 +711,12 @@ impl<'p> Campaign<'p> {
     /// novelty already consumed into the Ok virgin map (which only ever
     /// shrinks), so re-tracing it would verdict `NoNew` with zero state
     /// change.
+    ///
+    /// The same argument, with an exact witness, dismisses a child the
+    /// snapshot engine would serve wholly from a settled parent recording
+    /// ([`Executor::settle`]): its event stream is the one an earlier
+    /// full replay traced to `Ok` and folded into the Ok virgin map, so
+    /// it skips the fast pass, the reset, the trace and classify/compare.
     fn execute_and_judge(&mut self, input: &[u8], force_admit: bool) -> NewCoverage {
         // Fault-injection ordinals are consumed exactly once per test
         // case, *before* any execution: a selective-mode re-trace must
@@ -722,42 +728,51 @@ impl<'p> Campaign<'p> {
             ),
             None => (false, false),
         };
+        // An injected crash/hang, a forced admission and a restore replay
+        // must all run traced, whatever their trace would show.
+        let skippable = !inject_crash && !inject_hang && !force_admit && !self.restoring;
+
+        // The one resume-point search for this child.
+        let plan = self.executor.plan(input);
+        if skippable && plan.is_settled_replay() {
+            self.span(Layer::Executor);
+            self.count_skipped(TelemetryEvent::ReplaySkip, EnginePath::SnapshotReplay);
+            return NewCoverage::None;
+        }
 
         // Two-speed fast pass: untraced exec, oracle verdict, maybe skip.
         let mut retraced = false;
         let mut fast_engine = None;
         if self.fast_pass_active() {
             let oracle = self.oracle.as_mut().expect("fast pass requires an oracle");
-            let fast = self.executor.run_fast(input, oracle);
+            let fast = self.executor.run_fast(plan, input, oracle);
             self.span(Layer::Executor);
             fast_engine = Some(fast.engine);
             // The *effective* outcome decides skippability: an injected
             // crash/hang must flow through the crash/hang pipeline even
             // though the underlying trace is a known-clean path.
-            let effective_ok = fast.outcome.is_ok() && !inject_crash && !inject_hang;
-            let skip = effective_ok && fast.provably_seen && !force_admit && !self.restoring;
+            let skip = skippable && fast.outcome.is_ok() && fast.provably_seen;
             self.note_auto_decision(!skip);
             if skip {
-                self.stats_execs += 1;
-                if self.stats_execs.is_multiple_of(256) {
-                    self.timeline
-                        .record(self.stats_execs, self.discovered_running);
+                // The oracle proved this very event stream judged: a full
+                // replay's recording is settled by the same proof.
+                if fast.engine == EnginePath::SnapshotReplay {
+                    self.executor.settle();
                 }
-                if let Some(tel) = &self.telemetry {
-                    tel.incr(TelemetryEvent::Exec);
-                    tel.incr(TelemetryEvent::FastPathExec);
-                    note_engine(tel, fast.engine);
-                }
+                self.count_skipped(TelemetryEvent::FastPathExec, fast.engine);
                 return NewCoverage::None;
             }
             retraced = true;
+        } else {
+            // The plan's search is executor work, not the reset's.
+            self.span(Layer::Executor);
         }
 
         self.map.reset();
         self.span(Layer::MapReset);
 
         // Target execution, including bitmap updates.
-        let mut execution = self.executor.run(input, self.map.as_mut());
+        let mut execution = self.executor.run_planned(plan, input, self.map.as_mut());
         self.span(Layer::Executor);
         self.stats_execs += 1;
         if force_admit && !self.restoring {
@@ -799,6 +814,15 @@ impl<'p> Campaign<'p> {
             self.map.classify_and_compare(virgin)
         };
         self.span(Layer::MapCompare);
+        // A full replay's coverage, judged under an Ok outcome, is now in
+        // the Ok virgin map: later full replays of the recording are
+        // settled (restore replays rebuild state and settle nothing).
+        if execution.engine == EnginePath::SnapshotReplay
+            && execution.outcome.is_ok()
+            && !self.restoring
+        {
+            self.executor.settle();
+        }
 
         match &execution.outcome {
             ExecOutcome::Ok => {
@@ -939,6 +963,22 @@ impl<'p> Campaign<'p> {
             }
         }
         verdict
+    }
+
+    /// Counts a child dismissed as `NoNew` without a traced run: the exec
+    /// counter, timeline sampling, and its `Exec`, `event` and engine
+    /// telemetry.
+    fn count_skipped(&mut self, event: TelemetryEvent, engine: EnginePath) {
+        self.stats_execs += 1;
+        if self.stats_execs.is_multiple_of(256) {
+            self.timeline
+                .record(self.stats_execs, self.discovered_running);
+        }
+        if let Some(tel) = &self.telemetry {
+            tel.incr(TelemetryEvent::Exec);
+            tel.incr(event);
+            note_engine(tel, engine);
+        }
     }
 
     /// Closes the span running since the previous one as `layer`: one
@@ -1604,7 +1644,14 @@ mod tests {
         let program = GeneratorConfig::default().generate();
         let inst = instrument(&program, MapSize::K64);
         let interp = Interpreter::new(&program);
-        let mut campaign = Campaign::new(quick_config(MapScheme::TwoLevel, 1_000), &interp, &inst);
+        let mut campaign = Campaign::new(
+            CampaignConfig {
+                interp: Some(InterpMode::Auto),
+                ..quick_config(MapScheme::TwoLevel, 1_000)
+            },
+            &interp,
+            &inst,
+        );
         let tel = Arc::new(Telemetry::new(0));
         campaign.set_telemetry(Arc::clone(&tel));
         assert!(campaign.telemetry().is_some());
@@ -1613,8 +1660,13 @@ mod tests {
 
         let snap = stats.telemetry.as_ref().expect("telemetry attached");
         assert_eq!(snap.get(TelemetryEvent::Exec), stats.execs);
-        assert_eq!(snap.get(TelemetryEvent::MapReset), stats.execs);
-        assert_eq!(snap.get(TelemetryEvent::VirginCompare), stats.execs);
+        // Settled full replays are dismissed before the reset; every other
+        // exec resets and compares once.
+        let skips = snap.get(TelemetryEvent::ReplaySkip);
+        assert!(skips > 0, "no settled full replay was skipped");
+        let traced = stats.execs - skips;
+        assert_eq!(snap.get(TelemetryEvent::MapReset), traced);
+        assert_eq!(snap.get(TelemetryEvent::VirginCompare), traced);
         assert_eq!(snap.get(TelemetryEvent::ClassifyPass), 0); // merged pipeline
         assert_eq!(
             snap.get(TelemetryEvent::NewCoverage),
@@ -1633,20 +1685,16 @@ mod tests {
         // No sync traffic in a plain single-instance run.
         assert_eq!(snap.get(TelemetryEvent::SyncImport), 0);
         assert_eq!(snap.get(TelemetryEvent::ImportRejection), 0);
-        // Kernel dispatch: selection recorded once. Every exec dispatches
-        // its post-exec ops exactly once — to the dense kernel path or to
-        // the sparse journal walk — so the two dispatch counters partition
-        // the execs, and with the merged pipeline each dense exec is one
-        // fused kernel op attributed to the kernel the process dispatcher
-        // actually picked.
+        // Kernel dispatch: selection recorded once. Every traced exec
+        // dispatches its post-exec ops exactly once — to the dense kernel
+        // path or to the sparse journal walk — so the two dispatch
+        // counters partition the traced execs, and with the merged
+        // pipeline each dense exec is one fused kernel op attributed to
+        // the kernel the process dispatcher actually picked.
         assert_eq!(snap.get(TelemetryEvent::KernelSelect), 1);
         let sparse = snap.get(TelemetryEvent::SparseDispatch);
         let dense = snap.get(TelemetryEvent::DenseDispatch);
-        assert_eq!(
-            sparse + dense,
-            stats.execs,
-            "dispatch counters partition execs"
-        );
+        assert_eq!(sparse + dense, traced, "dispatch counters partition execs");
         let active = TelemetryEvent::for_kernel(bigmap_core::kernels::active().kind);
         assert_eq!(snap.get(active), dense);
         let kernel_total =
@@ -1746,6 +1794,7 @@ mod tests {
         let mut campaign = Campaign::new(
             CampaignConfig {
                 merged_classify_compare: false,
+                interp: Some(InterpMode::Auto),
                 ..quick_config(MapScheme::TwoLevel, 500)
             },
             &interp,
@@ -1755,16 +1804,17 @@ mod tests {
         campaign.add_seeds(vec![vec![5u8; 24]]);
         let stats = campaign.run();
         let snap = stats.telemetry.as_ref().unwrap();
-        assert_eq!(snap.get(TelemetryEvent::ClassifyPass), stats.execs);
-        assert_eq!(snap.get(TelemetryEvent::VirginCompare), stats.execs);
+        // Settled full replays never reach classify/compare.
+        let skips = snap.get(TelemetryEvent::ReplaySkip);
+        assert!(skips > 0, "no settled full replay was skipped");
+        let traced = stats.execs - skips;
+        assert_eq!(snap.get(TelemetryEvent::ClassifyPass), traced);
+        assert_eq!(snap.get(TelemetryEvent::VirginCompare), traced);
         // Split pipeline: a dense-dispatched exec runs classify and
         // compare through the kernel table, so the per-kernel op counter
         // sees two per dense exec (sparse execs are journal walks).
         let dense = snap.get(TelemetryEvent::DenseDispatch);
-        assert_eq!(
-            dense + snap.get(TelemetryEvent::SparseDispatch),
-            stats.execs
-        );
+        assert_eq!(dense + snap.get(TelemetryEvent::SparseDispatch), traced);
         let active = TelemetryEvent::for_kernel(bigmap_core::kernels::active().kind);
         assert_eq!(snap.get(active), 2 * dense);
     }
@@ -1780,6 +1830,7 @@ mod tests {
             let mut campaign = Campaign::new(
                 CampaignConfig {
                     sparse: mode,
+                    interp: Some(InterpMode::Auto),
                     ..quick_config(MapScheme::TwoLevel, 600)
                 },
                 &interp,
@@ -1792,11 +1843,23 @@ mod tests {
         };
         let (on, on_tel) = run(Some(SparseMode::On));
         let (off, off_tel) = run(Some(SparseMode::Off));
-        // Forced modes dispatch every exec to their path (the default
-        // journal capacity never overflows on these targets)...
-        assert_eq!(on_tel.get(TelemetryEvent::SparseDispatch), on.execs);
+        // Forced modes dispatch every traced exec to their path (the
+        // default journal capacity never overflows on these targets);
+        // settled full replays dispatch nothing...
+        let traced = |execs: u64, tel: &Telemetry| {
+            let skips = tel.get(TelemetryEvent::ReplaySkip);
+            assert!(skips > 0, "no settled full replay was skipped");
+            execs - skips
+        };
+        assert_eq!(
+            on_tel.get(TelemetryEvent::SparseDispatch),
+            traced(on.execs, &on_tel)
+        );
         assert_eq!(on_tel.get(TelemetryEvent::DenseDispatch), 0);
-        assert_eq!(off_tel.get(TelemetryEvent::DenseDispatch), off.execs);
+        assert_eq!(
+            off_tel.get(TelemetryEvent::DenseDispatch),
+            traced(off.execs, &off_tel)
+        );
         assert_eq!(off_tel.get(TelemetryEvent::SparseDispatch), 0);
         // ...and the campaign trajectory must be bit-identical either way.
         assert_eq!(on.execs, off.execs);
@@ -1849,15 +1912,17 @@ mod tests {
                 "{mode:?} changed the coverage trajectory"
             );
             // The fast path must actually fire (most mutants replay known
-            // paths), and every exec is either skipped or re-traced or —
+            // paths), and every exec is either dismissed as a settled full
+            // replay before the fast pass, skipped by it, re-traced or —
             // in auto mode — run traced-direct.
             let fast = tel.get(TelemetryEvent::FastPathExec);
             let retraced = tel.get(TelemetryEvent::RetraceExec);
+            let replayed = tel.get(TelemetryEvent::ReplaySkip);
             assert!(fast > 0, "{mode:?}: fast path never skipped anything");
             if mode == TraceMode::Selective {
-                assert_eq!(fast + retraced, tel.get(TelemetryEvent::Exec));
+                assert_eq!(fast + retraced + replayed, tel.get(TelemetryEvent::Exec));
             } else {
-                assert!(fast + retraced <= tel.get(TelemetryEvent::Exec));
+                assert!(fast + retraced + replayed <= tel.get(TelemetryEvent::Exec));
             }
         }
         assert_eq!(always_tel.get(TelemetryEvent::FastPathExec), 0);
@@ -1990,6 +2055,188 @@ mod tests {
             tel.get(TelemetryEvent::FastPathExec) > 0,
             "resumed campaign never skipped: oracle state was lost"
         );
+    }
+
+    /// A snapshot-engine campaign with telemetry whose only seed,
+    /// `parent`, has been dry-run and then armed as the scheduled parent.
+    fn primed_campaign<'p>(
+        interp: &'p Interpreter<'p>,
+        inst: &'p Instrumentation,
+        parent: &[u8],
+        faults: Option<crate::faults::FaultPlan>,
+    ) -> (Campaign<'p>, Arc<Telemetry>) {
+        let mut campaign = Campaign::new(
+            CampaignConfig {
+                interp: Some(InterpMode::Auto),
+                ..quick_config(MapScheme::TwoLevel, 1_000)
+            },
+            interp,
+            inst,
+        );
+        let tel = Arc::new(Telemetry::new(0));
+        campaign.set_telemetry(Arc::clone(&tel));
+        if let Some(plan) = faults {
+            campaign.set_faults(Arc::new(InstanceFaults::new(Arc::new(plan), 0)));
+        }
+        campaign.add_seeds(vec![parent.to_vec()]);
+        assert!(campaign.executor.prime_snapshot(parent));
+        (campaign, tel)
+    }
+
+    #[test]
+    fn first_full_replay_settles_and_the_next_is_skipped_untouched() {
+        let program = GeneratorConfig::default().generate();
+        let inst = instrument(&program, MapSize::K64);
+        let interp = Interpreter::new(&program);
+        let parent = vec![5u8; 24];
+        let (mut campaign, tel) = primed_campaign(&interp, &inst, &parent, None);
+        assert!(!campaign.executor.plan(&parent).is_settled_replay());
+
+        // A child resumed mid-tape traces a different stream: it settles
+        // nothing.
+        let resumed = {
+            let mut probe = Executor::new(&interp, &inst, build_metric(MetricKind::Edge));
+            probe.set_interp_mode(InterpMode::Auto);
+            probe.prime_snapshot(&parent);
+            let mut map = build_map(MapScheme::TwoLevel, MapSize::K64);
+            (0..parent.len())
+                .flat_map(|i| {
+                    (0..=255u8).map(move |byte| {
+                        let mut child = vec![5u8; 24];
+                        child[i] = byte;
+                        child
+                    })
+                })
+                .find(|child| {
+                    map.reset();
+                    probe.run(child, map.as_mut()).engine == EnginePath::SnapshotResume
+                })
+                .expect("some one-byte mutant resumes mid-tape")
+        };
+        campaign.execute_and_judge(&resumed, false);
+        assert!(!campaign.executor.plan(&parent).is_settled_replay());
+
+        // The first full replay of the fresh recording runs traced...
+        let resets = tel.get(TelemetryEvent::MapReset);
+        let hits = tel.get(TelemetryEvent::SnapshotHit);
+        assert_eq!(
+            campaign.execute_and_judge(&parent, false),
+            NewCoverage::None
+        );
+        assert_eq!(tel.get(TelemetryEvent::MapReset), resets + 1);
+        assert_eq!(tel.get(TelemetryEvent::SnapshotHit), hits + 1);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
+        // ...and settles the recording.
+        assert!(campaign.executor.plan(&parent).is_settled_replay());
+
+        // The second is dismissed without touching the map: a byte no
+        // trace of the parent writes survives it.
+        campaign.map.record(0xDEAD_BEEF);
+        let region = campaign.map.active_region().to_vec();
+        let (execs, compares) = (campaign.execs(), tel.get(TelemetryEvent::VirginCompare));
+        let updates = tel.get(TelemetryEvent::MapUpdate);
+        assert_eq!(
+            campaign.execute_and_judge(&parent, false),
+            NewCoverage::None
+        );
+        assert_eq!(campaign.map.active_region(), &region[..]);
+        assert_eq!(campaign.execs(), execs + 1);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 1);
+        assert_eq!(tel.get(TelemetryEvent::MapReset), resets + 1);
+        assert_eq!(tel.get(TelemetryEvent::VirginCompare), compares);
+        assert_eq!(tel.get(TelemetryEvent::MapUpdate), updates);
+        // Counted like any exec on the snapshot engine.
+        assert_eq!(tel.get(TelemetryEvent::Exec), campaign.execs());
+        assert_eq!(tel.get(TelemetryEvent::SnapshotHit), hits + 2);
+
+        // The resumed child still runs traced.
+        campaign.execute_and_judge(&resumed, false);
+        assert_eq!(tel.get(TelemetryEvent::MapReset), resets + 2);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 1);
+    }
+
+    #[test]
+    fn a_hang_recording_is_never_settled_or_skipped() {
+        let program = GeneratorConfig::default().generate();
+        let inst = instrument(&program, MapSize::K64);
+        let interp = Interpreter::new(&program);
+        let parent = vec![5u8; 24];
+        let (mut campaign, tel) = primed_campaign(&interp, &inst, &parent, None);
+        // A budget below the parent's steps: the recording ends in a hang.
+        let steps = campaign.seed_steps[0];
+        campaign.executor.set_step_budget(Some(steps - 1));
+        assert!(campaign.executor.prime_snapshot(&parent));
+        for round in 1..=3 {
+            campaign.execute_and_judge(&parent, false);
+            assert_eq!(campaign.hangs, round, "every replay is traced as a hang");
+            assert!(!campaign.executor.plan(&parent).is_settled_replay());
+        }
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
+        assert_eq!(tel.get(TelemetryEvent::SnapshotHit), 3);
+        // Even a caller settling it by hand gets no skip from a hang tape.
+        campaign.executor.settle();
+        assert!(!campaign.executor.plan(&parent).is_settled_replay());
+    }
+
+    #[test]
+    fn an_injected_crash_on_a_settled_replay_reaches_crashwalk() {
+        let program = GeneratorConfig::default().generate();
+        let inst = instrument(&program, MapSize::K64);
+        let interp = Interpreter::new(&program);
+        let parent = vec![5u8; 24];
+        // Ordinal 0 is the seed's dry run; the full replays follow.
+        let plan = crate::faults::FaultPlan::new()
+            .inject(FaultSite::TargetCrash, 0, 1)
+            .inject(FaultSite::TargetCrash, 0, 3);
+        let (mut campaign, tel) = primed_campaign(&interp, &inst, &parent, Some(plan));
+        // A crash injected into the first replay is judged against the
+        // crash virgin map, not the Ok one: the recording stays unsettled.
+        assert!(campaign.execute_and_judge(&parent, false).is_interesting());
+        assert!(!campaign.executor.plan(&parent).is_settled_replay());
+        campaign.execute_and_judge(&parent, false);
+        assert!(campaign.executor.plan(&parent).is_settled_replay());
+        // A settled replay carrying an injected crash is traced and
+        // reaches Crashwalk.
+        campaign.execute_and_judge(&parent, false);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
+        assert_eq!(campaign.total_crashes, 2);
+        assert_eq!(campaign.crashwalk.unique_count(), 1);
+        assert_eq!(campaign.crash_inputs(), &[parent.clone()][..]);
+        // It did not unsettle the recording: the next clean replay skips.
+        campaign.execute_and_judge(&parent, false);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 1);
+    }
+
+    #[test]
+    fn seed_dry_runs_and_restore_replays_never_skip_or_settle() {
+        let program = GeneratorConfig::default().generate();
+        let inst = instrument(&program, MapSize::K64);
+        let interp = Interpreter::new(&program);
+        let parent = vec![5u8; 24];
+        let (mut campaign, tel) = primed_campaign(&interp, &inst, &parent, None);
+        campaign.execute_and_judge(&parent, false);
+        assert!(campaign.executor.plan(&parent).is_settled_replay());
+        // A forced admission of the same bytes is traced and admitted.
+        campaign.add_seeds(vec![parent.clone()]);
+        assert_eq!(campaign.queue.len(), 2);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
+
+        // Restore replays the queue (forced) and warms the crash/hang maps
+        // with a clean input under a recording primed and settled by hand:
+        // none of it skips...
+        let mut ckpt = campaign.checkpoint();
+        ckpt.hang_inputs = vec![parent.clone()];
+        let (mut restored, tel) = primed_campaign(&interp, &inst, &parent, None);
+        restored.queue = Queue::new();
+        restored.executor.settle();
+        restored.restore(&ckpt);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
+        assert_eq!(restored.queue.len(), 2);
+        // ...and none of it settles a fresh recording.
+        let (mut restored, _) = primed_campaign(&interp, &inst, &parent, None);
+        restored.queue = Queue::new();
+        restored.restore(&ckpt);
+        assert!(!restored.executor.plan(&parent).is_settled_replay());
     }
 
     #[test]

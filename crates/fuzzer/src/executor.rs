@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use bigmap_core::{BigMap, CoverageMap, FlatBitmap, InterpMode, Recorder};
 use bigmap_coverage::{CoverageMetric, EdgeHitCount, Instrumentation, NGram, TraceEvent};
 use bigmap_target::{
-    BoundedRun, ExecOutcome, ExecRecording, Interpreter, NoveltyOracle, NullSink, SnapshotOutcome,
-    TraceSink,
+    BoundedRun, ExecOutcome, ExecRecording, Interpreter, NoveltyOracle, NullSink, ResumePlan,
+    SnapshotOutcome, TraceSink,
 };
 
 /// Adapter: structural interpreter events → instrumented IDs → metric keys
@@ -173,7 +173,36 @@ pub struct Executor<'p> {
     interp_mode: InterpMode,
     /// The scheduled parent's memoized run, when snapshots are armed
     /// ([`Executor::prime_snapshot`]). Mutated children resume from it.
-    recording: Option<ExecRecording>,
+    armed: Option<Armed>,
+}
+
+/// An armed parent recording and whether it is settled
+/// ([`Executor::settle`]). Replacing or dropping the recording drops the
+/// bit with it.
+struct Armed {
+    recording: ExecRecording,
+    settled: bool,
+}
+
+/// One child's engine decision ([`Executor::plan`]): the resume point
+/// against the armed recording, searched once and then handed to
+/// [`Executor::run_planned`] and [`Executor::run_fast`]. Valid for the
+/// input it was made for until the armed recording changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecPlan {
+    /// `None` when no recording is armed: the child runs front to back.
+    resume: Option<ResumePlan>,
+    settled_replay: bool,
+}
+
+impl ExecPlan {
+    /// True when the child would be served wholly from a settled
+    /// recording whose run ended `Ok`: its event stream is one whose
+    /// coverage the campaign has already judged, so tracing it again
+    /// could only yield `NoNew`.
+    pub fn is_settled_replay(self) -> bool {
+        self.settled_replay
+    }
 }
 
 impl std::fmt::Debug for Executor<'_> {
@@ -200,7 +229,7 @@ impl<'p> Executor<'p> {
             metric,
             step_budget: None,
             interp_mode,
-            recording: None,
+            armed: None,
         }
     }
 
@@ -211,7 +240,7 @@ impl<'p> Executor<'p> {
     /// a recording is only reusable under the exact budget it ran with.
     pub fn set_step_budget(&mut self, budget: Option<u64>) {
         if self.step_budget != budget {
-            self.recording = None;
+            self.armed = None;
         }
         self.step_budget = budget;
     }
@@ -222,7 +251,7 @@ impl<'p> Executor<'p> {
     pub fn set_interp_mode(&mut self, mode: InterpMode) {
         self.interp_mode = mode;
         if !mode.uses_compiled() {
-            self.recording = None;
+            self.armed = None;
         }
     }
 
@@ -245,21 +274,36 @@ impl<'p> Executor<'p> {
             return false;
         }
         // Skip re-priming for the parent already armed (the deterministic
-        // and havoc stages share one scheduled parent).
-        if let Some(recording) = &self.recording {
+        // and havoc stages share one scheduled parent); it stays settled.
+        if let Some(Armed { recording, .. }) = &self.armed {
             if recording.input() == parent && recording.budget() == self.effective_budget() {
                 return true;
             }
         }
         let Some(compiled) = self.interpreter.compiled() else {
-            self.recording = None;
+            self.armed = None;
             return false;
         };
         let budget = self.effective_budget();
         let work = self.interpreter.config().work_per_block;
         let (_, recording) = compiled.record(parent, &mut NullSink, budget, work);
-        self.recording = Some(recording);
+        self.armed = Some(Armed {
+            recording,
+            settled: false,
+        });
         true
+    }
+
+    /// Marks the armed recording settled: the caller has traced a full
+    /// replay of it to an `Ok` outcome and folded that coverage into its
+    /// `Ok` virgin map (or proved, as the novelty oracle does, that such a
+    /// trace was folded in before). From then on [`Executor::plan`]
+    /// reports full replays of it as [`ExecPlan::is_settled_replay`],
+    /// until the recording is replaced or dropped.
+    pub fn settle(&mut self) {
+        if let Some(armed) = &mut self.armed {
+            armed.settled = true;
+        }
     }
 
     fn effective_budget(&self) -> u64 {
@@ -274,10 +318,44 @@ impl<'p> Executor<'p> {
 
     /// Runs `input`, recording coverage into `map` (which the caller must
     /// have `reset()` beforehand — the campaign owns that step so it can
-    /// time it separately).
+    /// time it separately). [`Executor::plan`] then
+    /// [`Executor::run_planned`].
     pub fn run(&mut self, input: &[u8], map: &mut dyn CoverageMap) -> Execution {
+        let plan = self.plan(input);
+        self.run_planned(plan, input, map)
+    }
+
+    /// Decides how `input` will run: the one resume-point search against
+    /// the armed recording (none when no recording is armed), and whether
+    /// the child is a full replay of a settled recording.
+    pub fn plan(&self, input: &[u8]) -> ExecPlan {
+        // A recording is armed only in a compiled mode (see
+        // `set_interp_mode` and `prime_snapshot`).
+        let (Some(armed), Some(compiled)) = (&self.armed, self.interpreter.compiled()) else {
+            return ExecPlan {
+                resume: None,
+                settled_replay: false,
+            };
+        };
+        let resume = compiled.plan_resume(&armed.recording, input, self.effective_budget());
+        ExecPlan {
+            resume: Some(resume),
+            settled_replay: resume.is_full_replay()
+                && armed.settled
+                && armed.recording.outcome().is_ok(),
+        }
+    }
+
+    /// [`Executor::run`] for a child already planned by
+    /// [`Executor::plan`] on this input, with no recording change since.
+    pub fn run_planned(
+        &mut self,
+        plan: ExecPlan,
+        input: &[u8],
+        map: &mut dyn CoverageMap,
+    ) -> Execution {
         self.metric.begin_execution();
-        let (engine, metric) = self.engine();
+        let (engine, metric) = self.engine(plan);
         let start = Instant::now();
         let (run, path, map_updates) = engine.trace(input, metric, map);
         let touched_slots = map.touched_len();
@@ -292,15 +370,21 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Runs `input` on the untraced fast path: no coverage metric, no map
-    /// updates — only the novelty `oracle` observes the trace. Step
-    /// budgeting mirrors [`Executor::run`] exactly (same calibrated
-    /// budget, same hang classification), so a fast exec and its traced
-    /// re-execution always agree on outcome and step count.
-    pub fn run_fast(&mut self, input: &[u8], oracle: &mut NoveltyOracle) -> FastExecution {
+    /// Runs `input`, planned by [`Executor::plan`], on the untraced fast
+    /// path: no coverage metric, no map updates — only the novelty
+    /// `oracle` observes the trace. Step budgeting mirrors
+    /// [`Executor::run`] exactly (same calibrated budget, same hang
+    /// classification), so a fast exec and its traced re-execution
+    /// always agree on outcome and step count.
+    pub fn run_fast(
+        &mut self,
+        plan: ExecPlan,
+        input: &[u8],
+        oracle: &mut NoveltyOracle,
+    ) -> FastExecution {
         let start = Instant::now();
         oracle.begin_exec();
-        let (run, engine) = self.engine().0.run(input, oracle);
+        let (run, engine) = self.engine(plan).0.run(input, oracle);
         FastExecution {
             outcome: run.outcome,
             exec_time: start.elapsed(),
@@ -317,12 +401,16 @@ impl<'p> Executor<'p> {
     }
 
     /// This execution's engine arguments, next to the metric they run.
-    fn engine(&mut self) -> (Engine<'_>, &mut dyn CoverageMetric) {
+    fn engine(&mut self, plan: ExecPlan) -> (Engine<'_>, &mut dyn CoverageMetric) {
         let engine = Engine {
             interpreter: self.interpreter,
             instrumentation: self.instrumentation,
             mode: self.interp_mode,
-            recording: self.recording.as_ref(),
+            resume: self
+                .armed
+                .as_ref()
+                .zip(plan.resume)
+                .map(|(armed, resume)| (&armed.recording, resume)),
             budget: self.effective_budget(),
         };
         (engine, self.metric.as_mut())
@@ -335,7 +423,8 @@ struct Engine<'a> {
     interpreter: &'a Interpreter<'a>,
     instrumentation: &'a Instrumentation,
     mode: InterpMode,
-    recording: Option<&'a ExecRecording>,
+    /// The armed recording and this child's plan against it.
+    resume: Option<(&'a ExecRecording, ResumePlan)>,
     budget: u64,
 }
 
@@ -348,11 +437,12 @@ impl Engine<'_> {
     /// observational telemetry, never a semantic fork.
     fn run<S: TraceSink + ?Sized>(self, input: &[u8], sink: &mut S) -> (BoundedRun, EnginePath) {
         if self.mode.uses_compiled() {
-            if let (Some(recording), Some(compiled)) = (self.recording, self.interpreter.compiled())
+            if let (Some((recording, plan)), Some(compiled)) =
+                (self.resume, self.interpreter.compiled())
             {
                 let work = self.interpreter.config().work_per_block;
                 let (run, snapshot) =
-                    compiled.run_resumed(recording, input, sink, self.budget, work);
+                    compiled.run_planned(recording, plan, input, sink, self.budget, work);
                 let path = match snapshot {
                     SnapshotOutcome::Miss => EnginePath::SnapshotMiss,
                     SnapshotOutcome::FullReplay { .. } => EnginePath::SnapshotReplay,
@@ -618,7 +708,7 @@ mod tests {
         let mut oracle = NoveltyOracle::new(program.block_count());
         let mut map = BigMap::new(MapSize::K64).unwrap();
         for input in [&b"abc"[..], &[0x11; 48], b""] {
-            let fast = executor.run_fast(input, &mut oracle);
+            let fast = executor.run_fast(executor.plan(input), input, &mut oracle);
             map.reset();
             let traced = executor.run(input, &mut map);
             assert_eq!(fast.outcome, traced.outcome);
@@ -633,10 +723,10 @@ mod tests {
         let interp = Interpreter::new(&program);
         let mut executor = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
         let mut oracle = NoveltyOracle::new(program.block_count());
-        let full = executor.run_fast(b"budget", &mut oracle);
+        let full = executor.run_fast(executor.plan(b"budget"), b"budget", &mut oracle);
         assert!(full.outcome.is_ok());
         executor.set_step_budget(Some(full.steps - 1));
-        let cut = executor.run_fast(b"budget", &mut oracle);
+        let cut = executor.run_fast(executor.plan(b"budget"), b"budget", &mut oracle);
         assert!(cut.outcome.is_hang(), "calibrated budget must bind");
         assert!(!cut.provably_seen);
     }
@@ -647,10 +737,10 @@ mod tests {
         let interp = Interpreter::new(&program);
         let mut executor = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
         let mut oracle = NoveltyOracle::new(program.block_count());
-        let first = executor.run_fast(b"repeat", &mut oracle);
+        let first = executor.run_fast(executor.plan(b"repeat"), b"repeat", &mut oracle);
         assert!(!first.provably_seen, "fresh path must be suspicious");
         oracle.commit();
-        let second = executor.run_fast(b"repeat", &mut oracle);
+        let second = executor.run_fast(executor.plan(b"repeat"), b"repeat", &mut oracle);
         assert!(second.provably_seen, "committed replay is skippable");
     }
 
@@ -742,6 +832,60 @@ mod tests {
     }
 
     #[test]
+    fn settled_bit_lives_and_dies_with_the_armed_recording() {
+        let (program, inst) = setup();
+        let interp = Interpreter::new(&program);
+        let mut executor = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
+        executor.set_interp_mode(InterpMode::Auto);
+        let parent = [0x41u8; 48];
+        let other = [0x42u8; 48];
+        let settled = |executor: &Executor<'_>| executor.plan(&parent).is_settled_replay();
+
+        // Nothing armed, then a fresh recording: unsettled until told.
+        executor.settle();
+        assert!(!settled(&executor));
+        assert!(executor.prime_snapshot(&parent));
+        assert!(!settled(&executor));
+        executor.settle();
+        assert!(settled(&executor));
+        assert!(!executor.plan(b"totally different").is_settled_replay());
+        // Re-arming the same parent keeps the recording and its bit.
+        assert!(executor.prime_snapshot(&parent));
+        assert!(settled(&executor));
+
+        // Priming another parent replaces the recording.
+        assert!(executor.prime_snapshot(&other));
+        assert!(executor.prime_snapshot(&parent));
+        assert!(!settled(&executor));
+
+        // An unchanged budget keeps it; a different one drops it.
+        executor.settle();
+        executor.set_step_budget(None);
+        assert!(settled(&executor));
+        executor.set_step_budget(Some(1 << 20));
+        assert!(!settled(&executor));
+        assert!(executor.prime_snapshot(&parent));
+        assert!(!settled(&executor));
+
+        // Leaving for the tree engine drops it too.
+        executor.settle();
+        executor.set_interp_mode(InterpMode::Tree);
+        assert!(!settled(&executor));
+        executor.set_interp_mode(InterpMode::Auto);
+        assert!(executor.prime_snapshot(&parent));
+        assert!(!settled(&executor));
+
+        // A recording that hangs (budget below the parent's steps) never
+        // reports a settled replay.
+        let mut map = BigMap::new(MapSize::K64).unwrap();
+        let steps = executor.run(&parent, &mut map).steps;
+        executor.set_step_budget(Some(steps - 1));
+        assert!(executor.prime_snapshot(&parent));
+        executor.settle();
+        assert!(!settled(&executor));
+    }
+
+    #[test]
     fn fast_path_snapshot_agrees_with_oracle_state() {
         let (program, inst) = setup();
         let interp = Interpreter::new(&program);
@@ -759,8 +903,8 @@ mod tests {
         let mut snap_oracle = NoveltyOracle::new(program.block_count());
         let mut cold_oracle = NoveltyOracle::new(program.block_count());
         for input in [&parent[..], &child[..]] {
-            let hot = snap.run_fast(input, &mut snap_oracle);
-            let ref_exec = cold.run_fast(input, &mut cold_oracle);
+            let hot = snap.run_fast(snap.plan(input), input, &mut snap_oracle);
+            let ref_exec = cold.run_fast(cold.plan(input), input, &mut cold_oracle);
             assert_eq!(hot.outcome, ref_exec.outcome);
             assert_eq!(hot.steps, ref_exec.steps);
             assert_eq!(hot.provably_seen, ref_exec.provably_seen);

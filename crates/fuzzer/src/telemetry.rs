@@ -86,7 +86,7 @@ macro_rules! telemetry_events {
 }
 
 telemetry_events! {
-    /// Coverage-map resets (one per test case).
+    /// Coverage-map resets (one per traced test case).
     MapReset => "map_resets",
     /// Standalone classify passes (split pipeline only; the merged
     /// pipeline accounts its single pass as a virgin compare).
@@ -176,6 +176,13 @@ telemetry_events! {
     /// served and fell back to plain pages (empty hugetlb pool,
     /// unsupported kernel, non-Linux host).
     AllocFallback => "alloc_fallbacks",
+    /// Executions dismissed as `NoNew` before any run because the
+    /// snapshot engine would serve them wholly from a settled parent
+    /// recording, whose event stream an earlier exec already judged:
+    /// no fast pass, reset, trace or classify/compare. Counted in
+    /// `Exec` and the engine counters, never in `MapReset` or
+    /// `VirginCompare`.
+    ReplaySkip => "replay_skips",
 }
 
 impl TelemetryEvent {
@@ -809,9 +816,12 @@ mod tests {
                 (key.trim_matches('"'), value.parse().expect("integer value"))
             })
             .collect();
+        // Counters added since (`replay_skips`) are absent and read 0.
         for event in TelemetryEvent::ALL {
-            assert_eq!(snap.get(event), carried[event.key()], "{event:?}");
+            let want = carried.get(event.key()).copied().unwrap_or(0);
+            assert_eq!(snap.get(event), want, "{event:?}");
         }
+        assert_eq!(snap.get(TelemetryEvent::ReplaySkip), 0);
         assert_eq!(snap.layer_nanos, [0; Layer::COUNT]);
         // Re-serialized, only the known fields remain.
         let fields = snap.to_json().matches(':').count();

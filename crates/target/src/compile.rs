@@ -48,7 +48,9 @@
 //! the sink (restoring pc, step counter, call stack and — through the
 //! sink — any rolling path hash), and the engine resumes live execution
 //! from the watchpoint. If no watchpoint's decision diverges the entire
-//! recorded run replays.
+//! recorded run replays. The search and the run are two steps
+//! ([`CompiledProgram::plan_resume`], [`CompiledProgram::run_planned`]),
+//! so a caller can act on the decision before executing the child.
 //!
 //! The tape is engineered so serving a child from it is drastically
 //! cheaper than re-executing it:
@@ -309,6 +311,34 @@ impl ExecRecording {
     /// The input the recording executed.
     pub fn input(&self) -> &[u8] {
         &self.input
+    }
+
+    /// How the recorded run ended — what a full replay reports.
+    pub fn outcome(&self) -> &ExecOutcome {
+        &self.outcome
+    }
+}
+
+/// How [`CompiledProgram::run_planned`] will serve one child from one
+/// recording: the result of the resume-point search
+/// ([`CompiledProgram::plan_resume`]), valid only for the recording,
+/// input and budget it was made for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResumePlan(Plan);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Plan {
+    Miss,
+    FullReplay,
+    /// Resume at `reads[i]` after replaying the tape before it.
+    Resume(usize),
+}
+
+impl ResumePlan {
+    /// True when the child's event stream is the recording's, served
+    /// whole ([`SnapshotOutcome::FullReplay`]).
+    pub fn is_full_replay(self) -> bool {
+        self.0 == Plan::FullReplay
     }
 }
 
@@ -742,7 +772,9 @@ impl CompiledProgram {
     /// The returned [`BoundedRun`] is bit-identical to what a cold
     /// [`CompiledProgram::run_bounded`] of `input` would produce, and
     /// `sink` observes the identical event sequence — the conservativeness
-    /// invariant this module's docs spell out.
+    /// invariant this module's docs spell out. It is
+    /// [`CompiledProgram::plan_resume`] followed by
+    /// [`CompiledProgram::run_planned`].
     ///
     /// # Panics
     ///
@@ -755,17 +787,62 @@ impl CompiledProgram {
         max_steps: u64,
         work_per_block: u32,
     ) -> (BoundedRun, SnapshotOutcome) {
+        let plan = self.plan_resume(recording, input, max_steps);
+        self.run_planned(recording, plan, input, sink, max_steps, work_per_block)
+    }
+
+    /// The resume-point search of [`CompiledProgram::run_resumed`], on
+    /// its own: how `input` would be served from `recording` under
+    /// `max_steps`, decided without executing anything. A caller that
+    /// wants to act on the decision before running the child (the
+    /// campaign dismisses settled full replays) searches once here and
+    /// hands the plan to [`CompiledProgram::run_planned`].
+    pub fn plan_resume(
+        &self,
+        recording: &ExecRecording,
+        input: &[u8],
+        max_steps: u64,
+    ) -> ResumePlan {
         if recording.overflowed || recording.budget != max_steps {
-            let run = self.run_bounded(input, sink, max_steps, work_per_block);
-            return (run, SnapshotOutcome::Miss);
+            return ResumePlan(Plan::Miss);
         }
         let first_diverging = DiffRange::between(&recording.input, input)
             .and_then(|diff| first_diverging_read(self, recording, input, &diff));
-        match first_diverging {
-            None => {
-                // Identical input, a mutation only in bytes the run never
-                // read, or one that left every read's decision unchanged:
-                // serve the whole run from the tape.
+        ResumePlan(match first_diverging {
+            // Identical input, a mutation only in bytes the run never
+            // read, or one that left every read's decision unchanged.
+            None => Plan::FullReplay,
+            // Divergence before the first step: nothing to reuse.
+            Some(read) if recording.reads[read].steps_before == 0 => Plan::Miss,
+            Some(read) => Plan::Resume(read),
+        })
+    }
+
+    /// Executes `input` as `plan` ([`CompiledProgram::plan_resume`] of the
+    /// same `recording`, `input` and `max_steps`) says: re-executed from
+    /// scratch, served wholly from the tape, or resumed at the first
+    /// diverging read. Same results and guarantees as
+    /// [`CompiledProgram::run_resumed`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CompiledProgram::is_lowered`] is `false`, or may panic
+    /// if `plan` was made against a different recording.
+    pub fn run_planned<S: TraceSink + ?Sized>(
+        &self,
+        recording: &ExecRecording,
+        plan: ResumePlan,
+        input: &[u8],
+        sink: &mut S,
+        max_steps: u64,
+        work_per_block: u32,
+    ) -> (BoundedRun, SnapshotOutcome) {
+        match plan.0 {
+            Plan::Miss => {
+                let run = self.run_bounded(input, sink, max_steps, work_per_block);
+                (run, SnapshotOutcome::Miss)
+            }
+            Plan::FullReplay => {
                 replay_events(&recording.events, sink);
                 let run = BoundedRun {
                     outcome: recording.outcome.clone(),
@@ -777,12 +854,8 @@ impl CompiledProgram {
                 };
                 (run, outcome)
             }
-            Some(read) if read.steps_before == 0 => {
-                // Divergence before the first step: nothing to reuse.
-                let run = self.run_bounded(input, sink, max_steps, work_per_block);
-                (run, SnapshotOutcome::Miss)
-            }
-            Some(read) => {
+            Plan::Resume(read) => {
+                let read = &recording.reads[read];
                 let mut st = EngineState {
                     budget: max_steps,
                     steps_left: max_steps - read.steps_before,
@@ -995,7 +1068,8 @@ impl CompiledProgram {
 }
 
 /// Finds the first recorded read (in step order) whose op genuinely
-/// *decides differently* on `input` than it did on the recorded input.
+/// *decides differently* on `input` than it did on the recorded input,
+/// as an index into `recording.reads`.
 ///
 /// A differing byte inside a watchpoint's span is necessary but not
 /// sufficient for divergence: the engine carries no mutable state besides
@@ -1010,12 +1084,12 @@ impl CompiledProgram {
 /// best candidate — and the linear step-order scan otherwise. Both paths
 /// implement the identical predicate, so the resume point never depends
 /// on which one ran.
-fn first_diverging_read<'r>(
+fn first_diverging_read(
     compiled: &CompiledProgram,
-    recording: &'r ExecRecording,
+    recording: &ExecRecording,
     input: &[u8],
     diff: &DiffRange,
-) -> Option<&'r ReadPoint> {
+) -> Option<usize> {
     let decision_changed = |read: &ReadPoint| {
         compiled.read_decision(read.pc, &recording.input) != compiled.read_decision(read.pc, input)
     };
@@ -1050,9 +1124,9 @@ fn first_diverging_read<'r>(
                 }
             }
         }
-        (best != u32::MAX).then(|| &recording.reads[best as usize])
+        (best != u32::MAX).then_some(best as usize)
     } else {
-        recording.reads.iter().find(|read| {
+        recording.reads.iter().position(|read| {
             diff.affects(
                 &recording.input,
                 input,
@@ -1213,9 +1287,8 @@ mod tests {
         children.push([&parent[..], b"tail"].concat());
         for child in children {
             let diff = DiffRange::between(&parent, &child).unwrap();
-            let indexed = first_diverging_read(&compiled, &rec, &child, &diff).map(|r| r.ev_cursor);
-            let linear =
-                first_diverging_read(&compiled, &linear_rec, &child, &diff).map(|r| r.ev_cursor);
+            let indexed = first_diverging_read(&compiled, &rec, &child, &diff);
+            let linear = first_diverging_read(&compiled, &linear_rec, &child, &diff);
             assert_eq!(indexed, linear, "divergence for child {child:?}");
         }
     }

@@ -47,7 +47,7 @@ mod suite;
 
 pub use bigmap_core::InterpMode;
 pub use builder::ProgramBuilder;
-pub use compile::{CompiledProgram, ExecRecording, SnapshotOutcome};
+pub use compile::{CompiledProgram, ExecRecording, ResumePlan, SnapshotOutcome};
 pub use error::TargetError;
 pub use generator::{generate_seeds, GeneratorConfig};
 pub use interp::{BoundedRun, ExecConfig, ExecOutcome, Interpreter, NullSink, TraceSink};

@@ -392,9 +392,10 @@ fn stuck_worker_is_killed_by_the_liveness_deadline_and_restarted() {
 /// by heartbeat.
 #[test]
 fn busy_worker_outlives_a_short_liveness_deadline() {
-    // About two seconds of fuzzing in either test profile.
+    // About two seconds of fuzzing in either test profile: 2.9–3.1 s
+    // (debug) and 2.5 s (release) on a 2-vCPU VM.
     const EXECS: u64 = if cfg!(debug_assertions) {
-        60_000
+        150_000
     } else {
         600_000
     };

@@ -235,9 +235,18 @@ fn campaign_trajectory_is_invariant_across_the_policy_product() {
                         );
                     }
                     let compiled = tel.get(TelemetryEvent::CompiledExec);
+                    // Settled full replays are skipped on the snapshot
+                    // engine only; the tree reference traces every child.
+                    let replay_skips = tel.get(TelemetryEvent::ReplaySkip);
                     match interp {
-                        InterpMode::Tree => assert_eq!(compiled, 0, "{cell}: compiled engine ran"),
-                        InterpMode::Auto => assert!(compiled > 0, "{cell}: compiled engine idle"),
+                        InterpMode::Tree => {
+                            assert_eq!(compiled, 0, "{cell}: compiled engine ran");
+                            assert_eq!(replay_skips, 0, "{cell}: tree engine skipped");
+                        }
+                        InterpMode::Auto => {
+                            assert!(compiled > 0, "{cell}: compiled engine idle");
+                            assert!(replay_skips > 0, "{cell}: no settled replay skipped");
+                        }
                     }
                     let sparse_ops = tel.get(TelemetryEvent::SparseDispatch);
                     match (scheme, sparse) {
