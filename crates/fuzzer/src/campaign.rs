@@ -666,7 +666,9 @@ impl<'p> Campaign<'p> {
 
     /// Whether the next test case gets an untraced fast pass. In auto
     /// mode this also advances the traced-direct fallback window, so it
-    /// must be called exactly once per test case.
+    /// must be called exactly once per test case that reaches the
+    /// fast-pass decision; settled full replays are dismissed before it
+    /// and never count.
     fn fast_pass_active(&mut self) -> bool {
         if self.oracle.is_none() {
             return false;

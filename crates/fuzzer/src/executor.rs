@@ -189,7 +189,7 @@ struct Armed {
 /// [`Executor::run_planned`] and [`Executor::run_fast`]. Valid for the
 /// input it was made for until the armed recording changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecPlan {
+pub(crate) struct ExecPlan {
     /// `None` when no recording is armed: the child runs front to back.
     resume: Option<ResumePlan>,
     settled_replay: bool,
@@ -200,7 +200,7 @@ impl ExecPlan {
     /// recording whose run ended `Ok`: its event stream is one whose
     /// coverage the campaign has already judged, so tracing it again
     /// could only yield `NoNew`.
-    pub fn is_settled_replay(self) -> bool {
+    pub(crate) fn is_settled_replay(self) -> bool {
         self.settled_replay
     }
 }
@@ -261,7 +261,7 @@ impl<'p> Executor<'p> {
     }
 
     /// Memoizes a run of `parent` so subsequent [`Executor::run`] /
-    /// [`Executor::run_fast`] calls on mutated children can resume from
+    /// `Executor::run_fast` calls on mutated children can resume from
     /// its snapshot. No-op unless the mode arms snapshots and the program
     /// has a runnable compiled lowering. Returns whether a snapshot is
     /// now armed.
@@ -300,7 +300,7 @@ impl<'p> Executor<'p> {
     /// trace was folded in before). From then on [`Executor::plan`]
     /// reports full replays of it as [`ExecPlan::is_settled_replay`],
     /// until the recording is replaced or dropped.
-    pub fn settle(&mut self) {
+    pub(crate) fn settle(&mut self) {
         if let Some(armed) = &mut self.armed {
             armed.settled = true;
         }
@@ -318,8 +318,8 @@ impl<'p> Executor<'p> {
 
     /// Runs `input`, recording coverage into `map` (which the caller must
     /// have `reset()` beforehand — the campaign owns that step so it can
-    /// time it separately). [`Executor::plan`] then
-    /// [`Executor::run_planned`].
+    /// time it separately). `Executor::plan` then
+    /// `Executor::run_planned`.
     pub fn run(&mut self, input: &[u8], map: &mut dyn CoverageMap) -> Execution {
         let plan = self.plan(input);
         self.run_planned(plan, input, map)
@@ -328,7 +328,7 @@ impl<'p> Executor<'p> {
     /// Decides how `input` will run: the one resume-point search against
     /// the armed recording (none when no recording is armed), and whether
     /// the child is a full replay of a settled recording.
-    pub fn plan(&self, input: &[u8]) -> ExecPlan {
+    pub(crate) fn plan(&self, input: &[u8]) -> ExecPlan {
         // A recording is armed only in a compiled mode (see
         // `set_interp_mode` and `prime_snapshot`).
         let (Some(armed), Some(compiled)) = (&self.armed, self.interpreter.compiled()) else {
@@ -348,7 +348,7 @@ impl<'p> Executor<'p> {
 
     /// [`Executor::run`] for a child already planned by
     /// [`Executor::plan`] on this input, with no recording change since.
-    pub fn run_planned(
+    pub(crate) fn run_planned(
         &mut self,
         plan: ExecPlan,
         input: &[u8],
@@ -376,7 +376,7 @@ impl<'p> Executor<'p> {
     /// [`Executor::run`] exactly (same calibrated budget, same hang
     /// classification), so a fast exec and its traced re-execution
     /// always agree on outcome and step count.
-    pub fn run_fast(
+    pub(crate) fn run_fast(
         &mut self,
         plan: ExecPlan,
         input: &[u8],
@@ -529,7 +529,7 @@ impl Engine<'_> {
     }
 }
 
-/// Result of one untraced fast-path execution ([`Executor::run_fast`]).
+/// Result of one untraced fast-path execution (`Executor::run_fast`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FastExecution {
     /// The target's outcome.

@@ -816,12 +816,16 @@ mod tests {
                 (key.trim_matches('"'), value.parse().expect("integer value"))
             })
             .collect();
-        // Counters added since (`replay_skips`) are absent and read 0.
+        // The one counter added since (`replay_skips`) is absent and
+        // reads 0; every other key must be carried.
         for event in TelemetryEvent::ALL {
-            let want = carried.get(event.key()).copied().unwrap_or(0);
+            let want = if event == TelemetryEvent::ReplaySkip {
+                0
+            } else {
+                carried[event.key()]
+            };
             assert_eq!(snap.get(event), want, "{event:?}");
         }
-        assert_eq!(snap.get(TelemetryEvent::ReplaySkip), 0);
         assert_eq!(snap.layer_nanos, [0; Layer::COUNT]);
         // Re-serialized, only the known fields remain.
         let fields = snap.to_json().matches(':').count();

@@ -92,10 +92,20 @@ fn assert_resume_equivalent(program: &Program, parent: &[u8], child: &[u8], budg
     let mut cold_events = Recorder::default();
     let cold = compiled.run_bounded(child, &mut cold_events, budget, 0);
     let mut resumed_events = Recorder::default();
-    let (resumed, _) = compiled.run_resumed(&recording, child, &mut resumed_events, budget, 0);
+    let (resumed, snapshot) =
+        compiled.run_resumed(&recording, child, &mut resumed_events, budget, 0);
 
     assert_eq!(cold, resumed, "resumed BoundedRun diverged");
     assert_eq!(cold_events, resumed_events, "resumed event stream diverged");
+    // The plan alone (the campaign's skip decision) names a full replay
+    // exactly when the run is one.
+    assert_eq!(
+        compiled
+            .plan_resume(&recording, child, budget)
+            .is_full_replay(),
+        matches!(snapshot, SnapshotOutcome::FullReplay { .. }),
+        "plan and outcome disagree on full replay at budget {budget}"
+    );
 
     // The tree walker agrees too (transitivity, but pin it directly).
     let mut tree_events = Recorder::default();
@@ -113,46 +123,6 @@ fn assert_resume_equivalent(program: &Program, parent: &[u8], child: &[u8], budg
     compiled.run_resumed(&recording, child, &mut resumed_oracle, budget, 0);
     assert_eq!(cold_oracle.path_hash(), resumed_oracle.path_hash());
     assert_eq!(cold_oracle.provably_seen(), resumed_oracle.provably_seen());
-}
-
-/// Asserts the two-step resume (`plan_resume`, then `run_planned`) is
-/// `run_resumed`: same run, event stream and [`SnapshotOutcome`], with
-/// the plan reporting a full replay exactly when the run is one.
-fn assert_plan_split_equivalent(program: &Program, parent: &[u8], child: &[u8], budget: u64) {
-    let compiled = CompiledProgram::compile(program);
-    let (_, recording) = compiled.record(parent, &mut NullSink, budget, 0);
-
-    let mut whole_events = Recorder::default();
-    let whole = compiled.run_resumed(&recording, child, &mut whole_events, budget, 0);
-    let plan = compiled.plan_resume(&recording, child, budget);
-    let mut split_events = Recorder::default();
-    let split = compiled.run_planned(&recording, plan, child, &mut split_events, budget, 0);
-
-    assert_eq!(whole, split, "planned run diverged at budget {budget}");
-    assert_eq!(whole_events, split_events, "planned event stream diverged");
-    assert_eq!(
-        plan.is_full_replay(),
-        matches!(split.1, SnapshotOutcome::FullReplay { .. }),
-        "plan and outcome disagree on full replay"
-    );
-}
-
-/// `parent` with `flips` applied (positions wrap) and then truncated or
-/// extended by `resize` bytes.
-fn mutated(parent: &[u8], flips: &[(usize, u8)], resize: isize) -> Vec<u8> {
-    let mut child = parent.to_vec();
-    for &(pos, byte) in flips {
-        if !child.is_empty() {
-            let pos = pos % child.len();
-            child[pos] = byte;
-        }
-    }
-    if resize < 0 {
-        child.truncate(child.len().saturating_sub(resize.unsigned_abs()));
-    } else {
-        child.extend(std::iter::repeat_n(0xA5, resize as usize));
-    }
-    child
 }
 
 proptest! {
@@ -173,7 +143,8 @@ proptest! {
 
     /// Random parent/child pairs through the snapshot path: resumes and
     /// replays are bit-identical to cold executions, for mutations,
-    /// truncations and extensions alike.
+    /// truncations and extensions alike, at the parent's exact-exhaustion
+    /// budget boundaries and a roomy budget.
     #[test]
     fn snapshot_resume_matches_cold_run(
         seed in 0u64..10_000,
@@ -184,29 +155,23 @@ proptest! {
         resize in -8isize..8,
     ) {
         let program = generated(seed, functions, gates);
-        let child = mutated(&parent, &flips, resize);
-        assert_resume_equivalent(&program, &parent, &child, 100_000);
-    }
-
-    /// The same mutation space through the two-step resume, at the
-    /// parent's exact-exhaustion budget boundaries and a roomy budget:
-    /// planning first and running the plan is `run_resumed`.
-    #[test]
-    fn planned_resume_matches_run_resumed(
-        seed in 0u64..10_000,
-        functions in 1usize..5,
-        gates in 1usize..8,
-        parent in prop::collection::vec(any::<u8>(), 0..64),
-        flips in prop::collection::vec((0usize..64, any::<u8>()), 0..4),
-        resize in -8isize..8,
-    ) {
-        let program = generated(seed, functions, gates);
-        let child = mutated(&parent, &flips, resize);
+        let mut child = parent.clone();
+        for (pos, byte) in flips {
+            if !child.is_empty() {
+                let pos = pos % child.len();
+                child[pos] = byte;
+            }
+        }
+        if resize < 0 {
+            child.truncate(child.len().saturating_sub(resize.unsigned_abs()));
+        } else {
+            child.extend(std::iter::repeat_n(0xA5, resize as usize));
+        }
         let steps = CompiledProgram::compile(&program)
             .run_bounded(&parent, &mut NullSink, 100_000, 0)
             .steps;
         for budget in [steps.saturating_sub(1), steps, steps + 1, 100_000] {
-            assert_plan_split_equivalent(&program, &parent, &child, budget);
+            assert_resume_equivalent(&program, &parent, &child, budget);
         }
     }
 
