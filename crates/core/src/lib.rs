@@ -35,7 +35,7 @@
 //!   runtime accounting, used to regenerate the paper's Figure 3,
 //! * [`counters`] — lock-free event counters, the substrate of the
 //!   fuzzer's live telemetry layer,
-//! * [`env`] — the documented registry of every `BIGMAP_*` environment
+//! * [`mod@env`] — the documented registry of every `BIGMAP_*` environment
 //!   knob with typed parse-and-validate accessors,
 //! * [`wire`] — the versioned, checksummed binary framing the process
 //!   fleet uses to move corpus sync batches across process boundaries.

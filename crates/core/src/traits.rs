@@ -165,14 +165,6 @@ pub trait CoverageMap: Any + Send {
         OpPath::Dense
     }
 
-    /// Number of distinct condensed slots first-touched since the last
-    /// reset, when the map keeps a complete touch journal. `None` when the
-    /// map has no journal (flat scheme), this exec does not journal (see
-    /// [`crate::sparse::journals`]) or the journal overflowed this exec.
-    fn touched_len(&self) -> Option<usize> {
-        None
-    }
-
     /// Whether the touch journal overflowed its capacity this exec,
     /// forcing the dense fallback. Always `false` for maps without a
     /// journal and for execs that do not journal.

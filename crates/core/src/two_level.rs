@@ -146,6 +146,14 @@ impl BigMap {
         self.index.as_slice()
     }
 
+    /// Number of distinct condensed slots first-touched since the last
+    /// reset, when this exec keeps a complete touch journal. `None` when
+    /// the exec does not journal (see [`crate::sparse::journals`]) or the
+    /// journal overflowed.
+    pub fn touched_len(&self) -> Option<usize> {
+        (self.journaling && self.journal.is_complete()).then(|| self.journal.len())
+    }
+
     /// The touch journal of the current exec (tests, benchmarks); empty
     /// when the exec does not journal.
     pub fn journal(&self) -> &TouchJournal {
@@ -390,10 +398,6 @@ impl CoverageMap for BigMap {
 
     fn last_op_path(&self) -> OpPath {
         self.last_path
-    }
-
-    fn touched_len(&self) -> Option<usize> {
-        (self.journaling && self.journal.is_complete()).then(|| self.journal.len())
     }
 
     fn journal_overflowed(&self) -> bool {

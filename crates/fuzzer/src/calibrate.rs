@@ -18,10 +18,11 @@
 //! The derived budget is never zero, even with a zero floor and all-zero
 //! observations (a zero budget would declare every execution a hang).
 //!
-//! A calibrated budget is strictly tighter than the configured
-//! `ExecConfig::max_steps` ceiling, which turns "runaway but not
-//! planted-hang" inputs into [`bigmap_target::ExecOutcome::Hang`] early
-//! instead of burning a million steps each. Executions cut off by the
+//! The executor caps an installed budget at the configured
+//! `ExecConfig::max_steps` (`Executor::set_step_budget`), so a calibrated
+//! budget is never looser than it; below it, the budget turns "runaway
+//! but not planted-hang" inputs into [`bigmap_target::ExecOutcome::Hang`]
+//! early instead of burning a million steps each. Executions cut off by the
 //! calibrated budget (rather than the configured one) are counted under
 //! [`crate::telemetry::TelemetryEvent::HangBudgetExceeded`].
 

@@ -125,9 +125,9 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// AFL-style hang-budget calibration policy. When set, the campaign
     /// derives a step budget from the observed seed step counts at the
-    /// start of the fuzzing loop and runs every mutant under it; `None`
-    /// keeps the interpreter's `ExecConfig::max_steps` (the paper's
-    /// fixed-budget setup).
+    /// start of the fuzzing loop and runs every mutant under it, capped at
+    /// the interpreter's `ExecConfig::max_steps`; `None` keeps
+    /// `max_steps` (the paper's fixed-budget setup).
     pub hang_budget: Option<HangBudget>,
     /// The sparse/dense map-op dispatch policy (`bigmap_core::sparse`).
     /// `None` means [`SparseMode::Auto`]: pick per exec by journal
@@ -135,9 +135,11 @@ pub struct CampaignConfig {
     /// always dense.
     pub sparse: Option<SparseMode>,
     /// The two-speed execution mode (`bigmap_core::trace`). `None` means
-    /// [`TraceMode::Always`]: trace every exec. Selective tracing is
-    /// coverage-preserving: every mode produces a bit-identical campaign
-    /// trajectory.
+    /// [`TraceMode::Always`]: no untraced fast pass. Every mode dismisses
+    /// a child that fully replays the scheduled parent's `Ok` run without
+    /// tracing it (DESIGN §4c), so `Always` traces every other exec.
+    /// Selective tracing is coverage-preserving: every mode produces a
+    /// bit-identical campaign trajectory.
     pub trace: Option<TraceMode>,
     /// Per-campaign override of the target execution engine
     /// (`bigmap_core::interp`). `None` follows the process-wide
@@ -667,8 +669,8 @@ impl<'p> Campaign<'p> {
     /// Whether the next test case gets an untraced fast pass. In auto
     /// mode this also advances the traced-direct fallback window, so it
     /// must be called exactly once per test case that reaches the
-    /// fast-pass decision; settled full replays are dismissed before it
-    /// and never count.
+    /// fast-pass decision; `Ok` full replays of the armed parent are
+    /// dismissed before it and never count.
     fn fast_pass_active(&mut self) -> bool {
         if self.oracle.is_none() {
             return false;
@@ -715,10 +717,18 @@ impl<'p> Campaign<'p> {
     /// change.
     ///
     /// The same argument, with an exact witness, dismisses a child the
-    /// snapshot engine would serve wholly from a settled parent recording
-    /// ([`Executor::settle`]): its event stream is the one an earlier
-    /// full replay traced to `Ok` and folded into the Ok virgin map, so
-    /// it skips the fast pass, the reset, the trace and classify/compare.
+    /// snapshot engine would serve wholly from an armed parent recording
+    /// that ended `Ok` (`ExecPlan::is_ok_full_replay`), before the fast
+    /// pass, the reset, the trace and classify/compare. Every parent
+    /// `run_loop` primes is a queue entry, admitted from an exec whose
+    /// effective outcome was `Ok` and that was compared against the Ok
+    /// virgin map (seed dry run, admission, import or restore replay). A
+    /// step budget only truncates a run, so an `Ok` recording replays that
+    /// admission's event stream, and the virgin map only shrinks: tracing
+    /// the child again could only yield `NoNew` with no state change. A
+    /// campaign that trims new entries is exempt, because the bytes it
+    /// stores match the judged input's coverage only up to the CRC32 the
+    /// trim stage compares.
     fn execute_and_judge(&mut self, input: &[u8], force_admit: bool) -> NewCoverage {
         // Fault-injection ordinals are consumed exactly once per test
         // case, *before* any execution: a selective-mode re-trace must
@@ -736,7 +746,7 @@ impl<'p> Campaign<'p> {
 
         // The one resume-point search for this child.
         let plan = self.executor.plan(input);
-        if skippable && plan.is_settled_replay() {
+        if skippable && !self.config.trim_new_entries && plan.is_ok_full_replay() {
             self.span(Layer::Executor);
             self.count_skipped(TelemetryEvent::ReplaySkip, EnginePath::SnapshotReplay);
             return NewCoverage::None;
@@ -756,11 +766,6 @@ impl<'p> Campaign<'p> {
             let skip = skippable && fast.outcome.is_ok() && fast.provably_seen;
             self.note_auto_decision(!skip);
             if skip {
-                // The oracle proved this very event stream judged: a full
-                // replay's recording is settled by the same proof.
-                if fast.engine == EnginePath::SnapshotReplay {
-                    self.executor.settle();
-                }
                 self.count_skipped(TelemetryEvent::FastPathExec, fast.engine);
                 return NewCoverage::None;
             }
@@ -816,15 +821,6 @@ impl<'p> Campaign<'p> {
             self.map.classify_and_compare(virgin)
         };
         self.span(Layer::MapCompare);
-        // A full replay's coverage, judged under an Ok outcome, is now in
-        // the Ok virgin map: later full replays of the recording are
-        // settled (restore replays rebuild state and settle nothing).
-        if execution.engine == EnginePath::SnapshotReplay
-            && execution.outcome.is_ok()
-            && !self.restoring
-        {
-            self.executor.settle();
-        }
 
         match &execution.outcome {
             ExecOutcome::Ok => {
@@ -1662,10 +1658,10 @@ mod tests {
 
         let snap = stats.telemetry.as_ref().expect("telemetry attached");
         assert_eq!(snap.get(TelemetryEvent::Exec), stats.execs);
-        // Settled full replays are dismissed before the reset; every other
-        // exec resets and compares once.
+        // Full replays of the scheduled parent are dismissed before the
+        // reset; every other exec resets and compares once.
         let skips = snap.get(TelemetryEvent::ReplaySkip);
-        assert!(skips > 0, "no settled full replay was skipped");
+        assert!(skips > 0, "no full replay was skipped");
         let traced = stats.execs - skips;
         assert_eq!(snap.get(TelemetryEvent::MapReset), traced);
         assert_eq!(snap.get(TelemetryEvent::VirginCompare), traced);
@@ -1806,9 +1802,9 @@ mod tests {
         campaign.add_seeds(vec![vec![5u8; 24]]);
         let stats = campaign.run();
         let snap = stats.telemetry.as_ref().unwrap();
-        // Settled full replays never reach classify/compare.
+        // Skipped full replays never reach classify/compare.
         let skips = snap.get(TelemetryEvent::ReplaySkip);
-        assert!(skips > 0, "no settled full replay was skipped");
+        assert!(skips > 0, "no full replay was skipped");
         let traced = stats.execs - skips;
         assert_eq!(snap.get(TelemetryEvent::ClassifyPass), traced);
         assert_eq!(snap.get(TelemetryEvent::VirginCompare), traced);
@@ -1847,10 +1843,10 @@ mod tests {
         let (off, off_tel) = run(Some(SparseMode::Off));
         // Forced modes dispatch every traced exec to their path (the
         // default journal capacity never overflows on these targets);
-        // settled full replays dispatch nothing...
+        // skipped full replays dispatch nothing...
         let traced = |execs: u64, tel: &Telemetry| {
             let skips = tel.get(TelemetryEvent::ReplaySkip);
-            assert!(skips > 0, "no settled full replay was skipped");
+            assert!(skips > 0, "no full replay was skipped");
             execs - skips
         };
         assert_eq!(
@@ -1914,9 +1910,9 @@ mod tests {
                 "{mode:?} changed the coverage trajectory"
             );
             // The fast path must actually fire (most mutants replay known
-            // paths), and every exec is either dismissed as a settled full
-            // replay before the fast pass, skipped by it, re-traced or —
-            // in auto mode — run traced-direct.
+            // paths), and every exec is either dismissed as a full replay
+            // of the scheduled parent before the fast pass, skipped by it,
+            // re-traced or — in auto mode — run traced-direct.
             let fast = tel.get(TelemetryEvent::FastPathExec);
             let retraced = tel.get(TelemetryEvent::RetraceExec);
             let replayed = tel.get(TelemetryEvent::ReplaySkip);
@@ -2086,16 +2082,47 @@ mod tests {
     }
 
     #[test]
-    fn first_full_replay_settles_and_the_next_is_skipped_untouched() {
+    fn first_full_replay_of_a_queue_entry_is_skipped_untouched() {
         let program = GeneratorConfig::default().generate();
         let inst = instrument(&program, MapSize::K64);
         let interp = Interpreter::new(&program);
         let parent = vec![5u8; 24];
         let (mut campaign, tel) = primed_campaign(&interp, &inst, &parent, None);
-        assert!(!campaign.executor.plan(&parent).is_settled_replay());
+        assert!(campaign.executor.plan(&parent).is_ok_full_replay());
 
-        // A child resumed mid-tape traces a different stream: it settles
-        // nothing.
+        // The first full replay of the primed seed is dismissed without
+        // touching the map: a byte no trace of the parent writes survives.
+        campaign.map.record(0xDEAD_BEEF);
+        let region = campaign.map.active_region().to_vec();
+        let execs = campaign.execs();
+        let count = |event| tel.get(event);
+        let before = TelemetryEvent::ALL.map(count);
+        assert_eq!(
+            campaign.execute_and_judge(&parent, false),
+            NewCoverage::None
+        );
+        assert_eq!(campaign.map.active_region(), &region[..]);
+        assert_eq!(campaign.execs(), execs + 1);
+        // Counted like any exec on the snapshot engine, and as nothing
+        // else: no reset, compare or map update.
+        let moved: Vec<_> = TelemetryEvent::ALL
+            .into_iter()
+            .zip(before)
+            .filter(|&(event, was)| count(event) != was)
+            .map(|(event, was)| (event, count(event) - was))
+            .collect();
+        assert_eq!(
+            moved,
+            [
+                (TelemetryEvent::Exec, 1),
+                (TelemetryEvent::CompiledExec, 1),
+                (TelemetryEvent::SnapshotHit, 1),
+                (TelemetryEvent::ReplaySkip, 1),
+            ]
+        );
+        assert_eq!(tel.get(TelemetryEvent::Exec), campaign.execs());
+
+        // A child resumed mid-tape still runs traced.
         let resumed = {
             let mut probe = Executor::new(&interp, &inst, build_metric(MetricKind::Edge));
             probe.set_interp_mode(InterpMode::Auto);
@@ -2115,45 +2142,9 @@ mod tests {
                 })
                 .expect("some one-byte mutant resumes mid-tape")
         };
-        campaign.execute_and_judge(&resumed, false);
-        assert!(!campaign.executor.plan(&parent).is_settled_replay());
-
-        // The first full replay of the fresh recording runs traced...
         let resets = tel.get(TelemetryEvent::MapReset);
-        let hits = tel.get(TelemetryEvent::SnapshotHit);
-        assert_eq!(
-            campaign.execute_and_judge(&parent, false),
-            NewCoverage::None
-        );
-        assert_eq!(tel.get(TelemetryEvent::MapReset), resets + 1);
-        assert_eq!(tel.get(TelemetryEvent::SnapshotHit), hits + 1);
-        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
-        // ...and settles the recording.
-        assert!(campaign.executor.plan(&parent).is_settled_replay());
-
-        // The second is dismissed without touching the map: a byte no
-        // trace of the parent writes survives it.
-        campaign.map.record(0xDEAD_BEEF);
-        let region = campaign.map.active_region().to_vec();
-        let (execs, compares) = (campaign.execs(), tel.get(TelemetryEvent::VirginCompare));
-        let updates = tel.get(TelemetryEvent::MapUpdate);
-        assert_eq!(
-            campaign.execute_and_judge(&parent, false),
-            NewCoverage::None
-        );
-        assert_eq!(campaign.map.active_region(), &region[..]);
-        assert_eq!(campaign.execs(), execs + 1);
-        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 1);
-        assert_eq!(tel.get(TelemetryEvent::MapReset), resets + 1);
-        assert_eq!(tel.get(TelemetryEvent::VirginCompare), compares);
-        assert_eq!(tel.get(TelemetryEvent::MapUpdate), updates);
-        // Counted like any exec on the snapshot engine.
-        assert_eq!(tel.get(TelemetryEvent::Exec), campaign.execs());
-        assert_eq!(tel.get(TelemetryEvent::SnapshotHit), hits + 2);
-
-        // The resumed child still runs traced.
         campaign.execute_and_judge(&resumed, false);
-        assert_eq!(tel.get(TelemetryEvent::MapReset), resets + 2);
+        assert_eq!(tel.get(TelemetryEvent::MapReset), resets + 1);
         assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 1);
     }
 
@@ -2168,16 +2159,13 @@ mod tests {
         let steps = campaign.seed_steps[0];
         campaign.executor.set_step_budget(Some(steps - 1));
         assert!(campaign.executor.prime_snapshot(&parent));
+        assert!(!campaign.executor.plan(&parent).is_ok_full_replay());
         for round in 1..=3 {
             campaign.execute_and_judge(&parent, false);
             assert_eq!(campaign.hangs, round, "every replay is traced as a hang");
-            assert!(!campaign.executor.plan(&parent).is_settled_replay());
         }
         assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
         assert_eq!(tel.get(TelemetryEvent::SnapshotHit), 3);
-        // Even a caller settling it by hand gets no skip from a hang tape.
-        campaign.executor.settle();
-        assert!(!campaign.executor.plan(&parent).is_settled_replay());
     }
 
     #[test]
@@ -2191,22 +2179,21 @@ mod tests {
             .inject(FaultSite::TargetCrash, 0, 1)
             .inject(FaultSite::TargetCrash, 0, 3);
         let (mut campaign, tel) = primed_campaign(&interp, &inst, &parent, Some(plan));
-        // A crash injected into the first replay is judged against the
-        // crash virgin map, not the Ok one: the recording stays unsettled.
+        assert!(campaign.executor.plan(&parent).is_ok_full_replay());
+        // A full replay carrying an injected crash is traced against the
+        // crash virgin map and reaches Crashwalk; the clean replays around
+        // it are skipped.
         assert!(campaign.execute_and_judge(&parent, false).is_interesting());
-        assert!(!campaign.executor.plan(&parent).is_settled_replay());
-        campaign.execute_and_judge(&parent, false);
-        assert!(campaign.executor.plan(&parent).is_settled_replay());
-        // A settled replay carrying an injected crash is traced and
-        // reaches Crashwalk.
-        campaign.execute_and_judge(&parent, false);
         assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
+        campaign.execute_and_judge(&parent, false);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 1);
+        campaign.execute_and_judge(&parent, false);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 1);
         assert_eq!(campaign.total_crashes, 2);
         assert_eq!(campaign.crashwalk.unique_count(), 1);
         assert_eq!(campaign.crash_inputs(), &[parent.clone()][..]);
-        // It did not unsettle the recording: the next clean replay skips.
         campaign.execute_and_judge(&parent, false);
-        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 1);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 2);
     }
 
     #[test]
@@ -2216,29 +2203,59 @@ mod tests {
         let interp = Interpreter::new(&program);
         let parent = vec![5u8; 24];
         let (mut campaign, tel) = primed_campaign(&interp, &inst, &parent, None);
-        campaign.execute_and_judge(&parent, false);
-        assert!(campaign.executor.plan(&parent).is_settled_replay());
-        // A forced admission of the same bytes is traced and admitted.
+        assert!(campaign.executor.plan(&parent).is_ok_full_replay());
+        // A forced admission of the armed parent's bytes is traced and
+        // admitted.
         campaign.add_seeds(vec![parent.clone()]);
         assert_eq!(campaign.queue.len(), 2);
         assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
 
         // Restore replays the queue (forced) and warms the crash/hang maps
-        // with a clean input under a recording primed and settled by hand:
-        // none of it skips...
+        // with a clean input, all under an armed recording of that input:
+        // none of it skips.
         let mut ckpt = campaign.checkpoint();
         ckpt.hang_inputs = vec![parent.clone()];
         let (mut restored, tel) = primed_campaign(&interp, &inst, &parent, None);
         restored.queue = Queue::new();
-        restored.executor.settle();
         restored.restore(&ckpt);
         assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
         assert_eq!(restored.queue.len(), 2);
-        // ...and none of it settles a fresh recording.
-        let (mut restored, _) = primed_campaign(&interp, &inst, &parent, None);
-        restored.queue = Queue::new();
-        restored.restore(&ckpt);
-        assert!(!restored.executor.plan(&parent).is_settled_replay());
+    }
+
+    #[test]
+    fn trimming_campaigns_trace_every_full_replay() {
+        let program = GeneratorConfig::default().generate();
+        let inst = instrument(&program, MapSize::K64);
+        let interp = Interpreter::new(&program);
+        let seed = vec![5u8; 64];
+        let run = |mode: InterpMode| {
+            let mut campaign = Campaign::new(
+                CampaignConfig {
+                    trim_new_entries: true,
+                    interp: Some(mode),
+                    ..quick_config(MapScheme::TwoLevel, 3_000)
+                },
+                &interp,
+                &inst,
+            );
+            let tel = Arc::new(Telemetry::new(0));
+            campaign.set_telemetry(Arc::clone(&tel));
+            campaign.add_seeds(vec![seed.clone()]);
+            (campaign.run_detailed(), tel)
+        };
+        let (tree, _) = run(InterpMode::Tree);
+        let (snapshot, tel) = run(InterpMode::Auto);
+        assert!(
+            snapshot.corpus.iter().any(|entry| entry.len() < seed.len()),
+            "nothing was trimmed"
+        );
+        assert!(tel.get(TelemetryEvent::SnapshotHit) > 0);
+        assert_eq!(tel.get(TelemetryEvent::ReplaySkip), 0);
+        assert_eq!(snapshot.corpus, tree.corpus);
+        assert_eq!(
+            snapshot.stats.timeline.points(),
+            tree.stats.timeline.points()
+        );
     }
 
     #[test]

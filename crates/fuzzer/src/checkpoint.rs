@@ -29,8 +29,8 @@
 //!   renamed over `checkpoint`; the directory is fsynced after the
 //!   rename, so a kill −9 (or power loss) at any instant leaves either
 //!   the previous or the new checkpoint fully on disk.
-//! * The v2 file format appends a per-section CRC32 footer (`crc
-//!   <section> <hex>`), so torn writes and bit flips that survive the
+//! * The v2 file format appends a per-section CRC32 footer
+//!   (`crc <section> <hex>`), so torn writes and bit flips that survive the
 //!   rename discipline (misbehaving disks, truncated copies) are
 //!   *detected* on load rather than silently restoring garbage. Every
 //!   restored checkpoint is checksum-verified: other versions (such as

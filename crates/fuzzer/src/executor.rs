@@ -126,12 +126,6 @@ pub struct Execution {
     /// site fired, `false` when ordinary execution exhausted the step
     /// budget (the case a calibrated budget is responsible for).
     pub planted_hang: bool,
-    /// Distinct condensed map slots this execution touched, when the map
-    /// kept a complete touch journal for it (`None` for the flat scheme,
-    /// for an exec that did not journal, or when the journal overflowed).
-    /// The numerator of the per-exec density the sparse/dense dispatcher
-    /// decides on.
-    pub touched_slots: Option<usize>,
     /// Which engine path satisfied this execution.
     pub engine: EnginePath,
 }
@@ -164,24 +158,17 @@ pub struct Executor<'p> {
     interpreter: &'p Interpreter<'p>,
     instrumentation: &'p Instrumentation,
     metric: Box<dyn CoverageMetric>,
-    /// Calibrated step budget overriding `ExecConfig::max_steps` when set.
-    /// Lives here (not on the interpreter) because the campaign shares one
-    /// immutable interpreter across executors but calibrates per campaign.
+    /// Calibrated step budget overriding `ExecConfig::max_steps` when set,
+    /// never above it. Lives here (not on the interpreter) because the
+    /// campaign shares one immutable interpreter across executors but
+    /// calibrates per campaign.
     step_budget: Option<u64>,
     /// Effective engine mode. Initialized from the interpreter's own mode;
     /// the campaign overrides it from its config / `BIGMAP_INTERP`.
     interp_mode: InterpMode,
     /// The scheduled parent's memoized run, when snapshots are armed
     /// ([`Executor::prime_snapshot`]). Mutated children resume from it.
-    armed: Option<Armed>,
-}
-
-/// An armed parent recording and whether it is settled
-/// ([`Executor::settle`]). Replacing or dropping the recording drops the
-/// bit with it.
-struct Armed {
-    recording: ExecRecording,
-    settled: bool,
+    armed: Option<ExecRecording>,
 }
 
 /// One child's engine decision ([`Executor::plan`]): the resume point
@@ -192,16 +179,15 @@ struct Armed {
 pub(crate) struct ExecPlan {
     /// `None` when no recording is armed: the child runs front to back.
     resume: Option<ResumePlan>,
-    settled_replay: bool,
+    ok_full_replay: bool,
 }
 
 impl ExecPlan {
-    /// True when the child would be served wholly from a settled
-    /// recording whose run ended `Ok`: its event stream is one whose
-    /// coverage the campaign has already judged, so tracing it again
-    /// could only yield `NoNew`.
-    pub(crate) fn is_settled_replay(self) -> bool {
-        self.settled_replay
+    /// True when the child would be served wholly from the armed
+    /// recording and that recording's run ended `Ok`: the child's outcome
+    /// and event stream are the parent's.
+    pub(crate) fn is_ok_full_replay(self) -> bool {
+        self.ok_full_replay
     }
 }
 
@@ -233,12 +219,17 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Sets (or clears) a calibrated step budget. When set, it replaces
-    /// `ExecConfig::max_steps` for every subsequent [`Executor::run`]; an
-    /// execution exhausting it reports [`ExecOutcome::Hang`] exactly as if
-    /// the configured budget had run out. Any armed snapshot is dropped —
-    /// a recording is only reusable under the exact budget it ran with.
+    /// Sets (or clears) a calibrated step budget, capped at
+    /// `ExecConfig::max_steps`. When set, it replaces the configured
+    /// budget for every subsequent [`Executor::run`]; an execution
+    /// exhausting it reports [`ExecOutcome::Hang`] exactly as if the
+    /// configured budget had run out. The cap keeps every run the campaign
+    /// admits replayable under `max_steps`, which is how
+    /// `Campaign::restore` replays the queue. Any armed snapshot is
+    /// dropped — a recording is only reusable under the exact budget it
+    /// ran with.
     pub fn set_step_budget(&mut self, budget: Option<u64>) {
+        let budget = budget.map(|steps| steps.min(self.interpreter.config().max_steps));
         if self.step_budget != budget {
             self.armed = None;
         }
@@ -274,8 +265,8 @@ impl<'p> Executor<'p> {
             return false;
         }
         // Skip re-priming for the parent already armed (the deterministic
-        // and havoc stages share one scheduled parent); it stays settled.
-        if let Some(Armed { recording, .. }) = &self.armed {
+        // and havoc stages share one scheduled parent).
+        if let Some(recording) = &self.armed {
             if recording.input() == parent && recording.budget() == self.effective_budget() {
                 return true;
             }
@@ -287,23 +278,8 @@ impl<'p> Executor<'p> {
         let budget = self.effective_budget();
         let work = self.interpreter.config().work_per_block;
         let (_, recording) = compiled.record(parent, &mut NullSink, budget, work);
-        self.armed = Some(Armed {
-            recording,
-            settled: false,
-        });
+        self.armed = Some(recording);
         true
-    }
-
-    /// Marks the armed recording settled: the caller has traced a full
-    /// replay of it to an `Ok` outcome and folded that coverage into its
-    /// `Ok` virgin map (or proved, as the novelty oracle does, that such a
-    /// trace was folded in before). From then on [`Executor::plan`]
-    /// reports full replays of it as [`ExecPlan::is_settled_replay`],
-    /// until the recording is replaced or dropped.
-    pub(crate) fn settle(&mut self) {
-        if let Some(armed) = &mut self.armed {
-            armed.settled = true;
-        }
     }
 
     fn effective_budget(&self) -> u64 {
@@ -327,22 +303,20 @@ impl<'p> Executor<'p> {
 
     /// Decides how `input` will run: the one resume-point search against
     /// the armed recording (none when no recording is armed), and whether
-    /// the child is a full replay of a settled recording.
+    /// the child is a full replay of a recording that ended `Ok`.
     pub(crate) fn plan(&self, input: &[u8]) -> ExecPlan {
         // A recording is armed only in a compiled mode (see
         // `set_interp_mode` and `prime_snapshot`).
-        let (Some(armed), Some(compiled)) = (&self.armed, self.interpreter.compiled()) else {
+        let (Some(recording), Some(compiled)) = (&self.armed, self.interpreter.compiled()) else {
             return ExecPlan {
                 resume: None,
-                settled_replay: false,
+                ok_full_replay: false,
             };
         };
-        let resume = compiled.plan_resume(&armed.recording, input, self.effective_budget());
+        let resume = compiled.plan_resume(recording, input, self.effective_budget());
         ExecPlan {
             resume: Some(resume),
-            settled_replay: resume.is_full_replay()
-                && armed.settled
-                && armed.recording.outcome().is_ok(),
+            ok_full_replay: resume.is_full_replay() && recording.outcome().is_ok(),
         }
     }
 
@@ -358,14 +332,12 @@ impl<'p> Executor<'p> {
         let (engine, metric) = self.engine(plan);
         let start = Instant::now();
         let (run, path, map_updates) = engine.trace(input, metric, map);
-        let touched_slots = map.touched_len();
         Execution {
             outcome: run.outcome,
             exec_time: start.elapsed(),
             map_updates,
             steps: run.steps,
             planted_hang: run.planted_hang,
-            touched_slots,
             engine: path,
         }
     }
@@ -382,12 +354,10 @@ impl<'p> Executor<'p> {
         input: &[u8],
         oracle: &mut NoveltyOracle,
     ) -> FastExecution {
-        let start = Instant::now();
         oracle.begin_exec();
         let (run, engine) = self.engine(plan).0.run(input, oracle);
         FastExecution {
             outcome: run.outcome,
-            exec_time: start.elapsed(),
             steps: run.steps,
             planted_hang: run.planted_hang,
             provably_seen: oracle.provably_seen(),
@@ -406,11 +376,7 @@ impl<'p> Executor<'p> {
             interpreter: self.interpreter,
             instrumentation: self.instrumentation,
             mode: self.interp_mode,
-            resume: self
-                .armed
-                .as_ref()
-                .zip(plan.resume)
-                .map(|(armed, resume)| (&armed.recording, resume)),
+            resume: self.armed.as_ref().zip(plan.resume),
             budget: self.effective_budget(),
         };
         (engine, self.metric.as_mut())
@@ -534,8 +500,6 @@ impl Engine<'_> {
 pub struct FastExecution {
     /// The target's outcome.
     pub outcome: ExecOutcome,
-    /// Wall-clock time of the untraced execution.
-    pub exec_time: Duration,
     /// Interpreter steps consumed — identical to what the traced path
     /// would charge for the same input and budget.
     pub steps: u64,
@@ -553,7 +517,7 @@ pub struct FastExecution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigmap_core::{BigMap, FlatBitmap, MapSize, SparseMode};
+    use bigmap_core::{BigMap, FlatBitmap, MapSize};
     use bigmap_coverage::{ContextSensitive, EdgeHitCount, NGram};
     use bigmap_target::{GeneratorConfig, ProgramBuilder};
 
@@ -617,29 +581,6 @@ mod tests {
         flat_counts.sort_unstable();
         big_counts.sort_unstable();
         assert_eq!(flat_counts, big_counts);
-    }
-
-    #[test]
-    fn touched_slots_reported_for_journaled_maps_only() {
-        let (program, inst) = setup();
-        let interp = Interpreter::new(&program);
-        let mut executor = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
-
-        // A 64 KiB map's used prefix is below the `Auto` journaling gate,
-        // so the journal has to be forced on.
-        let mut big = BigMap::new(MapSize::K64).unwrap();
-        big.set_sparse_override(Some(SparseMode::On));
-        let execution = executor.run(b"journal", &mut big);
-        let touched = execution
-            .touched_slots
-            .expect("a journaled BigMap reports touches");
-        // Every distinct nonzero slot of this exec was journaled.
-        assert_eq!(touched, big.count_nonzero());
-        assert!(touched > 0);
-
-        let mut flat = FlatBitmap::new(MapSize::K64).unwrap();
-        let execution = executor.run(b"journal", &mut flat);
-        assert_eq!(execution.touched_slots, None, "flat maps have no journal");
     }
 
     #[test]
@@ -832,57 +773,49 @@ mod tests {
     }
 
     #[test]
-    fn settled_bit_lives_and_dies_with_the_armed_recording() {
+    fn ok_full_replay_is_reported_for_the_armed_parent_only() {
         let (program, inst) = setup();
         let interp = Interpreter::new(&program);
         let mut executor = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
         executor.set_interp_mode(InterpMode::Auto);
         let parent = [0x41u8; 48];
-        let other = [0x42u8; 48];
-        let settled = |executor: &Executor<'_>| executor.plan(&parent).is_settled_replay();
+        let ok_replay =
+            |executor: &Executor<'_>, input: &[u8]| executor.plan(input).is_ok_full_replay();
 
-        // Nothing armed, then a fresh recording: unsettled until told.
-        executor.settle();
-        assert!(!settled(&executor));
+        assert!(!ok_replay(&executor, &parent), "nothing armed");
         assert!(executor.prime_snapshot(&parent));
-        assert!(!settled(&executor));
-        executor.settle();
-        assert!(settled(&executor));
-        assert!(!executor.plan(b"totally different").is_settled_replay());
-        // Re-arming the same parent keeps the recording and its bit.
-        assert!(executor.prime_snapshot(&parent));
-        assert!(settled(&executor));
+        assert!(ok_replay(&executor, &parent));
 
-        // Priming another parent replaces the recording.
-        assert!(executor.prime_snapshot(&other));
-        assert!(executor.prime_snapshot(&parent));
-        assert!(!settled(&executor));
-
-        // An unchanged budget keeps it; a different one drops it.
-        executor.settle();
-        executor.set_step_budget(None);
-        assert!(settled(&executor));
-        executor.set_step_budget(Some(1 << 20));
-        assert!(!settled(&executor));
-        assert!(executor.prime_snapshot(&parent));
-        assert!(!settled(&executor));
-
-        // Leaving for the tree engine drops it too.
-        executor.settle();
-        executor.set_interp_mode(InterpMode::Tree);
-        assert!(!settled(&executor));
-        executor.set_interp_mode(InterpMode::Auto);
-        assert!(executor.prime_snapshot(&parent));
-        assert!(!settled(&executor));
-
-        // A recording that hangs (budget below the parent's steps) never
-        // reports a settled replay.
+        // A child resumed mid-tape runs past the parent's decisions.
         let mut map = BigMap::new(MapSize::K64).unwrap();
+        let resumed = (0..parent.len())
+            .flat_map(|i| {
+                (0..=255u8).map(move |byte| {
+                    let mut child = parent;
+                    child[i] = byte;
+                    child
+                })
+            })
+            .find(|child| {
+                map.reset();
+                executor.run(child, &mut map).engine == EnginePath::SnapshotResume
+            })
+            .expect("some one-byte mutant resumes mid-tape");
+        assert!(!ok_replay(&executor, &resumed));
+
+        // A recording that hangs (budget below the parent's steps).
+        map.reset();
         let steps = executor.run(&parent, &mut map).steps;
         executor.set_step_budget(Some(steps - 1));
         assert!(executor.prime_snapshot(&parent));
-        executor.settle();
-        assert!(!settled(&executor));
+        assert!(!ok_replay(&executor, &parent));
+
+        // A dropped recording: leaving for the tree engine disarms.
+        executor.set_step_budget(None);
+        assert!(executor.prime_snapshot(&parent));
+        assert!(ok_replay(&executor, &parent));
+        executor.set_interp_mode(InterpMode::Tree);
+        assert!(!ok_replay(&executor, &parent));
     }
 
     #[test]

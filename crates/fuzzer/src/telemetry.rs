@@ -177,9 +177,9 @@ telemetry_events! {
     /// unsupported kernel, non-Linux host).
     AllocFallback => "alloc_fallbacks",
     /// Executions dismissed as `NoNew` before any run because the
-    /// snapshot engine would serve them wholly from a settled parent
-    /// recording, whose event stream an earlier exec already judged:
-    /// no fast pass, reset, trace or classify/compare. Counted in
+    /// snapshot engine would serve them wholly from the scheduled parent's
+    /// `Ok` recording, whose event stream the parent's admission already
+    /// judged: no fast pass, reset, trace or classify/compare. Counted in
     /// `Exec` and the engine counters, never in `MapReset` or
     /// `VirginCompare`.
     ReplaySkip => "replay_skips",

@@ -764,10 +764,9 @@ impl CompiledProgram {
     /// Executes `input` using `recording` (a memoized run of a related
     /// input, typically the mutation parent) as a snapshot: the memoized
     /// trace prefix up to the first input read whose *decision* genuinely
-    /// diverges (see [`CompiledProgram::read_decision`]) is replayed into
-    /// `sink`, and live execution resumes from there. Falls back to
-    /// [`CompiledProgram::run_bounded`] when the snapshot cannot be
-    /// reused ([`SnapshotOutcome::Miss`]).
+    /// diverges is replayed into `sink`, and live execution resumes from
+    /// there. Falls back to [`CompiledProgram::run_bounded`] when the
+    /// snapshot cannot be reused ([`SnapshotOutcome::Miss`]).
     ///
     /// The returned [`BoundedRun`] is bit-identical to what a cold
     /// [`CompiledProgram::run_bounded`] of `input` would produce, and
@@ -795,7 +794,7 @@ impl CompiledProgram {
     /// its own: how `input` would be served from `recording` under
     /// `max_steps`, decided without executing anything. A caller that
     /// wants to act on the decision before running the child (the
-    /// campaign dismisses settled full replays) searches once here and
+    /// campaign dismisses full replays of an `Ok` run) searches once here and
     /// hands the plan to [`CompiledProgram::run_planned`].
     pub fn plan_resume(
         &self,

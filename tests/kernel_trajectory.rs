@@ -3,7 +3,7 @@
 //! the sparse/dense dispatch policy, on the trace mode, on the execution
 //! engine, or on the pages backing the map.
 //!
-//! Three layers of evidence:
+//! Four layers of evidence:
 //!
 //! 1. Exec-budgeted campaigns are bit-deterministic run-to-run in one
 //!    process (same seeds, same timeline, same discovered coverage) — so
@@ -18,8 +18,8 @@
 //!    state — the per-exec decision is kernel-invariant on real data, not
 //!    just on the random regions the property suite generates.
 //! 4. Resuming from a checkpoint taken at any sync boundary, on either map
-//!    scheme and under a calibrated hang budget, finishes on the
-//!    uninterrupted run's trajectory.
+//!    scheme, under a calibrated hang budget and under a configured
+//!    `max_steps` below it, finishes on the uninterrupted run's trajectory.
 
 use bigmap::core::alloc::{with_huge_policy, HugePolicy};
 use bigmap::core::kernels::{available, table_for};
@@ -235,8 +235,8 @@ fn campaign_trajectory_is_invariant_across_the_policy_product() {
                         );
                     }
                     let compiled = tel.get(TelemetryEvent::CompiledExec);
-                    // Settled full replays are skipped on the snapshot
-                    // engine only; the tree reference traces every child.
+                    // Full replays are skipped on the snapshot engine
+                    // only; the tree reference traces every child.
                     let replay_skips = tel.get(TelemetryEvent::ReplaySkip);
                     match interp {
                         InterpMode::Tree => {
@@ -245,7 +245,7 @@ fn campaign_trajectory_is_invariant_across_the_policy_product() {
                         }
                         InterpMode::Auto => {
                             assert!(compiled > 0, "{cell}: compiled engine idle");
-                            assert!(replay_skips > 0, "{cell}: no settled replay skipped");
+                            assert!(replay_skips > 0, "{cell}: no full replay skipped");
                         }
                     }
                     let sparse_ops = tel.get(TelemetryEvent::SparseDispatch);
@@ -273,24 +273,44 @@ fn resume_from_every_sync_boundary_matches_the_uninterrupted_run() {
     let spec = BenchmarkSpec::by_name("libpng").unwrap();
     let program = spec.build(0.05);
     let seeds = spec.build_seeds(&program, 8);
-    let interpreter = Interpreter::new(&program);
+    let plain = Interpreter::new(&program);
+    // An engine whose configured budget is the longest seed's step count.
+    let max_steps = plain.config().max_steps;
+    let longest_seed = seeds
+        .iter()
+        .map(|seed| plain.run_bounded(seed, &mut NullSink, max_steps).steps)
+        .max()
+        .unwrap();
+    let capped = Interpreter::with_config(
+        &program,
+        ExecConfig {
+            max_steps: longest_seed,
+            ..Default::default()
+        },
+    );
     // The deterministic stages run in long batches, havoc in short ones:
-    // one campaign of each. The last two run every mutant under a hang
+    // one campaign of each. The last three run every mutant under a hang
     // budget calibrated to the seeds' own step counts, so the checkpoints
-    // carry hang inputs that only that budget cuts off; the tighter one
-    // also sits below the longest seed, which the queue replay must still
-    // re-admit.
-    let calibrated = |multiplier| HangBudget {
-        multiplier,
-        floor: 1,
-        ceiling: 1_000_000,
+    // carry hang inputs that only that budget cuts off; the 0.5 one also
+    // sits below the longest seed, which the queue replay must still
+    // re-admit. The last derives a budget above the capped engine's
+    // `max_steps`: the installed budget must stop at `max_steps`, or an
+    // entry admitted past it hangs on the queue replay and `restore`
+    // indexes past the end of the queue.
+    let calibrated = |multiplier| {
+        Some(HangBudget {
+            multiplier,
+            floor: 1,
+            ceiling: 1_000_000,
+        })
     };
     let flat_4k = MapSize::new(4 << 10).unwrap();
-    for (scheme, map_size, deterministic, hang_budget) in [
-        (MapScheme::TwoLevel, MapSize::K64, true, None),
-        (MapScheme::Flat, flat_4k, false, None),
-        (MapScheme::Flat, flat_4k, false, Some(calibrated(1.0))),
-        (MapScheme::Flat, flat_4k, false, Some(calibrated(0.5))),
+    for (interpreter, scheme, map_size, deterministic, hang_budget) in [
+        (&plain, MapScheme::TwoLevel, MapSize::K64, true, None),
+        (&plain, MapScheme::Flat, flat_4k, false, None),
+        (&plain, MapScheme::Flat, flat_4k, false, calibrated(1.0)),
+        (&plain, MapScheme::Flat, flat_4k, false, calibrated(0.5)),
+        (&capped, MapScheme::Flat, flat_4k, false, calibrated(4.0)),
     ] {
         let instrumentation =
             Instrumentation::assign(program.block_count(), program.call_sites, map_size, 9);
@@ -304,24 +324,23 @@ fn resume_from_every_sync_boundary_matches_the_uninterrupted_run() {
             ..Default::default()
         };
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let mut campaign = Campaign::new(config.clone(), &interpreter, &instrumentation);
+        let mut campaign = Campaign::new(config.clone(), interpreter, &instrumentation);
         campaign.add_seeds(seeds.clone());
         let reference =
             campaign.run_with_hook_detailed(SYNC_EVERY, |c| checkpoints.push(c.checkpoint()));
-        let case = format!("{scheme:?} (hang budget {hang_budget:?})");
+        let case = format!(
+            "{scheme:?} (hang budget {hang_budget:?}, max_steps {})",
+            interpreter.config().max_steps
+        );
         assert!(
             checkpoints.len() >= 6,
             "{case}: only {} sync boundaries",
             checkpoints.len()
         );
-        assert!(
-            hang_budget.is_none() || !reference.hang_inputs.is_empty(),
-            "{case}: the calibrated budget cut nothing off"
-        );
 
         for checkpoint in &checkpoints {
             let at = format!("{case} resumed at exec {}", checkpoint.execs);
-            let mut resumed = Campaign::new(config.clone(), &interpreter, &instrumentation);
+            let mut resumed = Campaign::new(config.clone(), interpreter, &instrumentation);
             resumed.restore(checkpoint);
             let out = resumed.run_with_hook_detailed(SYNC_EVERY, |_| {});
             assert_eq!(out.stats.execs, reference.stats.execs, "{at}: execs");
@@ -356,6 +375,12 @@ fn resume_from_every_sync_boundary_matches_the_uninterrupted_run() {
                 .collect();
             assert_eq!(rest, &tail[..], "{at}: timeline");
         }
+        // Checked after the resumes: a budget above `max_steps` cuts
+        // nothing off, and the queue replay is what it breaks.
+        assert!(
+            hang_budget.is_none() || !reference.hang_inputs.is_empty(),
+            "{case}: the calibrated budget cut nothing off"
+        );
     }
 }
 
