@@ -8,9 +8,9 @@
 //! interesting values — the campaign's own `Mutator::deterministic`
 //! call) followed by a havoc batch. Engines under test:
 //!
-//! * `tree` — the CFG-walking interpreter,
+//! * `tree` — the CFG-walking interpreter (`Interpreter::run_tree`),
 //! * `compiled` — the flattened struct-of-arrays bytecode engine
-//!   (`InterpMode::Auto` with no snapshot primed),
+//!   (`Interpreter::run_bounded`, no snapshot primed),
 //! * `snapshot` — the compiled engine with each parent's run memoized
 //!   once, so every child resumes from the last step whose input-read
 //!   decision provably diverges under its mutated bytes (most children
@@ -26,7 +26,7 @@
 //! Table II subset at the modeled level.
 //!
 //! The second arm reruns the Figure 6 flat-vs-two-level size sweep under
-//! `BIGMAP_INTERP=tree` and `=auto` campaigns: a faster executor shrinks
+//! `tree` and `auto` campaigns (`CampaignConfig::interp`): a faster executor shrinks
 //! the per-exec time that map operations amortize against, so the map
 //! size at which BigMap overtakes the flat AFL map ("the crossover")
 //! shifts toward smaller maps. Results print as tables and land in
@@ -44,7 +44,7 @@ use bigmap_bench::{report_header, Effort, PreparedBenchmark};
 use bigmap_core::{InterpMode, MapScheme, MapSize};
 use bigmap_coverage::MetricKind;
 use bigmap_fuzzer::{Budget, Campaign, CampaignConfig, Mutator};
-use bigmap_target::{BenchmarkSpec, ExecConfig, Interpreter, NullSink, SnapshotOutcome};
+use bigmap_target::{BenchmarkSpec, ExecConfig, Interpreter, NullSink};
 
 /// Havoc children mutated from each parent, on top of the deterministic
 /// stage. AFL fuzzes a scheduled seed far more often than this; a modest
@@ -95,8 +95,8 @@ fn mutation_stream(prepared: &PreparedBenchmark) -> Vec<(Vec<u8>, Vec<Vec<u8>>)>
 }
 
 /// The three raw-execution engines. `Compiled` and `Snapshot` both run
-/// under [`InterpMode::Auto`]; `Compiled` never primes a parent recording,
-/// so it runs the bytecode front to back.
+/// the compiled lowering; `Compiled` never primes a parent recording, so
+/// it runs the bytecode front to back.
 #[derive(Clone, Copy)]
 enum Arm {
     Tree,
@@ -133,31 +133,26 @@ fn stream_pass(
             let (_, recording) = compiled.record(parent, &mut NullSink, budget, work);
             stats.execs += 1;
             for child in children {
-                let (run, outcome) =
+                let (run, plan) =
                     compiled.run_resumed(&recording, child, &mut NullSink, budget, work);
                 stats.execs += 1;
                 stats.total_steps += run.steps;
-                stats.skipped_steps += outcome.skipped_steps();
-                match outcome {
-                    SnapshotOutcome::Miss => stats.misses += 1,
-                    SnapshotOutcome::FullReplay { .. } => {
-                        stats.hits += 1;
-                        stats.full_replays += 1;
-                    }
-                    SnapshotOutcome::Resumed { .. } => stats.hits += 1,
+                stats.skipped_steps += plan.skipped_steps(&recording);
+                if plan.is_miss() {
+                    stats.misses += 1;
+                } else {
+                    stats.hits += 1;
+                    stats.full_replays += u64::from(plan.is_full_replay());
                 }
             }
         }
     } else {
-        let mode = match arm {
-            Arm::Tree => InterpMode::Tree,
-            _ => InterpMode::Auto,
-        };
         for (parent, children) in stream {
-            interp.run_bounded_mode(parent, &mut NullSink, budget, mode);
-            stats.execs += 1;
-            for child in children {
-                interp.run_bounded_mode(child, &mut NullSink, budget, mode);
+            for input in std::iter::once(parent).chain(children) {
+                match arm {
+                    Arm::Tree => interp.run_tree(input, &mut NullSink, budget),
+                    _ => interp.run_bounded(input, &mut NullSink, budget),
+                };
                 stats.execs += 1;
             }
         }
@@ -317,10 +312,10 @@ fn run_suite(
             work_per_block: work,
             ..Default::default()
         };
-        let tree_interp = Interpreter::with_mode(&prepared.program, config, InterpMode::Tree);
-        let tree = run_raw(&tree_interp, &stream, Arm::Tree, work, min_measure);
-        let compiled = run_raw(&tree_interp, &stream, Arm::Compiled, work, min_measure);
-        let snapshot = run_raw(&tree_interp, &stream, Arm::Snapshot, work, min_measure);
+        let interp = Interpreter::with_config(&prepared.program, config);
+        let tree = run_raw(&interp, &stream, Arm::Tree, work, min_measure);
+        let compiled = run_raw(&interp, &stream, Arm::Compiled, work, min_measure);
+        let snapshot = run_raw(&interp, &stream, Arm::Snapshot, work, min_measure);
 
         let comp_spd = compiled.execs_per_sec / tree.execs_per_sec.max(1e-9);
         let snap_spd = snapshot.execs_per_sec / tree.execs_per_sec.max(1e-9);

@@ -60,10 +60,11 @@ pub const KNOBS: &[Knob] = &[
         name: "BIGMAP_INTERP",
         values: "`tree` \\| `auto`",
         default: "`auto`",
-        description: "Target execution engine: `tree` walks the CFG IR, `auto` runs the \
-                      flattened threaded bytecode with snapshot resets that resume mutated \
-                      children from the scheduled parent's memoized trace prefix. Both modes \
-                      produce bit-identical campaign trajectories.",
+        description: "Target execution engine of campaigns whose `CampaignConfig::interp` is \
+                      unset: `tree` walks the CFG IR, `auto` runs the flattened threaded \
+                      bytecode with snapshot resets that resume mutated children from the \
+                      scheduled parent's memoized trace prefix. Both modes produce \
+                      bit-identical campaign trajectories.",
     },
     Knob {
         name: "BIGMAP_HUGE",
@@ -136,7 +137,8 @@ pub fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// `BIGMAP_INTERP`: the requested target execution engine.
+/// `BIGMAP_INTERP`: the target execution engine requested for campaigns
+/// whose config names none (`Campaign::new` is the one caller).
 ///
 /// Unknown values warn on stderr and read as [`InterpMode::Auto`]; the
 /// parse policy itself lives in [`crate::interp::select_interp_mode`].

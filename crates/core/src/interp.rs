@@ -1,7 +1,7 @@
-//! Interpreter-engine selection for compiled target execution.
+//! Target-engine selection.
 //!
-//! The synthetic-target substrate can execute programs with the original
-//! tree-walking interpreter (`tree`), or with the flattened threaded-
+//! The fuzzer's executor runs the synthetic targets on the original
+//! tree-walking interpreter (`tree`), or on the flattened threaded-
 //! bytecode engine plus snapshot/dirty-state resets that resume mutated
 //! children from the parent's memoized trace prefix (`auto`). Until a
 //! parent snapshot is armed, `auto` runs the compiled engine front to
@@ -12,7 +12,7 @@
 //! range forces re-execution from before that read), so both modes
 //! produce bit-identical campaign trajectories.
 
-/// Which execution engine the target interpreter dispatches to.
+/// Which target execution engine a fuzzer executor runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InterpMode {
     /// The original recursive tree-walking interpreter over the CFG IR.

@@ -141,12 +141,12 @@ pub struct CampaignConfig {
     /// Selective tracing is coverage-preserving: every mode produces a
     /// bit-identical campaign trajectory.
     pub trace: Option<TraceMode>,
-    /// Per-campaign override of the target execution engine
-    /// (`bigmap_core::interp`). `None` follows the process-wide
-    /// `BIGMAP_INTERP` setting (default: auto — compiled bytecode plus
-    /// snapshot resets that resume mutated children from the scheduled
-    /// parent's memoized trace prefix). Pure dispatch: every mode
-    /// produces a bit-identical campaign trajectory.
+    /// The target execution engine (`bigmap_core::interp`). `None` reads
+    /// the `BIGMAP_INTERP` knob in [`Campaign::new`], the one place it is
+    /// read (default: auto — compiled bytecode plus snapshot resets that
+    /// resume mutated children from the scheduled parent's memoized trace
+    /// prefix). Pure dispatch: every mode produces a bit-identical
+    /// campaign trajectory.
     pub interp: Option<InterpMode>,
 }
 
@@ -757,16 +757,17 @@ impl<'p> Campaign<'p> {
         let mut fast_engine = None;
         if self.fast_pass_active() {
             let oracle = self.oracle.as_mut().expect("fast pass requires an oracle");
-            let fast = self.executor.run_fast(plan, input, oracle);
+            let (fast, engine) = self.executor.run_fast(plan, input, oracle);
+            let provably_seen = oracle.provably_seen();
             self.span(Layer::Executor);
-            fast_engine = Some(fast.engine);
+            fast_engine = Some(engine);
             // The *effective* outcome decides skippability: an injected
             // crash/hang must flow through the crash/hang pipeline even
             // though the underlying trace is a known-clean path.
-            let skip = skippable && fast.outcome.is_ok() && fast.provably_seen;
+            let skip = skippable && fast.outcome.is_ok() && provably_seen;
             self.note_auto_decision(!skip);
             if skip {
-                self.count_skipped(TelemetryEvent::FastPathExec, fast.engine);
+                self.count_skipped(TelemetryEvent::FastPathExec, engine);
                 return NewCoverage::None;
             }
             retraced = true;

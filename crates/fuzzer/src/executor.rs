@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use bigmap_core::{BigMap, CoverageMap, FlatBitmap, InterpMode, Recorder};
 use bigmap_coverage::{CoverageMetric, EdgeHitCount, Instrumentation, NGram, TraceEvent};
 use bigmap_target::{
-    BoundedRun, ExecOutcome, ExecRecording, Interpreter, NoveltyOracle, NullSink, ResumePlan,
-    SnapshotOutcome, TraceSink,
+    BoundedRun, CompiledProgram, ExecOutcome, ExecRecording, Interpreter, NoveltyOracle, NullSink,
+    ResumePlan, TraceSink,
 };
 
 /// Adapter: structural interpreter events → instrumented IDs → metric keys
@@ -76,7 +76,7 @@ impl<M: CoverageMetric + ?Sized, R: FnMut(u32)> TraceSink for MappingSink<'_, M,
 /// outcomes, traces and step counts for the same input and budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePath {
-    /// The tree-walking interpreter (`BIGMAP_INTERP=tree`, or a program
+    /// The tree-walking interpreter ([`InterpMode::Tree`], or a program
     /// whose compiled lowering is unusable).
     Tree,
     /// The compiled bytecode engine, executed front to back with no
@@ -106,6 +106,17 @@ impl EnginePath {
             EnginePath::SnapshotReplay | EnginePath::SnapshotResume
         )
     }
+
+    /// The path of a child served as `plan` against an armed recording.
+    fn of(plan: ResumePlan) -> EnginePath {
+        if plan.is_miss() {
+            EnginePath::SnapshotMiss
+        } else if plan.is_full_replay() {
+            EnginePath::SnapshotReplay
+        } else {
+            EnginePath::SnapshotResume
+        }
+    }
 }
 
 /// Result of executing one test case (before the fitness pipeline).
@@ -131,6 +142,16 @@ pub struct Execution {
 }
 
 /// Executes test cases against one instrumented target.
+///
+/// The executor is the one place the target engine is chosen. It
+/// resolves an [`InterpMode`] ([`InterpMode::Auto`] unless
+/// [`Executor::set_interp_mode`] says otherwise) into the engine it runs:
+/// under `Auto`, the interpreter's compiled lowering, with a primed
+/// parent snapshot ([`Executor::prime_snapshot`]) that mutated children
+/// resume from; under `Tree`, or for a program the bytecode cannot
+/// encode, the tree walker. Every engine yields bit-identical outcomes,
+/// traces and step counts, so the choice never changes a campaign's
+/// trajectory.
 ///
 /// # Examples
 ///
@@ -163,11 +184,13 @@ pub struct Executor<'p> {
     /// campaign shares one immutable interpreter across executors but
     /// calibrates per campaign.
     step_budget: Option<u64>,
-    /// Effective engine mode. Initialized from the interpreter's own mode;
-    /// the campaign overrides it from its config / `BIGMAP_INTERP`.
-    interp_mode: InterpMode,
-    /// The scheduled parent's memoized run, when snapshots are armed
-    /// ([`Executor::prime_snapshot`]). Mutated children resume from it.
+    /// The engine in force: the compiled lowering, or `None` for the tree
+    /// walker. Resolved from the [`InterpMode`] in `new` and
+    /// [`Executor::set_interp_mode`].
+    compiled: Option<&'p CompiledProgram>,
+    /// The scheduled parent's memoized run on `compiled`
+    /// ([`Executor::prime_snapshot`]); mutated children resume from it.
+    /// Always `None` on the tree walker.
     armed: Option<ExecRecording>,
 }
 
@@ -202,19 +225,18 @@ impl std::fmt::Debug for Executor<'_> {
 
 impl<'p> Executor<'p> {
     /// Creates an executor for one (target, instrumentation, metric)
-    /// combination.
+    /// combination, running [`InterpMode::Auto`].
     pub fn new(
         interpreter: &'p Interpreter<'p>,
         instrumentation: &'p Instrumentation,
         metric: Box<dyn CoverageMetric>,
     ) -> Self {
-        let interp_mode = interpreter.mode();
         Executor {
             interpreter,
             instrumentation,
             metric,
             step_budget: None,
-            interp_mode,
+            compiled: interpreter.compiled(),
             armed: None,
         }
     }
@@ -236,34 +258,40 @@ impl<'p> Executor<'p> {
         self.step_budget = budget;
     }
 
-    /// Overrides the engine mode for this executor (the campaign's
-    /// `CampaignConfig` / `BIGMAP_INTERP` resolution). Leaving snapshot
-    /// mode drops any armed recording.
+    /// Selects the engine for this executor (campaigns pass their
+    /// `CampaignConfig::interp`, else `BIGMAP_INTERP`). `Auto` runs the
+    /// compiled lowering when the program has a runnable one; the tree
+    /// walker drops any armed recording.
     pub fn set_interp_mode(&mut self, mode: InterpMode) {
-        self.interp_mode = mode;
-        if !mode.uses_compiled() {
+        self.compiled = self.interpreter.compiled().filter(|_| mode.uses_compiled());
+        if self.compiled.is_none() {
             self.armed = None;
         }
     }
 
-    /// The effective engine mode.
+    /// The engine in force: [`InterpMode::Tree`] whenever the tree walker
+    /// runs, including under `Auto` for a program with no runnable
+    /// lowering.
     pub fn interp_mode(&self) -> InterpMode {
-        self.interp_mode
+        if self.compiled.is_some() {
+            InterpMode::Auto
+        } else {
+            InterpMode::Tree
+        }
     }
 
     /// Memoizes a run of `parent` so subsequent [`Executor::run`] /
     /// `Executor::run_fast` calls on mutated children can resume from
-    /// its snapshot. No-op unless the mode arms snapshots and the program
-    /// has a runnable compiled lowering. Returns whether a snapshot is
-    /// now armed.
+    /// its snapshot. No-op on the tree walker. Returns whether a snapshot
+    /// is now armed.
     ///
     /// The priming run streams into a null sink and touches no coverage
     /// state, no oracle and no counters — it is invisible to the campaign
     /// trajectory.
     pub fn prime_snapshot(&mut self, parent: &[u8]) -> bool {
-        if !self.interp_mode.uses_compiled() {
+        let Some(compiled) = self.compiled else {
             return false;
-        }
+        };
         // Skip re-priming for the parent already armed (the deterministic
         // and havoc stages share one scheduled parent).
         if let Some(recording) = &self.armed {
@@ -271,10 +299,6 @@ impl<'p> Executor<'p> {
                 return true;
             }
         }
-        let Some(compiled) = self.interpreter.compiled() else {
-            self.armed = None;
-            return false;
-        };
         let budget = self.effective_budget();
         let work = self.interpreter.config().work_per_block;
         let (_, recording) = compiled.record(parent, &mut NullSink, budget, work);
@@ -305,9 +329,7 @@ impl<'p> Executor<'p> {
     /// the armed recording (none when no recording is armed), and whether
     /// the child is a full replay of a recording that ended `Ok`.
     pub(crate) fn plan(&self, input: &[u8]) -> ExecPlan {
-        // A recording is armed only in a compiled mode (see
-        // `set_interp_mode` and `prime_snapshot`).
-        let (Some(recording), Some(compiled)) = (&self.armed, self.interpreter.compiled()) else {
+        let (Some(compiled), Some(recording)) = (self.compiled, &self.armed) else {
             return ExecPlan {
                 resume: None,
                 ok_full_replay: false,
@@ -343,26 +365,20 @@ impl<'p> Executor<'p> {
     }
 
     /// Runs `input`, planned by [`Executor::plan`], on the untraced fast
-    /// path: no coverage metric, no map updates — only the novelty
-    /// `oracle` observes the trace. Step budgeting mirrors
-    /// [`Executor::run`] exactly (same calibrated budget, same hang
-    /// classification), so a fast exec and its traced re-execution
-    /// always agree on outcome and step count.
+    /// path: the same engine as [`Executor::run`] with the novelty
+    /// `oracle` as its only sink — no coverage metric, no map updates.
+    /// Same budget and hang classification too, so a fast exec and its
+    /// traced re-execution always agree on outcome and step count.
+    /// [`NoveltyOracle::provably_seen`] then says whether the traced
+    /// re-execution may be skipped.
     pub(crate) fn run_fast(
         &mut self,
         plan: ExecPlan,
         input: &[u8],
         oracle: &mut NoveltyOracle,
-    ) -> FastExecution {
+    ) -> (BoundedRun, EnginePath) {
         oracle.begin_exec();
-        let (run, engine) = self.engine(plan).0.run(input, oracle);
-        FastExecution {
-            outcome: run.outcome,
-            steps: run.steps,
-            planted_hang: run.planted_hang,
-            provably_seen: oracle.provably_seen(),
-            engine,
-        }
+        self.engine(plan).0.run(input, oracle)
     }
 
     /// The instrumentation tables in use.
@@ -375,7 +391,7 @@ impl<'p> Executor<'p> {
         let engine = Engine {
             interpreter: self.interpreter,
             instrumentation: self.instrumentation,
-            mode: self.interp_mode,
+            compiled: self.compiled,
             resume: self.armed.as_ref().zip(plan.resume),
             budget: self.effective_budget(),
         };
@@ -388,44 +404,37 @@ impl<'p> Executor<'p> {
 struct Engine<'a> {
     interpreter: &'a Interpreter<'a>,
     instrumentation: &'a Instrumentation,
-    mode: InterpMode,
+    /// The executor's engine: the compiled lowering, or `None` for the
+    /// tree walker.
+    compiled: Option<&'a CompiledProgram>,
     /// The armed recording and this child's plan against it.
     resume: Option<(&'a ExecRecording, ResumePlan)>,
     budget: u64,
 }
 
 impl Engine<'_> {
-    /// Runs `input` into `sink` on the engine path the mode and the armed
-    /// recording select.
+    /// Runs `input` into `sink` on the executor's engine, resumed from the
+    /// armed recording as planned when there is one.
     ///
     /// Dispatch is purely mechanical — every path yields the bit-identical
     /// [`BoundedRun`] and event stream, so the returned [`EnginePath`] is
     /// observational telemetry, never a semantic fork.
     fn run<S: TraceSink + ?Sized>(self, input: &[u8], sink: &mut S) -> (BoundedRun, EnginePath) {
-        if self.mode.uses_compiled() {
-            if let (Some((recording, plan)), Some(compiled)) =
-                (self.resume, self.interpreter.compiled())
-            {
-                let work = self.interpreter.config().work_per_block;
-                let (run, snapshot) =
-                    compiled.run_planned(recording, plan, input, sink, self.budget, work);
-                let path = match snapshot {
-                    SnapshotOutcome::Miss => EnginePath::SnapshotMiss,
-                    SnapshotOutcome::FullReplay { .. } => EnginePath::SnapshotReplay,
-                    SnapshotOutcome::Resumed { .. } => EnginePath::SnapshotResume,
-                };
-                return (run, path);
-            }
-        }
-        let run = self
-            .interpreter
-            .run_bounded_mode(input, sink, self.budget, self.mode);
-        let path = if self.mode.uses_compiled() && self.interpreter.compiled().is_some() {
-            EnginePath::Compiled
-        } else {
-            EnginePath::Tree
+        let Some(compiled) = self.compiled else {
+            let run = self.interpreter.run_tree(input, sink, self.budget);
+            return (run, EnginePath::Tree);
         };
-        (run, path)
+        let work = self.interpreter.config().work_per_block;
+        match self.resume {
+            None => (
+                compiled.run_bounded(input, sink, self.budget, work),
+                EnginePath::Compiled,
+            ),
+            Some((recording, plan)) => (
+                compiled.run_planned(recording, plan, input, sink, self.budget, work),
+                EnginePath::of(plan),
+            ),
+        }
     }
 
     /// Runs `input` traced into `metric` and `map`, returning the run, its
@@ -493,25 +502,6 @@ impl Engine<'_> {
         let (run, path) = self.run(input, &mut sink);
         (run, path, sink.updates)
     }
-}
-
-/// Result of one untraced fast-path execution (`Executor::run_fast`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FastExecution {
-    /// The target's outcome.
-    pub outcome: ExecOutcome,
-    /// Interpreter steps consumed — identical to what the traced path
-    /// would charge for the same input and budget.
-    pub steps: u64,
-    /// See [`Execution::planted_hang`].
-    pub planted_hang: bool,
-    /// The oracle's verdict: `true` means this execution is provably
-    /// identical in coverage effect to an already-committed traced run,
-    /// so (if it also completed `Ok`) the traced re-execution can be
-    /// skipped without changing the campaign trajectory.
-    pub provably_seen: bool,
-    /// Which engine path satisfied this execution.
-    pub engine: EnginePath,
 }
 
 #[cfg(test)]
@@ -649,12 +639,13 @@ mod tests {
         let mut oracle = NoveltyOracle::new(program.block_count());
         let mut map = BigMap::new(MapSize::K64).unwrap();
         for input in [&b"abc"[..], &[0x11; 48], b""] {
-            let fast = executor.run_fast(executor.plan(input), input, &mut oracle);
+            let (fast, engine) = executor.run_fast(executor.plan(input), input, &mut oracle);
             map.reset();
             let traced = executor.run(input, &mut map);
             assert_eq!(fast.outcome, traced.outcome);
             assert_eq!(fast.steps, traced.steps);
             assert_eq!(fast.planted_hang, traced.planted_hang);
+            assert_eq!(engine, traced.engine);
         }
     }
 
@@ -664,12 +655,12 @@ mod tests {
         let interp = Interpreter::new(&program);
         let mut executor = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
         let mut oracle = NoveltyOracle::new(program.block_count());
-        let full = executor.run_fast(executor.plan(b"budget"), b"budget", &mut oracle);
+        let (full, _) = executor.run_fast(executor.plan(b"budget"), b"budget", &mut oracle);
         assert!(full.outcome.is_ok());
         executor.set_step_budget(Some(full.steps - 1));
-        let cut = executor.run_fast(executor.plan(b"budget"), b"budget", &mut oracle);
+        let (cut, _) = executor.run_fast(executor.plan(b"budget"), b"budget", &mut oracle);
         assert!(cut.outcome.is_hang(), "calibrated budget must bind");
-        assert!(!cut.provably_seen);
+        assert!(!oracle.provably_seen());
     }
 
     #[test]
@@ -678,11 +669,11 @@ mod tests {
         let interp = Interpreter::new(&program);
         let mut executor = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
         let mut oracle = NoveltyOracle::new(program.block_count());
-        let first = executor.run_fast(executor.plan(b"repeat"), b"repeat", &mut oracle);
-        assert!(!first.provably_seen, "fresh path must be suspicious");
+        executor.run_fast(executor.plan(b"repeat"), b"repeat", &mut oracle);
+        assert!(!oracle.provably_seen(), "fresh path must be suspicious");
         oracle.commit();
-        let second = executor.run_fast(executor.plan(b"repeat"), b"repeat", &mut oracle);
-        assert!(second.provably_seen, "committed replay is skippable");
+        executor.run_fast(executor.plan(b"repeat"), b"repeat", &mut oracle);
+        assert!(oracle.provably_seen(), "committed replay is skippable");
     }
 
     #[test]
@@ -706,6 +697,41 @@ mod tests {
         // Auto without a primed snapshot still runs compiled front-to-back.
         executor.set_interp_mode(InterpMode::Auto);
         assert_eq!(executor.run(b"mode", &mut map).engine, EnginePath::Compiled);
+    }
+
+    #[test]
+    fn unlowerable_program_runs_on_the_tree_walker() {
+        // Offset 2^31 is past the bytecode's 30-bit payload, so the
+        // program has no compiled lowering and `Auto` must walk the tree.
+        let program = ProgramBuilder::new("far")
+            .gate(1 << 31, b'A', false)
+            .build()
+            .unwrap();
+        let inst =
+            Instrumentation::assign(program.block_count(), program.call_sites, MapSize::K64, 1);
+        let interp = Interpreter::new(&program);
+        assert!(interp.compiled().is_none());
+        let mut auto = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
+        let mut tree = Executor::new(&interp, &inst, Box::new(EdgeHitCount::new()));
+        auto.set_interp_mode(InterpMode::Auto);
+        tree.set_interp_mode(InterpMode::Tree);
+        assert!(!auto.prime_snapshot(b"A"));
+        assert_eq!(auto.interp_mode(), InterpMode::Tree);
+
+        let mut oracle = NoveltyOracle::new(program.block_count());
+        for input in [&b"A"[..], b"", b"zz"] {
+            let mut a = BigMap::new(MapSize::K64).unwrap();
+            let mut b = BigMap::new(MapSize::K64).unwrap();
+            let got = auto.run(input, &mut a);
+            let want = tree.run(input, &mut b);
+            assert_eq!(got.engine, EnginePath::Tree);
+            assert_eq!(got.outcome, want.outcome);
+            assert_eq!(got.steps, want.steps);
+            assert_eq!(got.map_updates, want.map_updates);
+            assert_eq!(a.active_region(), b.active_region());
+            let (_, engine) = auto.run_fast(auto.plan(input), input, &mut oracle);
+            assert_eq!(engine, EnginePath::Tree);
+        }
     }
 
     #[test]
@@ -836,13 +862,12 @@ mod tests {
         let mut snap_oracle = NoveltyOracle::new(program.block_count());
         let mut cold_oracle = NoveltyOracle::new(program.block_count());
         for input in [&parent[..], &child[..]] {
-            let hot = snap.run_fast(snap.plan(input), input, &mut snap_oracle);
-            let ref_exec = cold.run_fast(cold.plan(input), input, &mut cold_oracle);
-            assert_eq!(hot.outcome, ref_exec.outcome);
-            assert_eq!(hot.steps, ref_exec.steps);
-            assert_eq!(hot.provably_seen, ref_exec.provably_seen);
+            let (hot, engine) = snap.run_fast(snap.plan(input), input, &mut snap_oracle);
+            let (ref_exec, _) = cold.run_fast(cold.plan(input), input, &mut cold_oracle);
+            assert_eq!(hot, ref_exec);
+            assert_eq!(snap_oracle.provably_seen(), cold_oracle.provably_seen());
             assert_eq!(snap_oracle.path_hash(), cold_oracle.path_hash());
-            assert!(hot.engine.is_compiled());
+            assert!(engine.is_snapshot_hit() || engine == EnginePath::SnapshotMiss);
         }
     }
 }

@@ -75,7 +75,7 @@ pub use campaign::{
 pub use checkpoint::{Checkpoint, CheckpointManager, RestoreReport};
 pub use cmin::{minimize_corpus, MinimizedCorpus};
 pub use crashwalk::CrashWalk;
-pub use executor::{EnginePath, Execution, Executor, FastExecution};
+pub use executor::{EnginePath, Execution, Executor};
 pub use fabric::{run_worker, WorkerRole};
 pub use faults::{FaultPlan, FaultSite, InstanceFaults};
 pub use fleet::{

@@ -154,9 +154,9 @@ telemetry_events! {
     /// worker made no progress (no frames, or heartbeats with a frozen
     /// exec counter) for the full deadline and was killed for restart.
     HeartbeatMiss => "heartbeat_misses",
-    /// Executions dispatched through the compiled bytecode engine
-    /// (`BIGMAP_INTERP=auto`), whether cold, resumed or replayed. Zero in
-    /// tree mode.
+    /// Executions dispatched through the compiled bytecode engine (the
+    /// `auto` engine), whether cold, resumed or replayed. Zero on the tree
+    /// walker.
     CompiledExec => "compiled_execs",
     /// Executions served wholly or partially from the scheduled parent's
     /// snapshot recording (a full trace replay or a mid-run resume).

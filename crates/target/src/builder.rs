@@ -63,9 +63,10 @@ impl ProgramBuilder {
         }
     }
 
-    /// Append a single-byte guard reading `input[offset % len]`. When the
-    /// byte equals `value` the guard's taken branch is a reward block, or a
-    /// crash site when `crash` is true.
+    /// Append a single-byte guard reading `input[offset]`. When the byte
+    /// equals `value` the guard's taken branch is a reward block, or a
+    /// crash site when `crash` is true; an input too short to hold the
+    /// byte fails the guard.
     pub fn gate(mut self, offset: usize, value: u8, crash: bool) -> Self {
         self.sites.push(Site::Gate {
             offset,
@@ -94,8 +95,9 @@ impl ProgramBuilder {
         self
     }
 
-    /// Append a switch over `input[offset % len]` with one arm per case
-    /// byte; non-matching bytes fall through to the next site.
+    /// Append a switch over `input[offset]` with one arm per case byte;
+    /// non-matching bytes, and inputs too short to hold the byte, fall
+    /// through to the next site.
     pub fn switch_gate(mut self, offset: usize, cases: &[u8]) -> Self {
         self.sites.push(Site::SwitchGate {
             offset,
@@ -104,9 +106,10 @@ impl ProgramBuilder {
         self
     }
 
-    /// Append a guarded hang site: when `input[offset % len] == value` the
+    /// Append a guarded hang site: when `input[offset] == value` the
     /// program enters an unbounded loop (reported as
-    /// [`crate::ExecOutcome::Hang`]).
+    /// [`crate::ExecOutcome::Hang`]); an input too short to hold the byte
+    /// passes by.
     pub fn hang_gate(mut self, offset: usize, value: u8) -> Self {
         self.sites.push(Site::HangGate { offset, value });
         self

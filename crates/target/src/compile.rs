@@ -26,9 +26,9 @@
 //!
 //! The execution loop is monomorphized over the [`TraceSink`] (and over
 //! an internal recording hook that compiles to nothing for plain runs),
-//! so the untraced fast path and the fully traced path each get their
-//! own specialized dispatch loop — one engine backing both `run` and
-//! `run_fast`.
+//! so the untraced fast path (the novelty oracle as the sink) and the
+//! fully traced path each get their own specialized dispatch loop from
+//! one engine.
 //!
 //! # Snapshot/dirty-state resets
 //!
@@ -70,7 +70,7 @@
 //! provably decides identically on parent and child bytes (an exact
 //! re-evaluation of the op's decision, not just span overlap). Budget
 //! mismatches, recording overflow and step-0 divergence all fall back to
-//! full re-execution ([`SnapshotOutcome::Miss`]). False skips are
+//! full re-execution ([`ResumePlan::is_miss`]). False skips are
 //! therefore impossible:
 //! resumed and replayed runs produce bit-identical outcomes, trace-event
 //! sequences and step counts versus a cold run — campaigns keep exact
@@ -335,46 +335,29 @@ enum Plan {
 }
 
 impl ResumePlan {
-    /// True when the child's event stream is the recording's, served
-    /// whole ([`SnapshotOutcome::FullReplay`]).
+    /// True when the recording cannot be reused (budget mismatch,
+    /// overflowed recording, or divergence before the first step): the
+    /// child re-executes from scratch.
+    pub fn is_miss(self) -> bool {
+        self.0 == Plan::Miss
+    }
+
+    /// True when no recorded read decides differently on the child: its
+    /// event stream is the recording's, replayed whole with no live
+    /// execution. A plan that is neither a miss nor a full replay resumes
+    /// live execution at the first diverging read.
     pub fn is_full_replay(self) -> bool {
         self.0 == Plan::FullReplay
     }
-}
 
-/// How [`CompiledProgram::run_resumed`] satisfied an execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotOutcome {
-    /// The snapshot could not be reused (budget mismatch, overflowed
-    /// recording, or divergence before the first step); the child was
-    /// re-executed from scratch.
-    Miss,
-    /// No recorded read was affected by the mutation: the entire memoized
-    /// trace replayed into the sink with zero live execution.
-    FullReplay {
-        /// Steps served from the recording (the whole recorded run).
-        skipped_steps: u64,
-    },
-    /// Execution resumed live at the first possibly-affected read after
-    /// replaying the memoized prefix.
-    Resumed {
-        /// Steps served from the memoized prefix instead of re-execution.
-        skipped_steps: u64,
-    },
-}
-
-impl SnapshotOutcome {
-    /// True when any part of the recording was reused.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, SnapshotOutcome::Miss)
-    }
-
-    /// Steps served from the recording (0 for a miss).
-    pub fn skipped_steps(self) -> u64 {
-        match self {
-            SnapshotOutcome::Miss => 0,
-            SnapshotOutcome::FullReplay { skipped_steps }
-            | SnapshotOutcome::Resumed { skipped_steps } => skipped_steps,
+    /// Steps served from `recording` (the one this plan was made against)
+    /// instead of re-executed: the whole recorded run for a full replay,
+    /// the memoized prefix for a resume, 0 for a miss.
+    pub fn skipped_steps(self, recording: &ExecRecording) -> u64 {
+        match self.0 {
+            Plan::Miss => 0,
+            Plan::FullReplay => recording.steps,
+            Plan::Resume(read) => recording.reads[read].steps_before,
         }
     }
 }
@@ -766,7 +749,8 @@ impl CompiledProgram {
     /// trace prefix up to the first input read whose *decision* genuinely
     /// diverges is replayed into `sink`, and live execution resumes from
     /// there. Falls back to [`CompiledProgram::run_bounded`] when the
-    /// snapshot cannot be reused ([`SnapshotOutcome::Miss`]).
+    /// snapshot cannot be reused ([`ResumePlan::is_miss`]). Returns the run
+    /// with the plan that served it.
     ///
     /// The returned [`BoundedRun`] is bit-identical to what a cold
     /// [`CompiledProgram::run_bounded`] of `input` would produce, and
@@ -785,9 +769,10 @@ impl CompiledProgram {
         sink: &mut S,
         max_steps: u64,
         work_per_block: u32,
-    ) -> (BoundedRun, SnapshotOutcome) {
+    ) -> (BoundedRun, ResumePlan) {
         let plan = self.plan_resume(recording, input, max_steps);
-        self.run_planned(recording, plan, input, sink, max_steps, work_per_block)
+        let run = self.run_planned(recording, plan, input, sink, max_steps, work_per_block);
+        (run, plan)
     }
 
     /// The resume-point search of [`CompiledProgram::run_resumed`], on
@@ -835,23 +820,16 @@ impl CompiledProgram {
         sink: &mut S,
         max_steps: u64,
         work_per_block: u32,
-    ) -> (BoundedRun, SnapshotOutcome) {
+    ) -> BoundedRun {
         match plan.0 {
-            Plan::Miss => {
-                let run = self.run_bounded(input, sink, max_steps, work_per_block);
-                (run, SnapshotOutcome::Miss)
-            }
+            Plan::Miss => self.run_bounded(input, sink, max_steps, work_per_block),
             Plan::FullReplay => {
                 replay_events(&recording.events, sink);
-                let run = BoundedRun {
+                BoundedRun {
                     outcome: recording.outcome.clone(),
                     steps: recording.steps,
                     planted_hang: recording.planted_hang,
-                };
-                let outcome = SnapshotOutcome::FullReplay {
-                    skipped_steps: recording.steps,
-                };
-                (run, outcome)
+                }
             }
             Plan::Resume(read) => {
                 let read = &recording.reads[read];
@@ -863,10 +841,7 @@ impl CompiledProgram {
                 };
                 replay_events(&recording.events[..read.ev_cursor], sink);
                 let end = self.exec_loop(input, &mut st, read.pc, sink, &mut NoTape);
-                let outcome = SnapshotOutcome::Resumed {
-                    skipped_steps: read.steps_before,
-                };
-                (finish(end, &st), outcome)
+                finish(end, &st)
             }
         }
     }
@@ -1302,12 +1277,12 @@ mod tests {
         let parent = b"PNG!a".to_vec();
         let (_, rec) = compiled.record(&parent, &mut NullSink, 1_000, 0);
         // Byte 4 is read by the b'x' gate; 'a' -> 'b' still fails it.
-        let (run, outcome) = compiled.run_resumed(&rec, b"PNG!b", &mut NullSink, 1_000, 0);
-        assert!(matches!(outcome, SnapshotOutcome::FullReplay { .. }));
+        let (run, plan) = compiled.run_resumed(&rec, b"PNG!b", &mut NullSink, 1_000, 0);
+        assert!(plan.is_full_replay());
         assert_eq!(run, compiled.run_bounded(b"PNG!b", &mut NullSink, 1_000, 0));
         // 'a' -> 'x' flips the gate: genuine divergence, never a replay.
-        let (run, outcome) = compiled.run_resumed(&rec, b"PNG!x", &mut NullSink, 1_000, 0);
-        assert!(!matches!(outcome, SnapshotOutcome::FullReplay { .. }));
+        let (run, plan) = compiled.run_resumed(&rec, b"PNG!x", &mut NullSink, 1_000, 0);
+        assert!(!plan.is_full_replay());
         assert_eq!(run, compiled.run_bounded(b"PNG!x", &mut NullSink, 1_000, 0));
     }
 
@@ -1318,26 +1293,29 @@ mod tests {
         let parent = b"PNG!a".to_vec();
         let (_, rec) = compiled.record(&parent, &mut NullSink, 1_000, 0);
 
-        // Identical child: full replay.
-        let (run, outcome) = compiled.run_resumed(&rec, &parent, &mut NullSink, 1_000, 0);
-        assert!(matches!(outcome, SnapshotOutcome::FullReplay { .. }));
+        // Identical child: full replay, every step served from the tape.
+        let (run, plan) = compiled.run_resumed(&rec, &parent, &mut NullSink, 1_000, 0);
+        assert!(plan.is_full_replay() && !plan.is_miss());
         assert_eq!(run.steps, rec.steps());
+        assert_eq!(plan.skipped_steps(&rec), rec.steps());
 
         // Mutation past the magic, at a later read: resumes mid-run.
-        let (run, outcome) = compiled.run_resumed(&rec, b"PNG!x", &mut NullSink, 1_000, 0);
-        assert!(matches!(outcome, SnapshotOutcome::Resumed { .. }));
+        let (run, plan) = compiled.run_resumed(&rec, b"PNG!x", &mut NullSink, 1_000, 0);
+        assert!(!plan.is_full_replay() && !plan.is_miss());
+        assert!((1..run.steps).contains(&plan.skipped_steps(&rec)));
         let cold = compiled.run_bounded(b"PNG!x", &mut NullSink, 1_000, 0);
         assert_eq!(run, cold);
 
         // Mutation in the first read byte: miss.
-        let (run, outcome) = compiled.run_resumed(&rec, b"XNG!a", &mut NullSink, 1_000, 0);
-        assert_eq!(outcome, SnapshotOutcome::Miss);
+        let (run, plan) = compiled.run_resumed(&rec, b"XNG!a", &mut NullSink, 1_000, 0);
+        assert!(plan.is_miss() && !plan.is_full_replay());
+        assert_eq!(plan.skipped_steps(&rec), 0);
         let cold = compiled.run_bounded(b"XNG!a", &mut NullSink, 1_000, 0);
         assert_eq!(run, cold);
 
         // Budget mismatch: miss, regardless of bytes.
-        let (_, outcome) = compiled.run_resumed(&rec, &parent, &mut NullSink, 999, 0);
-        assert_eq!(outcome, SnapshotOutcome::Miss);
+        let (_, plan) = compiled.run_resumed(&rec, &parent, &mut NullSink, 999, 0);
+        assert!(plan.is_miss());
     }
 
     #[test]
@@ -1346,8 +1324,8 @@ mod tests {
         let compiled = CompiledProgram::compile(&program);
         let (_, mut rec) = compiled.record(b"PNG!a", &mut NullSink, 1_000, 0);
         rec.overflowed = true;
-        let (_, outcome) = compiled.run_resumed(&rec, b"PNG!a", &mut NullSink, 1_000, 0);
-        assert_eq!(outcome, SnapshotOutcome::Miss);
+        let (_, plan) = compiled.run_resumed(&rec, b"PNG!a", &mut NullSink, 1_000, 0);
+        assert!(plan.is_miss());
     }
 
     #[test]
@@ -1357,15 +1335,11 @@ mod tests {
             .build()
             .unwrap();
         let compiled = CompiledProgram::compile(&program);
-        let tree = Interpreter::with_mode(
-            &program,
-            crate::interp::ExecConfig::default(),
-            bigmap_core::InterpMode::Tree,
-        );
+        let tree = Interpreter::new(&program);
         for byte in [0u8, 7, 42, 200] {
             let input = [byte];
             let cold = compiled.run_bounded(&input, &mut NullSink, 1_000, 0);
-            let walked = tree.run_bounded(&input, &mut NullSink, 1_000);
+            let walked = tree.run_tree(&input, &mut NullSink, 1_000);
             assert_eq!(cold, walked);
         }
     }

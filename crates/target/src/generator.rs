@@ -496,7 +496,8 @@ fn lower_site(site: &GenSite, function: usize, start: usize, next: usize, blocks
 /// Each seed starts from random bytes and then "solves" a random subset of
 /// the program's safe single-byte guards (guards that do not lead into a
 /// crash ladder or hang site), mimicking the head-start a real seed corpus
-/// gives a campaign. Same `(program, n, seed)` → identical corpus.
+/// gives a campaign. Seeds are at most 128 bytes, so a guard at a larger
+/// offset is never solved. Same `(program, n, seed)` → identical corpus.
 pub fn generate_seeds(program: &Program, n: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F));
 
@@ -532,8 +533,11 @@ pub fn generate_seeds(program: &Program, n: usize, seed: u64) -> Vec<Vec<u8>> {
             // corpus spreads over shallow and deep behaviour.
             let solve_p = 0.15 + 0.55 * (i as f64 + 1.0) / (n as f64 + 1.0);
             for &(offset, value) in &gates {
-                if rng.gen_bool(solve_p) {
-                    input[offset % len] = value;
+                // Guards read `input[offset]`: a byte past the seed's end
+                // is never read, so it is not planted, but the draw stays
+                // so that every other guard's draws keep their places.
+                if rng.gen_bool(solve_p) && offset < len {
+                    input[offset] = value;
                 }
             }
             input

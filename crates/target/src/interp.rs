@@ -8,11 +8,8 @@
 //! trace, and hang detection is *step-bounded* rather than time-bounded,
 //! keeping exec budgets exact.
 
-use bigmap_core::InterpMode;
-
 use crate::compile::CompiledProgram;
 use crate::ir::{BlockKind, Program};
-use crate::oracle::NoveltyOracle;
 
 /// Receives the dynamic trace of one execution.
 ///
@@ -120,41 +117,32 @@ impl ExecOutcome {
 ///
 /// Construction lowers the program into the flattened bytecode engine
 /// ([`CompiledProgram`]) and precomputes the tree walker's `Switch`
-/// lookup tables; which engine actually executes is an [`InterpMode`]
-/// dispatch choice (`BIGMAP_INTERP`, or an explicit
-/// [`Interpreter::with_mode`]). All engines are equivalence-proven —
-/// same outcomes, same trace-event sequences, same step counts — so the
-/// mode never changes campaign trajectories.
+/// lookup tables. [`Interpreter::run`] and [`Interpreter::run_bounded`]
+/// run the compiled engine whenever the lowering is runnable and the tree
+/// walker otherwise; [`Interpreter::run_tree`] always walks the tree and
+/// is the reference the compiled engine is proven against — same
+/// outcomes, same trace-event sequences, same step counts. Which engine a
+/// campaign runs, and whether it resumes children from a parent
+/// snapshot, is its executor's choice.
 #[derive(Debug)]
 pub struct Interpreter<'p> {
     program: &'p Program,
     config: ExecConfig,
-    mode: InterpMode,
     compiled: CompiledProgram,
     switch_lut: SwitchLut,
 }
 
 impl<'p> Interpreter<'p> {
-    /// Interpreter with the default [`ExecConfig`]; the engine comes from
-    /// the `BIGMAP_INTERP` environment knob (default: `auto`).
+    /// Interpreter with the default [`ExecConfig`].
     pub fn new(program: &'p Program) -> Self {
         Self::with_config(program, ExecConfig::default())
     }
 
-    /// Interpreter with an explicit [`ExecConfig`]; the engine comes from
-    /// the `BIGMAP_INTERP` environment knob (default: `auto`).
+    /// Interpreter with an explicit [`ExecConfig`].
     pub fn with_config(program: &'p Program, config: ExecConfig) -> Self {
-        Self::with_mode(program, config, bigmap_core::env::interp_request())
-    }
-
-    /// Interpreter with an explicit engine mode, bypassing the
-    /// environment knob — campaigns use this for their
-    /// `CampaignConfig` override.
-    pub fn with_mode(program: &'p Program, config: ExecConfig, mode: InterpMode) -> Self {
         Interpreter {
             program,
             config,
-            mode,
             compiled: CompiledProgram::compile(program),
             switch_lut: SwitchLut::build(program),
         }
@@ -170,14 +158,9 @@ impl<'p> Interpreter<'p> {
         self.config
     }
 
-    /// The requested engine mode.
-    pub fn mode(&self) -> InterpMode {
-        self.mode
-    }
-
     /// The compiled bytecode engine, when the lowering is runnable
-    /// (`None` only for programs whose indices overflow the bytecode's
-    /// `u32` fields — those stay on the tree walker).
+    /// (`None` only for programs whose indices or offsets overflow the
+    /// bytecode's 30-bit payload — those run on the tree walker).
     pub fn compiled(&self) -> Option<&CompiledProgram> {
         self.compiled.is_lowered().then_some(&self.compiled)
     }
@@ -190,31 +173,6 @@ impl<'p> Interpreter<'p> {
         self.run_bounded(input, sink, self.config.max_steps).outcome
     }
 
-    /// Execute `input` on the untraced fast path: no coverage-sink
-    /// callbacks, only the cheap [`NoveltyOracle`] observing the trace.
-    /// After the call, [`NoveltyOracle::provably_seen`] reports whether
-    /// this execution can be skipped or must be re-run with full tracing.
-    ///
-    /// Step accounting, hang classification and the outcome are identical
-    /// to [`Interpreter::run`] by construction — the oracle rides the
-    /// same [`TraceSink`] stream — so hang-budget calibration behaves the
-    /// same in both speeds.
-    pub fn run_fast(&self, input: &[u8], oracle: &mut NoveltyOracle) -> BoundedRun {
-        self.run_fast_bounded(input, oracle, self.config.max_steps)
-    }
-
-    /// [`Interpreter::run_fast`] with an explicit step budget, mirroring
-    /// [`Interpreter::run_bounded`].
-    pub fn run_fast_bounded(
-        &self,
-        input: &[u8],
-        oracle: &mut NoveltyOracle,
-        max_steps: u64,
-    ) -> BoundedRun {
-        oracle.begin_exec();
-        self.run_bounded(input, oracle, max_steps)
-    }
-
     /// [`Interpreter::run`] with an explicit step budget overriding the
     /// configured `max_steps`, reporting the steps actually consumed —
     /// the entry point for AFL-style hang-budget calibration, where the
@@ -225,26 +183,22 @@ impl<'p> Interpreter<'p> {
         sink: &mut S,
         max_steps: u64,
     ) -> BoundedRun {
-        self.run_bounded_mode(input, sink, max_steps, self.mode)
+        match self.compiled() {
+            Some(compiled) => {
+                compiled.run_bounded(input, sink, max_steps, self.config.work_per_block)
+            }
+            None => self.run_tree(input, sink, max_steps),
+        }
     }
 
-    /// [`Interpreter::run_bounded`] with an explicit engine mode
-    /// overriding the interpreter's own — the dispatch point executors
-    /// use to honour a per-campaign engine override without rebuilding
-    /// the shared interpreter. Falls back to the tree walker when the
-    /// compiled lowering is unusable, so every mode is always runnable.
-    pub fn run_bounded_mode<S: TraceSink + ?Sized>(
+    /// [`Interpreter::run_bounded`] on the tree walker, whatever the
+    /// lowering: the reference engine.
+    pub fn run_tree<S: TraceSink + ?Sized>(
         &self,
         input: &[u8],
         sink: &mut S,
         max_steps: u64,
-        mode: InterpMode,
     ) -> BoundedRun {
-        if mode.uses_compiled() && self.compiled.is_lowered() {
-            return self
-                .compiled
-                .run_bounded(input, sink, max_steps, self.config.work_per_block);
-        }
         let mut state = ExecState {
             program: self.program,
             input,

@@ -45,9 +45,8 @@ mod lafintel;
 mod oracle;
 mod suite;
 
-pub use bigmap_core::InterpMode;
 pub use builder::ProgramBuilder;
-pub use compile::{CompiledProgram, ExecRecording, ResumePlan, SnapshotOutcome};
+pub use compile::{CompiledProgram, ExecRecording, ResumePlan};
 pub use error::TargetError;
 pub use generator::{generate_seeds, GeneratorConfig};
 pub use interp::{BoundedRun, ExecConfig, ExecOutcome, Interpreter, NullSink, TraceSink};
@@ -310,6 +309,25 @@ mod tests {
     }
 
     #[test]
+    fn seeds_plant_no_guard_byte_past_their_end() {
+        // A guard reads `input[offset]`; the 128-byte seeds cannot hold
+        // offset 130, and planting its byte at `130 % 128` would only
+        // overwrite byte 2. Byte 2 holds the guard's value by chance
+        // alone: 1 in 256 per seed.
+        let program = ProgramBuilder::new("far")
+            .gate(130, b'Z', false)
+            .build()
+            .unwrap();
+        let seeds = generate_seeds(&program, 256, 9);
+        assert!(seeds.iter().all(|seed| seed.len() == 128));
+        let planted = seeds.iter().filter(|seed| seed[2] == b'Z').count();
+        assert!(
+            planted <= 8,
+            "{planted} of 256 seeds hold the guard's value at byte 2"
+        );
+    }
+
+    #[test]
     fn exact_budget_completion_is_ok_not_hang() {
         // Regression guard for the step-budget boundary: an execution
         // that finishes on exactly the last budgeted step must classify
@@ -349,20 +367,24 @@ mod tests {
 
     #[test]
     fn fast_path_boundary_matches_traced_path() {
-        // run_fast must agree with run_bounded on outcome and step
-        // accounting at the exact-budget boundary (and everywhere else).
+        // The untraced fast pass is the same engine run with the novelty
+        // oracle as its sink: it must agree with the tree walker on
+        // outcome and step accounting at the exact-budget boundary (and
+        // everywhere else).
         let program = ProgramBuilder::new("par")
             .gate(0, b'Q', false)
             .loop_gate(1, 6)
             .build()
             .unwrap();
         let interp = Interpreter::new(&program);
+        assert!(interp.compiled().is_some());
         let mut oracle = NoveltyOracle::new(program.block_count());
         for input in [&b"Q\x05"[..], b"??", b""] {
-            let traced = interp.run_bounded(input, &mut NullSink, 1_000_000);
+            let traced = interp.run_tree(input, &mut NullSink, 1_000_000);
             for budget in [traced.steps - 1, traced.steps, traced.steps + 1] {
-                let slow = interp.run_bounded(input, &mut NullSink, budget);
-                let fast = interp.run_fast_bounded(input, &mut oracle, budget);
+                let slow = interp.run_tree(input, &mut NullSink, budget);
+                oracle.begin_exec();
+                let fast = interp.run_bounded(input, &mut oracle, budget);
                 assert_eq!(slow, fast, "speeds diverge at budget {budget}");
             }
         }

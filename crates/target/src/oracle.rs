@@ -90,13 +90,14 @@ fn bucket_bit(count: u32) -> u8 {
 /// let mut oracle = NoveltyOracle::new(program.block_count());
 ///
 /// // First sighting: nothing is committed yet, so the exec is suspicious.
-/// let run = interp.run_fast(b"!", &mut oracle);
-/// assert!(run.outcome.is_ok());
+/// oracle.begin_exec();
+/// assert!(interp.run(b"!", &mut oracle).is_ok());
 /// assert!(!oracle.provably_seen());
 /// oracle.commit(); // ...after the full traced re-execution
 ///
 /// // Replay of the identical path: provably seen, safe to skip.
-/// interp.run_fast(b"!", &mut oracle);
+/// oracle.begin_exec();
+/// interp.run(b"!", &mut oracle);
 /// assert!(oracle.provably_seen());
 /// # Ok(())
 /// # }
@@ -406,7 +407,7 @@ mod tests {
 
     #[test]
     fn interpreter_fast_path_matches_traced_events() {
-        // The oracle's view through run_fast must hash the exact event
+        // The oracle as the interpreter's sink must hash the exact event
         // stream the traced path sees: replaying the same input twice
         // yields the same path hash, different inputs (different paths)
         // yield different hashes.
@@ -417,11 +418,13 @@ mod tests {
             .unwrap();
         let interp = Interpreter::new(&program);
         let mut oracle = NoveltyOracle::new(program.block_count());
-        interp.run_fast(b"AB", &mut oracle);
-        let first = oracle.path_hash();
-        interp.run_fast(b"AB", &mut oracle);
-        assert_eq!(first, oracle.path_hash());
-        interp.run_fast(b"ZZ", &mut oracle);
-        assert_ne!(first, oracle.path_hash());
+        let mut run = |input: &[u8]| {
+            oracle.begin_exec();
+            interp.run(input, &mut oracle);
+            oracle.path_hash()
+        };
+        let first = run(b"AB");
+        assert_eq!(first, run(b"AB"));
+        assert_ne!(first, run(b"ZZ"));
     }
 }

@@ -4,15 +4,15 @@
 //! observationally identical to the tree walker: same [`ExecOutcome`],
 //! same full trace-event sequence (blocks, calls, returns), same step
 //! counts — at every budget boundary. The campaign's bit-identical
-//! trajectory guarantee across `BIGMAP_INTERP` modes rests on exactly
+//! trajectory guarantee across engine modes rests on exactly
 //! this property, so it is proven here over random generated programs ×
 //! random inputs × random mutations, plus pinned adversarial boundary
 //! cases (budget exhausted on a `LoopHead` back-edge, `MagicGuard`
 //! spanning the input end).
 
 use bigmap_target::{
-    CompiledProgram, ExecConfig, GeneratorConfig, InterpMode, Interpreter, NoveltyOracle, NullSink,
-    Program, ProgramBuilder, SnapshotOutcome, TraceSink,
+    CompiledProgram, ExecConfig, GeneratorConfig, Interpreter, NoveltyOracle, NullSink, Program,
+    ProgramBuilder, TraceSink,
 };
 use proptest::prelude::*;
 
@@ -35,10 +35,6 @@ impl TraceSink for Recorder {
     }
 }
 
-fn tree_interp(program: &Program) -> Interpreter<'_> {
-    Interpreter::with_mode(program, ExecConfig::default(), InterpMode::Tree)
-}
-
 fn generated(seed: u64, functions: usize, gates: usize) -> Program {
     GeneratorConfig {
         seed,
@@ -55,12 +51,12 @@ fn generated(seed: u64, functions: usize, gates: usize) -> Program {
 /// Asserts tree and compiled agree on outcome, event stream and steps at
 /// the given budget; returns the agreed run for boundary derivation.
 fn assert_equivalent_at(program: &Program, input: &[u8], budget: u64) -> bigmap_target::BoundedRun {
-    let tree = tree_interp(program);
+    let tree = Interpreter::new(program);
     let compiled = CompiledProgram::compile(program);
     assert!(compiled.is_lowered());
 
     let mut tree_events = Recorder::default();
-    let walked = tree.run_bounded(input, &mut tree_events, budget);
+    let walked = tree.run_tree(input, &mut tree_events, budget);
 
     let mut compiled_events = Recorder::default();
     let fast = compiled.run_bounded(input, &mut compiled_events, budget, 0);
@@ -92,24 +88,38 @@ fn assert_resume_equivalent(program: &Program, parent: &[u8], child: &[u8], budg
     let mut cold_events = Recorder::default();
     let cold = compiled.run_bounded(child, &mut cold_events, budget, 0);
     let mut resumed_events = Recorder::default();
-    let (resumed, snapshot) =
-        compiled.run_resumed(&recording, child, &mut resumed_events, budget, 0);
+    let (resumed, plan) = compiled.run_resumed(&recording, child, &mut resumed_events, budget, 0);
 
     assert_eq!(cold, resumed, "resumed BoundedRun diverged");
     assert_eq!(cold_events, resumed_events, "resumed event stream diverged");
-    // The plan alone (the campaign's skip decision) names a full replay
-    // exactly when the run is one.
-    assert_eq!(
-        compiled
-            .plan_resume(&recording, child, budget)
-            .is_full_replay(),
-        matches!(snapshot, SnapshotOutcome::FullReplay { .. }),
-        "plan and outcome disagree on full replay at budget {budget}"
-    );
+    // The plan is the campaign's skip decision: a full replay must be a
+    // child whose cold run is the parent's, event for event, and the
+    // steps it claims to serve from the tape must be steps the run took.
+    let skipped = plan.skipped_steps(&recording);
+    if plan.is_full_replay() {
+        let mut parent_events = Recorder::default();
+        let parent_run = compiled.run_bounded(parent, &mut parent_events, budget, 0);
+        assert_eq!(
+            cold, parent_run,
+            "full replay of a diverging child at budget {budget}"
+        );
+        assert_eq!(
+            cold_events, parent_events,
+            "full replay event stream at budget {budget}"
+        );
+        assert_eq!(skipped, cold.steps);
+    } else if plan.is_miss() {
+        assert_eq!(skipped, 0);
+    } else {
+        assert!(
+            (1..=cold.steps).contains(&skipped),
+            "resume skipped {skipped} steps"
+        );
+    }
 
     // The tree walker agrees too (transitivity, but pin it directly).
     let mut tree_events = Recorder::default();
-    let walked = tree_interp(program).run_bounded(child, &mut tree_events, budget);
+    let walked = Interpreter::new(program).run_tree(child, &mut tree_events, budget);
     assert_eq!(walked, resumed);
     assert_eq!(tree_events, resumed_events);
 
@@ -282,7 +292,7 @@ fn crash_stacks_agree_through_nested_calls() {
         .generate();
         for byte in 0..=255u8 {
             let input = [byte; 48];
-            let walked = tree_interp(&program).run_bounded(&input, &mut NullSink, 100_000);
+            let walked = Interpreter::new(&program).run_tree(&input, &mut NullSink, 100_000);
             if walked.outcome.is_crash() {
                 assert_equivalent(&program, &input);
                 crashes += 1;

@@ -92,6 +92,6 @@ pub mod prelude {
     pub use bigmap_target::{
         apply_laf_intel, generate_seeds, BenchmarkSpec, CompiledProgram, ExecConfig, ExecOutcome,
         GeneratorConfig, Interpreter, LafIntelStats, NoveltyOracle, NullSink, OracleSnapshot,
-        Program, ProgramBuilder, SnapshotOutcome, TargetError, TraceSink,
+        Program, ProgramBuilder, ResumePlan, TargetError, TraceSink,
     };
 }

@@ -18,7 +18,7 @@ use bigmap::coverage::{
 };
 use bigmap::fuzzer::{build_metric, EnginePath, Executor};
 use bigmap::target::{
-    BoundedRun, ExecRecording, GeneratorConfig, Interpreter, NullSink, Program, SnapshotOutcome,
+    BoundedRun, ExecRecording, GeneratorConfig, Interpreter, NullSink, Program, ResumePlan,
     TraceSink,
 };
 
@@ -188,27 +188,24 @@ fn reference_run(
         updates: 0,
     };
     let (run, path) = match (setup, recording) {
-        (Setup::Tree, _) => (
-            interp.run_bounded_mode(input, &mut sink, budget, InterpMode::Tree),
-            EnginePath::Tree,
-        ),
+        (Setup::Tree, _) => (interp.run_tree(input, &mut sink, budget), EnginePath::Tree),
         (Setup::Cold, _) | (Setup::Primed, None) => (
             compiled.run_bounded(input, &mut sink, budget, work),
             EnginePath::Compiled,
         ),
         (Setup::Primed, Some(recording)) => {
-            let (run, outcome) = compiled.run_resumed(recording, input, &mut sink, budget, work);
-            (run, path_of(outcome))
+            let (run, plan) = compiled.run_resumed(recording, input, &mut sink, budget, work);
+            (run, path_of(plan))
         }
     };
     (run, path, sink.updates)
 }
 
-fn path_of(outcome: SnapshotOutcome) -> EnginePath {
-    match outcome {
-        SnapshotOutcome::Miss => EnginePath::SnapshotMiss,
-        SnapshotOutcome::FullReplay { .. } => EnginePath::SnapshotReplay,
-        SnapshotOutcome::Resumed { .. } => EnginePath::SnapshotResume,
+fn path_of(plan: ResumePlan) -> EnginePath {
+    match (plan.is_miss(), plan.is_full_replay()) {
+        (true, _) => EnginePath::SnapshotMiss,
+        (false, true) => EnginePath::SnapshotReplay,
+        (false, false) => EnginePath::SnapshotResume,
     }
 }
 
@@ -242,9 +239,9 @@ fn snapshot_inputs(interp: &Interpreter<'_>, parent: &[u8]) -> Vec<(Vec<u8>, Eng
                 child
             })
             .find(|child| {
-                let (_, outcome) =
+                let (_, plan) =
                     compiled.run_resumed(&recording, child, &mut NullSink, budget, work);
-                path_of(outcome) == wanted
+                path_of(plan) == wanted
             })
             .unwrap_or_else(|| panic!("no single-byte change of the parent gives {wanted:?}"));
         found.push((child, wanted));
