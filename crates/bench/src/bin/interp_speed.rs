@@ -26,11 +26,11 @@
 //! Table II subset at the modeled level.
 //!
 //! The second arm reruns the Figure 6 flat-vs-two-level size sweep under
-//! `tree` and `auto` campaigns (`CampaignConfig::interp`): a faster executor shrinks
-//! the per-exec time that map operations amortize against, so the map
-//! size at which BigMap overtakes the flat AFL map ("the crossover")
-//! shifts toward smaller maps. Results print as tables and land in
-//! `BENCH_interp.json`.
+//! `tree` and `auto` campaigns (`CampaignConfig::interp`): a faster
+//! executor shrinks the per-exec time that map operations amortize
+//! against, so the map size at which BigMap overtakes the flat AFL map
+//! ("the crossover") shifts toward smaller maps. Results print as tables
+//! and land in `BENCH_interp.json`.
 //!
 //! ```text
 //! interp_speed [--quick | --full] [--out <path>]
