@@ -8,7 +8,8 @@
 //! tracing hurts most — the flat AFL map at large sizes, where every
 //! traced exec also pays whole-map classify/compare. This harness measures
 //! both modes on the same arms and attributes the gap with the
-//! `fast_path_execs` / `retrace_execs` telemetry counters.
+//! `fast_path_execs` / `retrace_execs` / `replay_skips` telemetry
+//! counters.
 //!
 //! The comparison is throughput-only by construction: the coverage
 //! trajectory itself is mode-invariant (see the policy-product matrix in
@@ -18,9 +19,9 @@ use std::sync::Arc;
 
 use bigmap_analytics::{geometric_mean, TextTable};
 use bigmap_bench::{report_header, Effort, PreparedBenchmark};
-use bigmap_core::{MapScheme, MapSize, TraceMode};
+use bigmap_core::{MapScheme, MapSize};
 use bigmap_coverage::MetricKind;
-use bigmap_fuzzer::{Budget, Campaign, CampaignConfig, Telemetry, TelemetryEvent};
+use bigmap_fuzzer::{Budget, Campaign, CampaignConfig, Telemetry, TelemetryEvent, TraceMode};
 use bigmap_target::{BenchmarkSpec, Interpreter};
 
 /// One scheme × map-size arm. Flat at large sizes is the trace-heavy
@@ -46,6 +47,7 @@ struct ModeResult {
     execs: u64,
     fast: u64,
     retraced: u64,
+    replayed: u64,
 }
 
 fn run_mode(
@@ -59,6 +61,7 @@ fn run_mode(
     let mut execs = 0;
     let mut fast = 0;
     let mut retraced = 0;
+    let mut replayed = 0;
     for r in 0..runs {
         let interpreter = Interpreter::new(&prepared.program);
         let mut campaign = Campaign::new(
@@ -89,12 +92,14 @@ fn run_mode(
         execs += tel.get(TelemetryEvent::Exec);
         fast += tel.get(TelemetryEvent::FastPathExec);
         retraced += tel.get(TelemetryEvent::RetraceExec);
+        replayed += tel.get(TelemetryEvent::ReplaySkip);
     }
     ModeResult {
         throughput: total_throughput / runs.max(1) as f64,
         execs,
         fast,
         retraced,
+        replayed,
     }
 }
 
@@ -103,10 +108,12 @@ fn main() {
     report_header(
         "Two-speed execution — always-trace vs selective tracing throughput",
         effort,
-        "speedup = selective / always execs/sec on the same arm; fast% and \
-         retrace% partition selective-mode execs (their sum is 100% by the \
-         telemetry invariant); per-arm budget is 4x the header figure so \
-         selective runs get past the oracle warm-up",
+        "speedup = selective / always execs/sec on the same arm; fast%, \
+         retrace% and replay% partition selective-mode execs into fast-path \
+         skips, re-traces and full replays of the scheduled parent dismissed \
+         before the fast pass (their sum is 100% by the telemetry \
+         invariant); per-arm budget is 4x the header figure so selective \
+         runs get past the oracle warm-up",
     );
 
     let runs = if effort == Effort::Quick { 1 } else { 2 };
@@ -139,8 +146,7 @@ fn main() {
         "speedup",
         "fast%",
         "retrace%",
-        "auto e/s",
-        "auto spd",
+        "replay%",
     ]);
     let mut heavy_speedups = Vec::new();
     let mut twolevel_speedups = Vec::new();
@@ -152,26 +158,20 @@ fn main() {
             let budget_each = arm_budget(effort);
             let always = run_mode(&prepared, scheme, TraceMode::Always, runs, budget_each);
             let selective = run_mode(&prepared, scheme, TraceMode::Selective, runs, budget_each);
-            let auto = run_mode(&prepared, scheme, TraceMode::Auto, runs, budget_each);
             assert_eq!(
                 always.fast + always.retraced,
                 0,
                 "always-trace arms must never touch the fast path"
             );
             assert_eq!(
-                selective.fast + selective.retraced,
+                selective.fast + selective.retraced + selective.replayed,
                 selective.execs,
-                "selective execs must partition into fast-path + re-traced"
-            );
-            assert!(
-                auto.fast + auto.retraced <= auto.execs,
-                "auto-mode direct-run execs carry neither counter"
+                "selective execs must partition into fast-path + re-traced + replay-skipped"
             );
             let speedup = selective.throughput / always.throughput.max(1e-9);
-            let auto_speedup = auto.throughput / always.throughput.max(1e-9);
             match (cheap_target, flat_arm) {
                 (true, true) => heavy_speedups.push(speedup),
-                (true, false) => twolevel_speedups.push((speedup, auto_speedup)),
+                (true, false) => twolevel_speedups.push(speedup),
                 (false, _) => control_speedups.push(speedup),
             }
             let pct = |n: u64| 100.0 * n as f64 / selective.execs.max(1) as f64;
@@ -183,8 +183,7 @@ fn main() {
                 format!("{speedup:.2}x"),
                 format!("{:.1}", pct(selective.fast)),
                 format!("{:.1}", pct(selective.retraced)),
-                format!("{:.0}", auto.throughput),
-                format!("{auto_speedup:.2}x"),
+                format!("{:.1}", pct(selective.replayed)),
             ]);
         }
         eprintln!("  done: {}", spec.name);
@@ -192,16 +191,12 @@ fn main() {
     println!("{table}");
 
     let heavy = geometric_mean(&heavy_speedups);
-    let tl_selective: Vec<f64> = twolevel_speedups.iter().map(|&(s, _)| s).collect();
-    let tl_auto: Vec<f64> = twolevel_speedups.iter().map(|&(_, a)| a).collect();
     let control = geometric_mean(&control_speedups);
     println!("trace-heavy (cheap targets, Flat@2M/8M) geomean speedup: {heavy:.2}x (acceptance target: >=2x)");
     println!(
-        "two-level@8M geomean: selective {:.2}x, auto {:.2}x (map ops already \
-         condensed, so forced-selective can lose to the re-execution cost; \
-         auto's retrace-rate fallback is what bounds that regression)",
-        geometric_mean(&tl_selective),
-        geometric_mean(&tl_auto),
+        "two-level@8M geomean speedup: {:.2}x (map ops already condensed, so \
+         selective tracing can lose to the re-execution cost)",
+        geometric_mean(&twolevel_speedups),
     );
     println!(
         "exec-heavy control (sqlite3) geomean speedup: {control:.2}x \

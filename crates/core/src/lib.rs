@@ -82,7 +82,6 @@ pub mod map_size;
 pub mod simd;
 pub mod sparse;
 pub mod timing;
-pub mod trace;
 pub mod traits;
 pub mod two_level;
 pub mod virgin;
@@ -99,7 +98,6 @@ pub use kernels::{KernelKind, KernelTable};
 pub use map_size::{MapSize, MapSizeError};
 pub use sparse::{OpPath, SparseMode};
 pub use timing::{Layer, OpStats};
-pub use trace::TraceMode;
 pub use traits::{CoverageMap, MapScheme, NewCoverage};
 pub use two_level::{BigMap, JournaledRecorder, PlainRecorder, Recorder};
 pub use virgin::VirginState;

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use bigmap_core::{
     build_map, CoverageMap, InterpMode, Layer, MapScheme, MapSize, NewCoverage, OpPath, OpStats,
-    SparseMode, TraceMode, VirginState,
+    SparseMode, VirginState,
 };
 use bigmap_coverage::{
     BlockCoverage, ContextSensitive, CoverageMetric, EdgeHitCount, Instrumentation, MetricKind,
@@ -84,6 +84,25 @@ pub enum Budget {
     Time(Duration),
 }
 
+/// Two-speed execution: whether the campaign runs each test case traced,
+/// or first untraced under the novelty oracle ([`CampaignConfig::trace`]).
+/// Selective tracing is coverage-preserving (the oracle is strictly
+/// conservative), so both modes walk a bit-identical campaign trajectory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TraceMode {
+    /// Every exec runs fully traced into the coverage map; no oracle.
+    #[default]
+    Always,
+    /// Execs run untraced first; only the ones the oracle cannot prove
+    /// already seen re-run traced.
+    Selective,
+}
+
+impl TraceMode {
+    /// All modes, for exhaustive tests and equivalence sweeps.
+    pub const ALL: [TraceMode; 2] = [TraceMode::Always, TraceMode::Selective];
+}
+
 /// Campaign configuration.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -134,12 +153,15 @@ pub struct CampaignConfig {
     /// density. Only meaningful for the two-level scheme; the flat map is
     /// always dense.
     pub sparse: Option<SparseMode>,
-    /// The two-speed execution mode (`bigmap_core::trace`). `None` means
-    /// [`TraceMode::Always`]: no untraced fast pass. Every mode dismisses
-    /// a child that fully replays the scheduled parent's `Ok` run without
-    /// tracing it (DESIGN §4c), so `Always` traces every other exec.
-    /// Selective tracing is coverage-preserving: every mode produces a
-    /// bit-identical campaign trajectory.
+    /// The two-speed execution mode. `None` means [`TraceMode::Always`]:
+    /// no untraced fast pass. Both modes dismiss a child that fully
+    /// replays the scheduled parent's `Ok` run without tracing it (DESIGN
+    /// §4c), so `Always` traces every other exec. Selective tracing is
+    /// coverage-preserving: both modes produce a bit-identical campaign
+    /// trajectory. It pays off on the flat map, where every traced exec
+    /// also runs whole-map classify/compare, and loses on the two-level
+    /// map, whose traced exec is already cheap (EXPERIMENTS "Two-speed
+    /// execution").
     pub trace: Option<TraceMode>,
     /// The target execution engine (`bigmap_core::interp`). `None` reads
     /// the `BIGMAP_INTERP` knob in [`Campaign::new`], the one place it is
@@ -433,32 +455,11 @@ pub struct Campaign<'p> {
     /// suppresses trimming, re-admission side effects, telemetry counts
     /// and seed-step sampling (the replay is reconstruction, not work).
     restoring: bool,
-    /// The resolved two-speed execution mode (`config.trace`, default
-    /// [`TraceMode::Always`]).
-    trace_mode: TraceMode,
-    /// The novelty oracle behind selective tracing; `Some` whenever
-    /// `trace_mode` is not [`TraceMode::Always`].
+    /// The novelty oracle behind selective tracing; `Some` exactly when
+    /// `config.trace` is [`TraceMode::Selective`], and then every test
+    /// case not dismissed as a full replay gets an untraced fast pass.
     oracle: Option<NoveltyOracle>,
-    /// Auto-mode window state: fast-pass decisions and re-traces observed
-    /// in the current window. Deliberately *not* checkpointed — skip
-    /// decisions are trajectory-neutral, so resetting the window on
-    /// resume changes throughput, never results.
-    auto_tries: u32,
-    auto_retraces: u32,
-    /// Auto-mode fallback: remaining test cases to run traced-direct
-    /// (no fast pass) after a re-trace-heavy window.
-    auto_direct_left: u32,
 }
-
-/// Auto-mode window length (fast-pass decisions per assessment).
-const AUTO_WINDOW: u32 = 128;
-/// Auto-mode fallback trigger: re-traces ≥ 3/4 of a window means the fast
-/// pass is mostly overhead right now.
-const AUTO_RETRACE_NUM: u32 = 3;
-const AUTO_RETRACE_DEN: u32 = 4;
-/// Auto-mode fallback length: traced-direct test cases before the fast
-/// pass is retried.
-const AUTO_DIRECT_RUN: u32 = 512;
 
 impl std::fmt::Debug for Campaign<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -493,8 +494,7 @@ impl<'p> Campaign<'p> {
         let mut map = build_map(config.scheme, config.map_size);
         map.set_sparse_override(config.sparse);
         let metric = build_metric(config.metric);
-        let trace_mode = config.trace.unwrap_or_default();
-        let oracle = (trace_mode != TraceMode::Always)
+        let oracle = (config.trace.unwrap_or_default() == TraceMode::Selective)
             .then(|| NoveltyOracle::new(interpreter.program().block_count()));
         let mut executor = Executor::new(interpreter, instrumentation, metric);
         executor.set_interp_mode(
@@ -530,18 +530,9 @@ impl<'p> Campaign<'p> {
             loop_started: None,
             span_start: None,
             restoring: false,
-            trace_mode,
             oracle,
-            auto_tries: 0,
-            auto_retraces: 0,
-            auto_direct_left: 0,
             config,
         }
-    }
-
-    /// The resolved two-speed execution mode this campaign runs under.
-    pub fn trace_mode(&self) -> TraceMode {
-        self.trace_mode
     }
 
     /// The resolved target execution engine this campaign runs under.
@@ -666,43 +657,6 @@ impl<'p> Campaign<'p> {
         &self.queue
     }
 
-    /// Whether the next test case gets an untraced fast pass. In auto
-    /// mode this also advances the traced-direct fallback window, so it
-    /// must be called exactly once per test case that reaches the
-    /// fast-pass decision; `Ok` full replays of the armed parent are
-    /// dismissed before it and never count.
-    fn fast_pass_active(&mut self) -> bool {
-        if self.oracle.is_none() {
-            return false;
-        }
-        if self.trace_mode == TraceMode::Auto && self.auto_direct_left > 0 {
-            self.auto_direct_left -= 1;
-            return false;
-        }
-        true
-    }
-
-    /// Feeds one fast-pass decision into the auto-mode window; when a
-    /// window closes with ≥ 3/4 re-traces, the next `AUTO_DIRECT_RUN`
-    /// test cases skip the fast pass entirely. Deterministic: the window
-    /// advances on exec counts, never on wall time.
-    fn note_auto_decision(&mut self, retraced: bool) {
-        if self.trace_mode != TraceMode::Auto {
-            return;
-        }
-        self.auto_tries += 1;
-        if retraced {
-            self.auto_retraces += 1;
-        }
-        if self.auto_tries >= AUTO_WINDOW {
-            if self.auto_retraces * AUTO_RETRACE_DEN >= self.auto_tries * AUTO_RETRACE_NUM {
-                self.auto_direct_left = AUTO_DIRECT_RUN;
-            }
-            self.auto_tries = 0;
-            self.auto_retraces = 0;
-        }
-    }
-
     /// Executes one input and runs the full fitness pipeline. Returns the
     /// novelty verdict. `force_admit` bypasses the interestingness check
     /// (used for the initial seeds).
@@ -753,26 +707,22 @@ impl<'p> Campaign<'p> {
         }
 
         // Two-speed fast pass: untraced exec, oracle verdict, maybe skip.
-        let mut retraced = false;
+        // Without an oracle the plan's search is executor work, not the
+        // reset's.
         let mut fast_engine = None;
-        if self.fast_pass_active() {
-            let oracle = self.oracle.as_mut().expect("fast pass requires an oracle");
+        if let Some(oracle) = self.oracle.as_mut() {
             let (fast, engine) = self.executor.run_fast(plan, input, oracle);
             let provably_seen = oracle.provably_seen();
             self.span(Layer::Executor);
-            fast_engine = Some(engine);
             // The *effective* outcome decides skippability: an injected
             // crash/hang must flow through the crash/hang pipeline even
             // though the underlying trace is a known-clean path.
-            let skip = skippable && fast.outcome.is_ok() && provably_seen;
-            self.note_auto_decision(!skip);
-            if skip {
+            if skippable && fast.outcome.is_ok() && provably_seen {
                 self.count_skipped(TelemetryEvent::FastPathExec, engine);
                 return NewCoverage::None;
             }
-            retraced = true;
+            fast_engine = Some(engine);
         } else {
-            // The plan's search is executor work, not the reset's.
             self.span(Layer::Executor);
         }
 
@@ -831,11 +781,8 @@ impl<'p> Campaign<'p> {
                 // crash/hang would be unsound: its coverage was compared
                 // against the crash/hang virgin map instead, leaving
                 // Ok-virgin novelty unabsorbed.
-                if retraced {
-                    self.oracle
-                        .as_mut()
-                        .expect("retraced exec has an oracle")
-                        .commit();
+                if let Some(oracle) = self.oracle.as_mut() {
+                    oracle.commit();
                 }
                 // During restore, only forced (checkpointed-queue) replays
                 // are admitted: crash/hang warm-up replays rebuild virgin
@@ -935,13 +882,12 @@ impl<'p> Campaign<'p> {
                 if self.map.journal_overflowed() {
                     tel.incr(TelemetryEvent::JournalOverflow);
                 }
-                if retraced {
-                    tel.incr(TelemetryEvent::RetraceExec);
-                }
-                // One engine-path record per executor dispatch: the fast
-                // pass (when one ran) and the traced execution each went
+                // A traced exec that had a fast pass is a re-trace. One
+                // engine-path record per executor dispatch: the fast pass
+                // (when one ran) and the traced execution each went
                 // through the engine once.
                 if let Some(engine) = fast_engine {
+                    tel.incr(TelemetryEvent::RetraceExec);
                     note_engine(tel, engine);
                 }
                 note_engine(tel, execution.engine);
@@ -1893,37 +1839,31 @@ mod tests {
             (campaign.run(), tel)
         };
         let (always, always_tel) = run(TraceMode::Always);
-        for mode in [TraceMode::Selective, TraceMode::Auto] {
-            let (stats, tel) = run(mode);
-            // The whole campaign trajectory must be bit-identical to the
-            // always-traced run: selective tracing may only change *how*
-            // coverage is observed, never what the campaign does with it.
-            assert_eq!(stats.execs, always.execs, "{mode:?}");
-            assert_eq!(stats.queue_len, always.queue_len, "{mode:?}");
-            assert_eq!(stats.used_len, always.used_len, "{mode:?}");
-            assert_eq!(stats.discovered_slots, always.discovered_slots, "{mode:?}");
-            assert_eq!(stats.total_crashes, always.total_crashes, "{mode:?}");
-            assert_eq!(stats.unique_crashes, always.unique_crashes, "{mode:?}");
-            assert_eq!(stats.hangs, always.hangs, "{mode:?}");
-            assert_eq!(
-                stats.timeline.points(),
-                always.timeline.points(),
-                "{mode:?} changed the coverage trajectory"
-            );
-            // The fast path must actually fire (most mutants replay known
-            // paths), and every exec is either dismissed as a full replay
-            // of the scheduled parent before the fast pass, skipped by it,
-            // re-traced or — in auto mode — run traced-direct.
-            let fast = tel.get(TelemetryEvent::FastPathExec);
-            let retraced = tel.get(TelemetryEvent::RetraceExec);
-            let replayed = tel.get(TelemetryEvent::ReplaySkip);
-            assert!(fast > 0, "{mode:?}: fast path never skipped anything");
-            if mode == TraceMode::Selective {
-                assert_eq!(fast + retraced + replayed, tel.get(TelemetryEvent::Exec));
-            } else {
-                assert!(fast + retraced + replayed <= tel.get(TelemetryEvent::Exec));
-            }
-        }
+        let (stats, tel) = run(TraceMode::Selective);
+        // The whole campaign trajectory must be bit-identical to the
+        // always-traced run: selective tracing may only change *how*
+        // coverage is observed, never what the campaign does with it.
+        assert_eq!(stats.execs, always.execs);
+        assert_eq!(stats.queue_len, always.queue_len);
+        assert_eq!(stats.used_len, always.used_len);
+        assert_eq!(stats.discovered_slots, always.discovered_slots);
+        assert_eq!(stats.total_crashes, always.total_crashes);
+        assert_eq!(stats.unique_crashes, always.unique_crashes);
+        assert_eq!(stats.hangs, always.hangs);
+        assert_eq!(
+            stats.timeline.points(),
+            always.timeline.points(),
+            "selective tracing changed the coverage trajectory"
+        );
+        // The fast path must actually fire (most mutants replay known
+        // paths), and every exec is either dismissed as a full replay of
+        // the scheduled parent before the fast pass, skipped by it, or
+        // re-traced.
+        let fast = tel.get(TelemetryEvent::FastPathExec);
+        let retraced = tel.get(TelemetryEvent::RetraceExec);
+        let replayed = tel.get(TelemetryEvent::ReplaySkip);
+        assert!(fast > 0, "fast path never skipped anything");
+        assert_eq!(fast + retraced + replayed, tel.get(TelemetryEvent::Exec));
         assert_eq!(always_tel.get(TelemetryEvent::FastPathExec), 0);
         assert_eq!(always_tel.get(TelemetryEvent::RetraceExec), 0);
     }
@@ -2054,6 +1994,46 @@ mod tests {
             tel.get(TelemetryEvent::FastPathExec) > 0,
             "resumed campaign never skipped: oracle state was lost"
         );
+    }
+
+    #[test]
+    fn selective_oracle_learns_every_queue_entry() {
+        // Every queue entry was admitted from a traced `Ok` exec, and a
+        // selective campaign commits each of those to its oracle, so the
+        // checkpointed oracle must prove every entry's path already seen.
+        let program = GeneratorConfig::default().generate();
+        let inst = instrument(&program, MapSize::K64);
+        let interp = Interpreter::new(&program);
+        let mut campaign = Campaign::new(
+            CampaignConfig {
+                trace: Some(TraceMode::Selective),
+                ..quick_config(MapScheme::TwoLevel, 2_000)
+            },
+            &interp,
+            &inst,
+        );
+        campaign.add_seeds(vec![vec![5u8; 24]]);
+        let mut ckpt = None;
+        campaign.run_with_hook(500, |c| ckpt = Some(c.checkpoint()));
+        let ckpt = ckpt.expect("the hook fires at each sync boundary");
+        assert!(ckpt.queue.len() > 1, "the campaign admitted no mutant");
+
+        let mut oracle = NoveltyOracle::new(program.block_count());
+        assert!(oracle.install(ckpt.oracle.as_ref().expect("selective oracle state")));
+        let budget = ckpt.hang_budget.unwrap_or(interp.config().max_steps);
+        for (id, entry) in ckpt.queue.iter().enumerate() {
+            oracle.begin_exec();
+            interp.run_bounded(&entry.input, &mut oracle, budget);
+            assert!(
+                oracle.provably_seen(),
+                "queue entry {id} was never committed"
+            );
+        }
+    }
+
+    #[test]
+    fn trace_mode_default_is_always() {
+        assert_eq!(TraceMode::default(), TraceMode::Always);
     }
 
     /// A snapshot-engine campaign with telemetry whose only seed,

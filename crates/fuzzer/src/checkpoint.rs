@@ -870,9 +870,9 @@ mod tests {
 
     #[test]
     fn always_trace_checkpoints_keep_the_pre_oracle_format() {
-        // `oracle: None` must serialize byte-identically to the v1 format
-        // that predates selective tracing, and such files must parse with
-        // no oracle state (the conservative empty-oracle resume).
+        // `oracle: None` (an always-trace campaign) writes no oracle
+        // section, and such files must parse with no oracle state (the
+        // conservative empty-oracle resume).
         let text = sample().to_text();
         assert!(!text.contains("oracle"), "no oracle lines when None");
         let parsed = Checkpoint::from_text(&text).unwrap();

@@ -70,7 +70,7 @@ pub mod trim;
 pub use calibrate::HangBudget;
 pub use campaign::{
     build_metric, Budget, Campaign, CampaignConfig, CampaignConfigBuilder, CampaignOutput,
-    CampaignStats,
+    CampaignStats, TraceMode,
 };
 pub use checkpoint::{Checkpoint, CheckpointManager, RestoreReport};
 pub use cmin::{minimize_corpus, MinimizedCorpus};

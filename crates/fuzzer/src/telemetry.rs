@@ -137,11 +137,13 @@ telemetry_events! {
     JournalOverflow => "journal_overflows",
     /// Untraced fast-path executions whose novelty oracle proved them
     /// already-seen, so the traced re-execution was skipped entirely
-    /// (`CampaignConfig::trace` selective or auto). Disjoint from
-    /// `RetraceExec`; together they partition the fast-pass attempts.
+    /// (`CampaignConfig::trace` selective). Disjoint from `RetraceExec`;
+    /// together they partition the fast-pass attempts, and with
+    /// `ReplaySkip` a selective campaign's `Exec`.
     FastPathExec => "fast_path_execs",
     /// Fast-path executions the oracle flagged as suspicious (or that
-    /// crashed/hanged), forcing a full traced re-execution.
+    /// crashed/hanged), forcing a full traced re-execution (selective
+    /// tracing only).
     RetraceExec => "retrace_execs",
     /// Checkpoint restores that skipped one or more corrupt generations
     /// and fell back to an older intact one (counted per generation

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use bigmap_cache::{CacheHierarchy, TraceWorkload};
     pub use bigmap_core::{
         BigMap, CoverageMap, FlatBitmap, InterpMode, Layer, MapScheme, MapSize, NewCoverage,
-        OpPath, OpStats, SparseMode, TraceMode, VirginState,
+        OpPath, OpStats, SparseMode, VirginState,
     };
     pub use bigmap_coverage::{
         CoverageMetric, EdgeHitCount, Instrumentation, MetricKind, MetricStack, NGram, TraceEvent,
@@ -87,7 +87,7 @@ pub mod prelude {
         CampaignConfigBuilder, CampaignStats, Checkpoint, CheckpointManager, CorpusSync, CrashWalk,
         CursorError, Executor, FaultPlan, FaultSite, FleetAggregator, FleetConfig, FleetStats,
         HangBudget, Instance, InstanceFaults, InstanceHealth, InstanceOptions, JsonlSink, Mutator,
-        ShardedHub, Telemetry, TelemetryEvent, TelemetrySnapshot, Transport, WorkerRole,
+        ShardedHub, Telemetry, TelemetryEvent, TelemetrySnapshot, TraceMode, Transport, WorkerRole,
     };
     pub use bigmap_target::{
         apply_laf_intel, generate_seeds, BenchmarkSpec, CompiledProgram, ExecConfig, ExecOutcome,
