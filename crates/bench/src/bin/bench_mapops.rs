@@ -4,21 +4,25 @@
 //! Sweeps every kernel the host supports (`scalar`, `avx2`) over
 //! {classify, compare, fused classify+compare} at each region size, plus
 //! the kernel-independent admission-path reads of the same region (the
-//! zero-run-skipping CRC32 `hash` and the word-skip slot `scan`), plus a
-//! reset-strategy sweep ({cached `fill(0)`, non-temporal streaming stores})
-//! that locates the crossover justifying the `simd::NT_THRESHOLD` cutoff,
-//! plus a coverage-density sweep ({sparse journal walk, dense kernel,
-//! adaptive dispatch} × {clustered, uniform} slot layouts) that locates the
-//! sparse/dense crossover behind `RUN_CROSSOVER_DIVISOR`, plus a
-//! record-inclusive journal sweep (whole execs — `record`, `reset`, fused
-//! classify+compare — on a `BigMap` with the touch journal forced on, off,
-//! and under the shipped `Auto` gate, used prefixes 4 KiB → 64 MiB) whose
-//! fixed-footprint gate cells locate the used prefix behind
-//! `JOURNAL_MIN_USED` (the run fails when they disagree), plus a giant-map
-//! arm (64 MiB → 1 GiB × {dense, sparse, adaptive} × {explicit, off}
-//! huge-page policies) with a uniform-layout crossover re-measurement
-//! behind `GIANT_RUN_CROSSOVER_DIVISOR` and a locality cross-check against
-//! the `bigmap-cache` simulator.
+//! zero-run-skipping CRC32 `hash` and the block-skip slot `scan`), each at
+//! two coverages: ~2% uniform density (a busy map) and libpng's exec
+//! footprint (200 scattered non-zero bytes, what one libpng exec leaves in
+//! its 8 MiB flat map). Then an in-loop reset sweep: whole flat-map execs
+//! (reset, [`EXEC_RECORDS`] scattered records, fused classify+compare)
+//! with a cached `fill(0)` reset against non-temporal streaming stores,
+//! 1 MiB → 128 MiB, whose crossover prints next to the resolved
+//! `simd::stream_cutoff`, plus a coverage-density sweep ({sparse journal
+//! walk, dense kernel, adaptive dispatch} × {clustered, uniform} slot
+//! layouts) that locates the sparse/dense crossover behind
+//! `RUN_CROSSOVER_DIVISOR`, plus a record-inclusive journal sweep (whole
+//! execs — `record`, `reset`, fused classify+compare — on a `BigMap` with
+//! the touch journal forced on, off, and under the shipped `Auto` gate,
+//! used prefixes 4 KiB → 64 MiB) whose fixed-footprint gate cells locate
+//! the used prefix behind `JOURNAL_MIN_USED` (the run fails when they
+//! disagree), plus a giant-map arm (64 MiB → 1 GiB × {dense, sparse,
+//! adaptive} × {explicit, off} huge-page policies) with a uniform-layout
+//! crossover re-measurement behind `GIANT_RUN_CROSSOVER_DIVISOR` and a
+//! locality cross-check against the `bigmap-cache` simulator.
 //! Results print as a table and land in `BENCH_mapops.json`.
 //!
 //! Usage:
@@ -28,19 +32,20 @@
 //! ```
 //!
 //! * `--quick` — 64 KiB → 1 MiB, small iteration budget (CI smoke);
-//!   the journal sweep runs 4 KiB → 1 MiB and the giant arm shrinks to
-//!   its 64 MiB row.
-//! * default  — 64 KiB → 16 MiB, giant arm 64 MiB → 1 GiB.
+//!   the reset sweep runs 1 → 8 MiB, the journal sweep 4 KiB → 1 MiB and
+//!   the giant arm shrinks to its 64 MiB row.
+//! * default  — 64 KiB → 16 MiB, reset sweep 1 → 128 MiB, giant arm
+//!   64 MiB → 1 GiB.
 //! * `--full` — same sizes, ~4× the iteration budget.
 //! * `--giant` — run only the giant-map arm (CI smoke pairs this with
 //!   `--quick` for a scaled-down 64 MiB pass).
 //! * `--out <path>` — JSON destination (default `BENCH_mapops.json`).
 //!
 //! Benchmarked buffers mirror campaign reality: huge-page-aligned
-//! [`MapBuffer`]s, ~2% nonzero coverage density, counts pre-classified to
-//! their bucket fixed points and virgin maps pre-trained so every timed
-//! iteration does identical steady-state work (classification is not
-//! idempotent on raw counts; it is on {0, 1, 2, 64, 128}).
+//! [`MapBuffer`]s, counts pre-classified to their bucket fixed points and
+//! virgin maps pre-trained so every timed iteration does identical
+//! steady-state work (classification is not idempotent on raw counts; it
+//! is on {0, 1, 2, 64, 128}).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -52,7 +57,7 @@ use bigmap_core::classify::classify_slice;
 use bigmap_core::diff::for_each_nonzero_byte;
 use bigmap_core::journal::{runs_from_slots, SlotRun};
 use bigmap_core::kernels::{active, available, table_for, KernelKind};
-use bigmap_core::simd::{stream_zero, NT_THRESHOLD};
+use bigmap_core::simd::{last_level_cache, stream_cutoff, zero_with_cutoff};
 use bigmap_core::sparse::{
     classify_and_compare_runs, select_path, OpPath, SparseMode, JOURNAL_MIN_USED,
 };
@@ -66,13 +71,52 @@ const MIB: usize = 1024 * KIB;
 /// One measured configuration.
 struct Sample {
     op: &'static str,
-    /// Kernel label, the reset strategy name for the reset sweep, or
-    /// `crc32` / `wordskip` for the hash and scan rows.
+    /// Kernel label, or `crc32` / `blockskip` for the hash and scan rows.
     variant: String,
+    /// The region's coverage: [`Coverage::label`].
+    coverage: &'static str,
     size: usize,
     iters: u64,
     ns_per_op: f64,
     gib_per_s: f64,
+}
+
+/// The coverage a kernel-row region holds.
+#[derive(Clone, Copy)]
+enum Coverage {
+    /// ~2% of the bytes non-zero, uniformly scattered: a busy map, about
+    /// half of whose 32-byte blocks hold coverage.
+    Uniform2Pct,
+    /// [`EXEC_RECORDS`] scattered non-zero bytes at every size: one
+    /// libpng exec's footprint on its 8 MiB flat map.
+    Footprint,
+}
+
+impl Coverage {
+    const ALL: [Coverage; 2] = [Coverage::Uniform2Pct, Coverage::Footprint];
+
+    fn label(self) -> &'static str {
+        match self {
+            Coverage::Uniform2Pct => "2%",
+            Coverage::Footprint => "200B",
+        }
+    }
+}
+
+/// Distinct slots one libpng exec touches on its 8 MiB flat map (about
+/// 200): the footprint kernel rows and the reset sweep's execs record
+/// this many scattered slots.
+const EXEC_RECORDS: usize = 200;
+
+/// One measured cell of the in-loop reset sweep.
+struct ResetSample {
+    size: usize,
+    /// `cached` (`fill(0)`) or `stream` (non-temporal stores).
+    strategy: &'static str,
+    iters: u64,
+    /// One whole exec: reset, [`EXEC_RECORDS`] records, fused
+    /// classify+compare.
+    ns_per_exec: f64,
 }
 
 /// One measured cell of the coverage-density sweep.
@@ -157,7 +201,7 @@ fn main() {
     report_header(
         "bench_mapops — per-kernel whole-map operation throughput",
         effort,
-        "steady-state ns/op over huge-page-aligned maps, ~2% coverage density",
+        "steady-state ns/op over huge-page-aligned maps, ~2% density and a 200-byte exec footprint",
     );
 
     let sizes: &[usize] = match effort {
@@ -182,9 +226,14 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!("nt_threshold: {NT_THRESHOLD} bytes\n");
+    println!(
+        "stream cutoff: {} ({})\n",
+        size_label(stream_cutoff()),
+        llc_label()
+    );
 
     let mut samples: Vec<Sample> = Vec::new();
+    let mut reset: Option<ResetSweep> = None;
     let mut density_samples: Vec<DensitySample> = Vec::new();
     let mut speedups: Vec<(usize, f64)> = Vec::new();
     let mut crossover: Option<f64> = None;
@@ -194,57 +243,58 @@ fn main() {
     let dense_table = active();
 
     if !giant_only {
-        // --- kernel ops: classify / compare / fused, per kernel, per size ---
+        // --- kernel ops: classify / compare / fused, per kernel, per size,
+        //     per coverage ---
         println!(
-            "{:<10} {:<8} {:>9} {:>12} {:>10}",
-            "op", "kernel", "size", "ns/op", "GiB/s"
+            "{:<10} {:<9} {:<8} {:>9} {:>12} {:>10}",
+            "op", "kernel", "coverage", "size", "ns/op", "GiB/s"
         );
         for &size in sizes {
-            let (cur, virgin) = prepare_region(size);
-            for &kind in &kernels {
-                let table = table_for(kind).expect("available kernel has a table");
-                for op in ["classify", "compare", "fused"] {
-                    let iters = (target_bytes / size).clamp(5, 4096) as u64;
-                    let mut cur_buf = clone_map(&cur);
-                    let mut virgin_buf = clone_map(&virgin);
-                    let cur_s = cur_buf.as_mut_slice();
-                    let virgin_s = virgin_buf.as_mut_slice();
-                    samples.push(measure(op, kind.label(), size, iters, || {
-                        run_op(op, table, cur_s, virgin_s)
-                    }));
+            for coverage in Coverage::ALL {
+                let (cur, virgin) = prepare_region(size, coverage);
+                let iters = (target_bytes / size).clamp(5, 4096) as u64;
+                for &kind in &kernels {
+                    let table = table_for(kind).expect("available kernel has a table");
+                    for op in ["classify", "compare", "fused"] {
+                        let mut cur_buf = clone_map(&cur);
+                        let mut virgin_buf = clone_map(&virgin);
+                        let cur_s = cur_buf.as_mut_slice();
+                        let virgin_s = virgin_buf.as_mut_slice();
+                        samples.push(measure(op, kind.label(), coverage, size, iters, || {
+                            run_op(op, table, cur_s, virgin_s)
+                        }));
+                    }
                 }
-            }
-            // Kernel-independent reads of the same region: the admission
-            // hash (zero-run-skipping CRC32) and the slot scan.
-            let iters = (target_bytes / size).clamp(5, 4096) as u64;
-            samples.push(measure("hash", "crc32", size, iters, || {
-                std::hint::black_box(Crc32::checksum(cur.as_slice()));
-            }));
-            samples.push(measure("scan", "wordskip", size, iters, || {
-                let mut sum = 0usize;
-                for_each_nonzero_byte(cur.as_slice(), |i, _| sum += i);
-                std::hint::black_box(sum);
-            }));
-        }
-
-        // --- reset sweep: cached fill vs streaming stores around the NT
-        //     threshold ---
-        println!("\nreset sweep (fill vs non-temporal stream):");
-        println!(
-            "{:<10} {:<8} {:>9} {:>12} {:>10}",
-            "op", "strategy", "size", "ns/op", "GiB/s"
-        );
-        let reset_sizes = [64 * KIB, 128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB];
-        for size in reset_sizes {
-            for strategy in ["fill", "stream"] {
-                let iters = (target_bytes / size).clamp(8, 8192) as u64;
-                let mut buf = MapBuffer::<u8>::zeroed(size);
-                let slice = buf.as_mut_slice();
-                samples.push(measure("reset", strategy, size, iters, || {
-                    run_reset(strategy, slice)
+                // Kernel-independent reads of the same region: the
+                // admission hash (zero-run-skipping CRC32) and the slot
+                // scan.
+                samples.push(measure("hash", "crc32", coverage, size, iters, || {
+                    std::hint::black_box(Crc32::checksum(cur.as_slice()));
+                }));
+                samples.push(measure("scan", "blockskip", coverage, size, iters, || {
+                    let mut sum = 0usize;
+                    for_each_nonzero_byte(cur.as_slice(), |i, _| sum += i);
+                    std::hint::black_box(sum);
                 }));
             }
         }
+
+        let sweep = run_reset_sweep(effort);
+        let cutoff = stream_cutoff();
+        println!(
+            "reset crossover: streaming wins from {} — resolved stream_cutoff {} ({}): {}",
+            sweep
+                .crossover
+                .map_or("no swept size".to_string(), size_label),
+            size_label(cutoff),
+            llc_label(),
+            if sweep.brackets(cutoff) {
+                "bracketed by the sweep"
+            } else {
+                "NOT bracketed by the sweep"
+            }
+        );
+        reset = Some(sweep);
 
         // --- headline: AVX2 fused vs scalar split-equivalent speedup ---
         println!("\nAVX2 fused speedup over scalar fused:");
@@ -431,6 +481,7 @@ fn main() {
         effort,
         &kernels,
         &samples,
+        reset.as_ref(),
         &speedups,
         &density_samples,
         crossover,
@@ -446,6 +497,158 @@ fn main() {
     if journal.is_some_and(|sweep| sweep.gate != Some(JOURNAL_MIN_USED)) {
         eprintln!("bench_mapops: JOURNAL_MIN_USED disagrees with the measured journal gate");
         std::process::exit(1);
+    }
+}
+
+/// Everything the reset sweep produces, for the crossover line and the
+/// JSON.
+struct ResetSweep {
+    cells: Vec<ResetSample>,
+    /// The swept sizes, ascending.
+    sizes: Vec<usize>,
+    /// The smallest swept size from which streaming beats the cached reset
+    /// there and at every larger swept size; `None` when the cached reset
+    /// still wins at the largest.
+    crossover: Option<usize>,
+}
+
+impl ResetSweep {
+    /// Whether `cutoff` picks the faster reset on both sides of the
+    /// crossover: at least the largest swept size below it, and below the
+    /// crossover itself (at least the largest swept size when streaming
+    /// never wins).
+    fn brackets(&self, cutoff: usize) -> bool {
+        let below = |size: usize| self.sizes.iter().copied().filter(|&s| s < size).max();
+        match self.crossover {
+            Some(from) => cutoff < from && below(from).is_none_or(|b| b <= cutoff),
+            None => self.sizes.last().is_some_and(|&largest| cutoff >= largest),
+        }
+    }
+}
+
+/// The in-loop reset sweep: whole flat-map execs — reset, [`EXEC_RECORDS`]
+/// scattered records, fused classify+compare through the active kernel —
+/// with a cached `fill(0)` reset against streaming stores, in [`ROUNDS`]
+/// alternating rounds per size. A reset-only sweep cannot see what
+/// decides the strategy: a cached reset leaves the map's lines in the
+/// cache for the fused pass, a streaming one sends them to DRAM first.
+fn run_reset_sweep(effort: Effort) -> ResetSweep {
+    let sizes: Vec<usize> = match effort {
+        Effort::Quick => vec![MIB, 2 * MIB, 4 * MIB, 8 * MIB],
+        Effort::Standard | Effort::Full => (0..8).map(|k| MIB << k).collect(),
+    };
+    // Wall time each strategy of a cell aims for, over all its rounds.
+    let cell_ns: f64 = match effort {
+        Effort::Quick => 40e6,
+        Effort::Standard => 400e6,
+        Effort::Full => 1600e6,
+    };
+    const STRATEGIES: [(&str, usize); 2] = [("cached", usize::MAX), ("stream", 0)];
+    println!(
+        "\nreset sweep (flat exec: reset + {EXEC_RECORDS} records + fused, per exec; \
+         median of {ROUNDS} alternating rounds):"
+    );
+    println!(
+        "{:<7} {:<8} {:>7} {:>12}",
+        "size", "reset", "iters", "ns/exec"
+    );
+    let table = active();
+    let mut cells = Vec::new();
+    for &size in &sizes {
+        let slots = scattered_slots(size, EXEC_RECORDS, 0x5E7 ^ size as u64);
+        let mut cur = MapBuffer::<u8>::zeroed(size);
+        let mut virgin = MapBuffer::<u8>::filled(size, 0xFF);
+        let (cur, virgin) = (cur.as_mut_slice(), virgin.as_mut_slice());
+        let mut exec = |cutoff: usize| {
+            zero_with_cutoff(cur, cutoff);
+            for &slot in &slots {
+                cur[slot] = cur[slot].saturating_add(1);
+            }
+            std::hint::black_box(table.classify_and_compare(cur, virgin));
+        };
+        let mut iters = [0u64; STRATEGIES.len()];
+        let mut rounds: Vec<Vec<f64>> = vec![Vec::new(); STRATEGIES.len()];
+        for round in 0..ROUNDS {
+            for (v, &(_, cutoff)) in STRATEGIES.iter().enumerate() {
+                // A warm-up exec settles the caches for this strategy (and
+                // trains the virgin map); the first round also times one
+                // exec to size the loop.
+                exec(cutoff);
+                if round == 0 {
+                    let t = Instant::now();
+                    exec(cutoff);
+                    let one = t.elapsed().as_nanos().max(1) as f64;
+                    iters[v] = (cell_ns / ROUNDS as f64 / one).clamp(2.0, 4096.0) as u64;
+                }
+                let t = Instant::now();
+                for _ in 0..iters[v] {
+                    exec(cutoff);
+                }
+                rounds[v].push(t.elapsed().as_nanos() as f64 / iters[v] as f64);
+            }
+        }
+        for ((&(strategy, _), n), mut r) in STRATEGIES.iter().zip(iters).zip(rounds) {
+            r.sort_by(f64::total_cmp);
+            let sample = ResetSample {
+                size,
+                strategy,
+                iters: n * ROUNDS as u64,
+                ns_per_exec: r[r.len() / 2],
+            };
+            println!(
+                "{:<7} {:<8} {:>7} {:>12.0}",
+                size_label(size),
+                strategy,
+                sample.iters,
+                sample.ns_per_exec
+            );
+            cells.push(sample);
+        }
+    }
+    let ns = |size: usize, strategy: &str| {
+        cells
+            .iter()
+            .find(|c| c.size == size && c.strategy == strategy)
+            .map(|c| c.ns_per_exec)
+    };
+    let mut crossover = None;
+    for &size in sizes.iter().rev() {
+        match (ns(size, "stream"), ns(size, "cached")) {
+            (Some(stream), Some(cached)) if stream < cached => crossover = Some(size),
+            _ => break,
+        }
+    }
+    ResetSweep {
+        cells,
+        sizes,
+        crossover,
+    }
+}
+
+/// `count` distinct slots of a `size`-byte map, uniformly scattered, in
+/// random order.
+fn scattered_slots(size: usize, count: usize, seed: u64) -> Vec<usize> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut slots: Vec<usize> = Vec::with_capacity(count);
+    while slots.len() < count.min(size) {
+        let slot = rng.gen_range(0..size);
+        if !slots.contains(&slot) {
+            slots.push(slot);
+        }
+    }
+    slots
+}
+
+/// The last-level cache CPUID reports, for the report lines.
+fn llc_label() -> String {
+    match last_level_cache() {
+        Some(llc) => format!(
+            "L{} {} shared by {} threads",
+            llc.level,
+            size_label(llc.bytes),
+            llc.threads
+        ),
+        None => "no last-level cache reported: fallback".to_string(),
     }
 }
 
@@ -480,10 +683,10 @@ const JOURNAL_VARIANTS: [(&str, SparseMode); 3] = [
 /// step up, at 256 KiB, the journaled exec costs under half of plain.
 const PAYS_AT_MOST: f64 = 0.9;
 
-/// Timed rounds per journal-sweep cell. The variants alternate round by
-/// round and each reports its median round, so drift between two
-/// variants' timed loops cannot decide a crossover.
-const JOURNAL_ROUNDS: usize = 5;
+/// Timed rounds per reset-sweep and journal-sweep cell. The variants
+/// alternate round by round and each reports its median round, so drift
+/// between two variants' timed loops cannot decide a crossover.
+const ROUNDS: usize = 5;
 
 /// Everything the journal sweep produces, for the acceptance line and
 /// the JSON.
@@ -528,7 +731,7 @@ fn run_journal_sweep(effort: Effort, densities: &[f64]) -> JournalSweep {
     };
     println!(
         "\njournal sweep (reset + {HITS_PER_SLOT} records per touched slot + fused, per exec; \
-         median of {JOURNAL_ROUNDS} alternating rounds):"
+         median of {ROUNDS} alternating rounds):"
     );
     println!(
         "{:<7} {:<8} {:<10} {:<8} {:>9} {:>7} {:>12}",
@@ -580,7 +783,7 @@ fn run_journal_sweep(effort: Effort, densities: &[f64]) -> JournalSweep {
 }
 
 /// Times whole execs of `keys` on `map` (its whole allocation is the used
-/// prefix) under each of [`JOURNAL_VARIANTS`], in [`JOURNAL_ROUNDS`]
+/// prefix) under each of [`JOURNAL_VARIANTS`], in [`ROUNDS`]
 /// alternating rounds, and prints one row per variant: the timed execs and
 /// the median round's ns per exec.
 fn journal_cell(
@@ -593,7 +796,7 @@ fn journal_cell(
 ) -> Vec<JournalSample> {
     let mut iters = [0u64; JOURNAL_VARIANTS.len()];
     let mut rounds: Vec<Vec<f64>> = vec![Vec::new(); JOURNAL_VARIANTS.len()];
-    for round in 0..JOURNAL_ROUNDS {
+    for round in 0..ROUNDS {
         for (v, &(_, mode)) in JOURNAL_VARIANTS.iter().enumerate() {
             map.set_sparse_override(Some(mode));
             // A warm-up exec trains the virgin map and lets the next
@@ -604,7 +807,7 @@ fn journal_cell(
                 let t = Instant::now();
                 journal_exec(map, virgin, keys);
                 let one = t.elapsed().as_nanos().max(1) as f64;
-                iters[v] = (cell_ns / JOURNAL_ROUNDS as f64 / one).clamp(2.0, 4096.0) as u64;
+                iters[v] = (cell_ns / ROUNDS as f64 / one).clamp(2.0, 4096.0) as u64;
             }
             let t = Instant::now();
             for _ in 0..iters[v] {
@@ -626,7 +829,7 @@ fn journal_cell(
                 layout,
                 variant,
                 touched: keys.len(),
-                iters: n * JOURNAL_ROUNDS as u64,
+                iters: n * ROUNDS as u64,
                 ns_per_exec: r[r.len() / 2],
             };
             println!(
@@ -983,6 +1186,7 @@ fn run_giant_arm(effort: Effort, dense_table: &bigmap_core::KernelTable) -> Gian
 fn measure(
     op: &'static str,
     variant: &str,
+    coverage: Coverage,
     size: usize,
     iters: u64,
     mut op_fn: impl FnMut(),
@@ -997,6 +1201,7 @@ fn measure(
     let sample = Sample {
         op,
         variant: variant.to_string(),
+        coverage: coverage.label(),
         size,
         iters,
         ns_per_op: elapsed.as_nanos() as f64 / iters as f64,
@@ -1005,9 +1210,10 @@ fn measure(
             / (1u64 << 30) as f64,
     };
     println!(
-        "{:<10} {:<8} {:>9} {:>12.0} {:>10.2}",
+        "{:<10} {:<9} {:<8} {:>9} {:>12.0} {:>10.2}",
         sample.op,
         sample.variant,
+        sample.coverage,
         size_label(size),
         sample.ns_per_op,
         sample.gib_per_s
@@ -1038,18 +1244,26 @@ fn out_path_from_args() -> String {
     "BENCH_mapops.json".to_string()
 }
 
-/// Builds a steady-state (cur, virgin) pair for one region size: ~2%
-/// nonzero density, counts at bucket fixed points, virgin trained on cur
-/// so timed compares take the no-new-coverage path and leave virgin
-/// unchanged.
-fn prepare_region(size: usize) -> (MapBuffer<u8>, MapBuffer<u8>) {
+/// Builds a steady-state (cur, virgin) pair for one region size and
+/// coverage, counts at bucket fixed points, virgin trained on cur so timed
+/// compares take the no-new-coverage path and leave virgin unchanged.
+fn prepare_region(size: usize, coverage: Coverage) -> (MapBuffer<u8>, MapBuffer<u8>) {
     let mut rng = SmallRng::seed_from_u64(0xB16_3A9 ^ size as u64);
     let mut cur = MapBuffer::<u8>::zeroed(size);
     {
         let slice = cur.as_mut_slice();
-        for byte in slice.iter_mut() {
-            if rng.gen_bool(0.02) {
-                *byte = rng.gen_range(1u8..=255);
+        match coverage {
+            Coverage::Uniform2Pct => {
+                for byte in slice.iter_mut() {
+                    if rng.gen_bool(0.02) {
+                        *byte = rng.gen_range(1u8..=255);
+                    }
+                }
+            }
+            Coverage::Footprint => {
+                for slot in scattered_slots(size, EXEC_RECORDS, rng.gen()) {
+                    slice[slot] = rng.gen_range(1u8..=255);
+                }
             }
         }
         // Fixed point: classifying classified data twice is a no-op
@@ -1179,24 +1393,23 @@ fn run_op(op: &str, table: &bigmap_core::KernelTable, cur: &mut [u8], virgin: &m
     }
 }
 
-#[inline]
-fn run_reset(strategy: &str, buf: &mut [u8]) {
-    match strategy {
-        "fill" => buf.fill(0),
-        "stream" => stream_zero(buf),
-        _ => unreachable!("unknown reset strategy {strategy}"),
-    }
-}
-
+/// ns/op of the 2%-coverage row for `op` and `variant` at `size`.
 fn find_ns(samples: &[Sample], op: &str, variant: &str, size: usize) -> Option<f64> {
     samples
         .iter()
-        .find(|s| s.op == op && s.variant == variant && s.size == size)
+        .find(|s| {
+            s.op == op
+                && s.variant == variant
+                && s.size == size
+                && s.coverage == Coverage::Uniform2Pct.label()
+        })
         .map(|s| s.ns_per_op)
 }
 
 fn size_label(size: usize) -> String {
-    if size >= MIB {
+    if size >= MIB && !size.is_multiple_of(MIB) {
+        format!("{:.1}M", size as f64 / MIB as f64)
+    } else if size >= MIB {
         format!("{}M", size / MIB)
     } else {
         format!("{}K", size / KIB)
@@ -1209,6 +1422,7 @@ fn render_json(
     effort: Effort,
     kernels: &[KernelKind],
     samples: &[Sample],
+    reset: Option<&ResetSweep>,
     speedups: &[(usize, f64)],
     density_samples: &[DensitySample],
     crossover: Option<f64>,
@@ -1221,7 +1435,19 @@ fn render_json(
     out.push_str("{\n");
     let _ = writeln!(out, "  \"benchmark\": \"bench_mapops\",");
     let _ = writeln!(out, "  \"mode\": \"{}\",", effort.label());
-    let _ = writeln!(out, "  \"nt_threshold\": {NT_THRESHOLD},");
+    let _ = writeln!(out, "  \"stream_cutoff\": {},", stream_cutoff());
+    match last_level_cache() {
+        Some(llc) => {
+            let _ = writeln!(
+                out,
+                "  \"llc\": {{\"level\": {}, \"bytes\": {}, \"threads\": {}}},",
+                llc.level, llc.bytes, llc.threads
+            );
+        }
+        None => {
+            let _ = writeln!(out, "  \"llc\": null,");
+        }
+    }
     let kernel_list = kernels
         .iter()
         .map(|k| format!("\"{}\"", k.label()))
@@ -1232,13 +1458,33 @@ fn render_json(
     for (i, s) in samples.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"op\": \"{}\", \"variant\": \"{}\", \"size\": {}, \
-             \"iters\": {}, \"ns_per_op\": {:.1}, \"gib_per_s\": {:.3}}}",
-            s.op, s.variant, s.size, s.iters, s.ns_per_op, s.gib_per_s
+            "    {{\"op\": \"{}\", \"variant\": \"{}\", \"coverage\": \"{}\", \
+             \"size\": {}, \"iters\": {}, \"ns_per_op\": {:.1}, \"gib_per_s\": {:.3}}}",
+            s.op, s.variant, s.coverage, s.size, s.iters, s.ns_per_op, s.gib_per_s
         );
         out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
+    let (cells, reset_crossover): (&[ResetSample], _) = match reset {
+        Some(sweep) => (&sweep.cells, sweep.crossover),
+        None => (&[], None),
+    };
+    let _ = writeln!(out, "  \"reset_exec_records\": {EXEC_RECORDS},");
+    out.push_str("  \"reset_results\": [\n");
+    for (i, c) in cells.iter().enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"size\": {}, \"strategy\": \"{}\", \"iters\": {}, \"ns_per_exec\": {:.1}}}",
+            c.size, c.strategy, c.iters, c.ns_per_exec
+        );
+        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ],\n");
+    let _ = writeln!(
+        out,
+        "  \"reset_crossover\": {},",
+        reset_crossover.map_or("null".to_string(), |c| c.to_string())
+    );
     out.push_str("  \"density_results\": [\n");
     for (i, s) in density_samples.iter().enumerate() {
         let _ = write!(

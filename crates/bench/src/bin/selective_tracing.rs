@@ -25,9 +25,9 @@ use bigmap_fuzzer::{Budget, Campaign, CampaignConfig, Telemetry, TelemetryEvent,
 use bigmap_target::{BenchmarkSpec, Interpreter};
 
 /// One scheme × map-size arm. Flat at large sizes is the trace-heavy
-/// regime the ≥2x acceptance target applies to; the two-level arm shows
-/// the (smaller) gain that remains once BigMap has already condensed the
-/// map ops.
+/// regime the ≥2x acceptance target applies to (judged at standard scale
+/// and above); the two-level arm shows the (smaller) gain that remains
+/// once BigMap has already condensed the map ops.
 const ARMS: [(MapScheme, MapSize, bool); 3] = [
     (MapScheme::Flat, MapSize::M2, true),
     (MapScheme::Flat, MapSize::M8, true),
@@ -202,13 +202,24 @@ fn main() {
         "exec-heavy control (sqlite3) geomean speedup: {control:.2}x \
          (expected ~1x: target execution dominates, little traced cost to shed)"
     );
-    if heavy >= 2.0 {
-        println!("acceptance: PASS — selective tracing >=2x on trace-heavy arms");
+    if effort == Effort::Quick {
+        // Quick-scale programs are small enough for the oracle to saturate
+        // within one arm, so the fast path covers nearly every exec and
+        // the geomean reads several times what standard scale does.
+        println!(
+            "acceptance: not judged at quick scale (the >=2x target applies at standard scale)"
+        );
+    } else if heavy >= 2.0 {
+        println!(
+            "acceptance: PASS at {} scale — selective tracing >=2x on trace-heavy arms",
+            effort.label()
+        );
     } else {
         println!(
-            "acceptance: BELOW TARGET on this host — speedup depends on the \
-             host's map-op cost relative to the simulated targets' execution \
-             cost; see EXPERIMENTS.md for the reference run"
+            "acceptance: BELOW TARGET at {} scale on this host — speedup depends \
+             on the host's map-op cost relative to the simulated targets' \
+             execution cost; see EXPERIMENTS.md for the reference run",
+            effort.label()
         );
     }
 }

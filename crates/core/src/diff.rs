@@ -44,8 +44,12 @@ pub(crate) fn diff_word(cur: u64, virgin: &mut u64, verdict: &mut NewCoverage) {
 }
 
 /// Calls `f(index, byte)` for every non-zero byte of `region` in ascending
-/// index order, skipping all-zero `u64` words: the slot scan behind both
-/// map schemes' `for_each_nonzero` and `count_nonzero`.
+/// index order: the slot scan behind both map schemes' `for_each_nonzero`
+/// and `count_nonzero`.
+///
+/// Like the CRC32's zero-run skip, it tests 64-byte blocks whose eight
+/// `u64` lanes OR to zero first, then the `u64` words of the other
+/// blocks, and visits bytes only in non-zero words.
 ///
 /// # Examples
 ///
@@ -58,21 +62,43 @@ pub(crate) fn diff_word(cur: u64, virgin: &mut u64, verdict: &mut NewCoverage) {
 /// ```
 #[inline]
 pub fn for_each_nonzero_byte(region: &[u8], mut f: impl FnMut(usize, u8)) {
-    let mut words = region.chunks_exact(8);
+    const BLOCK: usize = 64;
+    let mut blocks = region.chunks_exact(BLOCK);
     let mut base = 0;
-    for word in &mut words {
-        if u64::from_ne_bytes(word.try_into().expect("8-byte word")) != 0 {
-            for (i, &b) in word.iter().enumerate() {
+    for block in &mut blocks {
+        let lanes: [u64; BLOCK / 8] = std::array::from_fn(|i| word(&block[8 * i..8 * i + 8]));
+        if lanes.iter().fold(0, |acc, &l| acc | l) != 0 {
+            for_each_nonzero_in_words(block, base, &mut f);
+        }
+        base += BLOCK;
+    }
+    for_each_nonzero_in_words(blocks.remainder(), base, &mut f);
+}
+
+#[inline(always)]
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_ne_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// [`for_each_nonzero_byte`] over one block: skips zero `u64` words, and
+/// reports indices offset by `base`.
+#[inline(always)]
+fn for_each_nonzero_in_words(region: &[u8], base: usize, f: &mut impl FnMut(usize, u8)) {
+    let mut words = region.chunks_exact(8);
+    let mut at = base;
+    for w in &mut words {
+        if word(w) != 0 {
+            for (i, &b) in w.iter().enumerate() {
                 if b != 0 {
-                    f(base + i, b);
+                    f(at + i, b);
                 }
             }
         }
-        base += 8;
+        at += 8;
     }
     for (i, &b) in words.remainder().iter().enumerate() {
         if b != 0 {
-            f(base + i, b);
+            f(at + i, b);
         }
     }
 }
@@ -375,6 +401,33 @@ mod tests {
             prop_assert_eq!(split, merged);
             prop_assert_eq!(split_cur, merged_cur);
             prop_assert_eq!(virgin_a, virgin_b);
+        }
+
+        #[test]
+        fn nonzero_scan_matches_the_bytewise_definition(
+            len in 0usize..1200,
+            bytes in prop::collection::vec((0usize..1200, 1u8..=255), 0..12),
+            start in 0usize..8,
+        ) {
+            // Sparse non-zero bytes at any block phase (`start` shifts the
+            // slice off the 64-byte grid), so zero blocks, zero words and
+            // partial tails all occur.
+            let mut buf = vec![0u8; start + len];
+            for &(at, b) in &bytes {
+                if at < len {
+                    buf[start + at] = b;
+                }
+            }
+            let region = &buf[start..];
+            let want: Vec<(usize, u8)> = region
+                .iter()
+                .enumerate()
+                .filter(|&(_, &b)| b != 0)
+                .map(|(i, &b)| (i, b))
+                .collect();
+            let mut got = Vec::new();
+            for_each_nonzero_byte(region, |i, b| got.push((i, b)));
+            prop_assert_eq!(got, want);
         }
 
         #[test]

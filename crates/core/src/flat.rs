@@ -90,9 +90,10 @@ impl CoverageMap for FlatBitmap {
     }
 
     fn reset(&mut self) {
-        // §IV-E: plain memset for maps that fit the per-core caches,
-        // streaming stores above `simd::NT_THRESHOLD`, where a cached
-        // reset would evict everything else.
+        // §IV-E: plain memset for maps up to `simd::stream_cutoff()`, which
+        // the fused pass re-reads from the last-level cache, streaming
+        // stores above it, where a cached reset would evict everything
+        // else.
         nontemporal_zero(self.coverage.as_mut_slice());
     }
 
@@ -142,6 +143,7 @@ impl CoverageMap for FlatBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::zero_with_cutoff;
 
     fn small() -> FlatBitmap {
         FlatBitmap::new(MapSize::K64).unwrap()
@@ -166,13 +168,19 @@ mod tests {
 
     #[test]
     fn reset_clears_whole_map() {
-        // Both sides of the streaming cutoff.
+        // The shipped reset, then both sides of the streaming cutoff: a
+        // cutoff of 0 streams every map, one of `usize::MAX` fills it.
         for size in [MapSize::K64, MapSize::M2] {
-            let mut map = FlatBitmap::new(size).unwrap();
-            map.record(1);
-            map.record(60_000);
-            map.reset();
-            assert_eq!(map.count_nonzero(), 0);
+            for cutoff in [None, Some(0), Some(usize::MAX)] {
+                let mut map = FlatBitmap::new(size).unwrap();
+                map.record(1);
+                map.record(60_000);
+                match cutoff {
+                    None => map.reset(),
+                    Some(cutoff) => zero_with_cutoff(map.coverage.as_mut_slice(), cutoff),
+                }
+                assert_eq!(map.count_nonzero(), 0, "{size:?}, cutoff {cutoff:?}");
+            }
         }
     }
 
